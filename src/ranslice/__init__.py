@@ -5,7 +5,6 @@ from .descriptors import (
     DescriptorSet,
     ServiceType,
     Snssai,
-    enumerate_ils,
     parse_descriptor_set,
     serialize_descriptor_set,
     validate,
@@ -13,6 +12,7 @@ from .descriptors import (
 from .orchestrator import (
     Direction,
     Orchestrator,
+    ScaleTarget,
     ScalingEvent,
     ScalingThresholds,
     evaluate_scaling_policy,
@@ -24,7 +24,6 @@ from .resources import (
     calibrate_params,
     cu_vcpu_consumption,
     du_vcpu_consumption,
-    isolation_ok,
     vnic_mean_wait,
 )
 from .sim import DemandProfile, SimConfig, SimTrace, compare_scenarios, export, run
@@ -34,7 +33,6 @@ from .topology import (
     InstanceGraph,
     Scenario,
     build_instance_graph,
-    route_drb,
     slice_awareness_required,
 )
 
@@ -50,6 +48,7 @@ __all__ = [
     "InstanceGraph",
     "Orchestrator",
     "ResourceModelParams",
+    "ScaleTarget",
     "Scenario",
     "ScalingEvent",
     "ScalingThresholds",
@@ -63,12 +62,9 @@ __all__ = [
     "compare_scenarios",
     "cu_vcpu_consumption",
     "du_vcpu_consumption",
-    "enumerate_ils",
     "evaluate_scaling_policy",
     "export",
-    "isolation_ok",
     "parse_descriptor_set",
-    "route_drb",
     "run",
     "serialize_descriptor_set",
     "slice_awareness_required",

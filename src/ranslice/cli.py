@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on descriptor problems (syntax, duplicate
-ids, validation findings), 2 on configuration or I/O errors.
+ids, validation findings), 2 on configuration, orchestration or I/O
+errors.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .descriptors import (
     parse_snssai,
     validate,
 )
-from .orchestrator import DescriptorInvalidError
+from .orchestrator import DescriptorInvalidError, OrchestrationError
 from .resources import (
     CalibrationError,
     ResourceModelParams,
@@ -199,7 +200,8 @@ def main(argv: list[str] | None = None) -> int:
     except (DescriptorSyntaxError, DuplicateIdError, DescriptorInvalidError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINDINGS
-    except (ConfigError, UnderdeterminedError, CalibrationError, OSError) as exc:
+    except (ConfigError, OrchestrationError, UnderdeterminedError, CalibrationError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -289,8 +289,3 @@ class DescriptorSet:
             total += spec.instance_count * flavour.vcpus
         return total
 
-
-def enumerate_ils(nsd: GnbNsd) -> list[tuple[str, str | None, str | None]]:
-    """All declared instantiation levels of a gNB NSD as
-    (il_id, cu_sl, du_sl) tuples, in declaration order."""
-    return [(il.id, il.cu_sl, il.du_sl) for il in nsd.ils]

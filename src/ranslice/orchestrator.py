@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .descriptors import DescriptorSet, GnbNsd, Snssai, validate
 from .descriptors.validate import ValidationReport
@@ -61,6 +61,11 @@ class NoMatchingIlError(OrchestrationError):
     """The gNB NSD declares no IL for the requested (cu_sl, du_sl) pair."""
 
 
+class BaselineOverloadError(OrchestrationError):
+    """Per-slice baselines alone break isolation on a shared instance, so
+    no PRB split is feasible, not even zero PRBs for every slice."""
+
+
 class Direction(enum.Enum):
     UP = "up"
     DOWN = "down"
@@ -73,6 +78,12 @@ class ScaleTarget(enum.Enum):
     # Coordinated per-subnet IL update after a shared-DU scaling; not a
     # scaling execution of its own.
     SUBNET_IL = "subnet_il"
+
+
+# A scaling unit: a subnet's CU, a subnet's dedicated DU pool, or the
+# shared DU pool (no snssai). Each unit has ordered levels, one history
+# and scales on its own.
+Unit = tuple[ScaleTarget, Snssai | None]
 
 
 class ScalingCause(enum.Enum):
@@ -260,8 +271,8 @@ class Orchestrator:
         self.aux: AuxServiceInstance | None = None
         self.events: list[ScalingEvent] = []
         self.findings: list[str] = []
-        self._hist: dict[tuple[str, Snssai | None], deque[float]] = {}
-        self._last_scale: dict[tuple[str, Snssai | None], tuple[int, Direction]] = {}
+        self._hist: dict[Unit, deque[float]] = {}
+        self._last_scale: dict[Unit, tuple[int, Direction]] = {}
 
     # -- descriptor lookups -------------------------------------------------
 
@@ -269,10 +280,7 @@ class Orchestrator:
         return self.ds.gnb_nsds[self.subnets[snssai].nsd_ref]
 
     def _cu_sl_vcpus(self, snssai: Snssai, sl_id: str | None = None) -> int:
-        subnet = self.subnets[snssai]
-        nsd = self._nsd(snssai)
-        sl = nsd.sa_cu.sl(sl_id or subnet.cu_sl)
-        return self.ds.sl_total_vcpus(nsd, sl, self.ds.cu_vnfd(nsd))
+        return self._cu_capacity_of(self._nsd(snssai), sl_id or self.subnets[snssai].cu_sl)
 
     def _du_sl_spec(self, snssai: Snssai, sl_id: str | None = None) -> tuple[int, int]:
         """(instance count, vCPUs per instance) of a dedicated DU scale level."""
@@ -294,10 +302,12 @@ class Orchestrator:
         du_vnfd = self.ds.du_vnfd(self.ds.gnb_nsds[any_subnet.nsd_ref])
         return il.du_count, du_vnfd.flavour(il.du_il_ref).vcpus
 
+    def _cu_capacity_of(self, nsd: GnbNsd, cu_sl: str) -> int:
+        return self.ds.sl_total_vcpus(nsd, nsd.sa_cu.sl(cu_sl), self.ds.cu_vnfd(nsd))
+
     def _il_capacity(self, nsd: GnbNsd, il) -> int:
-        cu = self.ds.sl_total_vcpus(nsd, nsd.sa_cu.sl(il.cu_sl), self.ds.cu_vnfd(nsd))
         du = self.ds.sl_total_vcpus(nsd, nsd.sa_du.sl(il.du_sl), self.ds.du_vnfd(nsd))
-        return cu + du
+        return self._cu_capacity_of(nsd, il.cu_sl) + du
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -346,9 +356,6 @@ class Orchestrator:
         self.subnets[snssai] = subnet
         return subnet
 
-    def _cu_capacity_of(self, nsd: GnbNsd, cu_sl: str) -> int:
-        return self.ds.sl_total_vcpus(nsd, nsd.sa_cu.sl(cu_sl), self.ds.cu_vnfd(nsd))
-
     def _sorted_slices(self) -> list[Snssai]:
         return sorted(self.subnets, key=lambda s: s.key())
 
@@ -376,13 +383,12 @@ class Orchestrator:
 
     def _project(self, prbs_by_slice: Mapping[Snssai, int],
                  extra: tuple[Snssai, int, int, float] | None = None,
-                 cu_sl_over: Mapping[Snssai, str] | None = None,
-                 du_sl_over: Mapping[Snssai, str] | None = None,
-                 aux_il_over: str | None = None) -> list[InstanceUtil]:
+                 over: Mapping[Unit, str] | None = None) -> list[InstanceUtil]:
         """Per-instance consumption/PRB projection for a given PRB split.
         A slice's PRBs spread evenly (integer split) over the DU pool
-        serving it; its CU carries the full slice load. Overrides allow
-        probing hypothetical scale levels without touching state."""
+        serving it; its CU carries the full slice load. ``over`` puts
+        units at hypothetical levels without touching state."""
+        over = over or {}
         slices = self._sorted_slices()
         insts: list[InstanceUtil] = []
         # With a single owning subnet a "shared" instance degenerates to a
@@ -390,7 +396,7 @@ class Orchestrator:
         multi = len(slices) > 1
 
         if self.aux is not None:
-            count, vcpus = self._aux_spec(aux_il_over)
+            count, vcpus = self._aux_spec(over.get((ScaleTarget.SHARED_DU, None)))
             ids = shared_du_ids(count)
             shares = {s: _integer_split(prbs_by_slice.get(s, 0), count) for s in slices}
             for i, du_id in enumerate(ids):
@@ -404,8 +410,7 @@ class Orchestrator:
                                           per_slice, prbs_total, float(vcpus)))
         else:
             for s in slices:
-                sl_id = du_sl_over.get(s) if du_sl_over else None
-                count, vcpus = self._du_sl_spec(s, sl_id)
+                count, vcpus = self._du_sl_spec(s, over.get((ScaleTarget.DU, s)))
                 shares = _integer_split(prbs_by_slice.get(s, 0), count)
                 for i, du_id in enumerate(dedicated_du_ids(s, count)):
                     load = self._slice_load(s, shares[i], extra)
@@ -413,26 +418,22 @@ class Orchestrator:
                                               {s: du_vcpu_consumption(load, self.params)},
                                               shares[i], float(vcpus)))
 
+        cu_vcpus = {s: self._cu_sl_vcpus(s, over.get((ScaleTarget.CU, s))) for s in slices}
         if self.scenario.cu_shared:
             per_slice = {}
             prbs_total = 0
-            capacity = 0
             for s in slices:
                 load = self._slice_load(s, prbs_by_slice.get(s, 0), extra)
                 per_slice[s] = cu_vcpu_consumption(load, self.params)
                 prbs_total += prbs_by_slice.get(s, 0)
-                sl_id = cu_sl_over.get(s) if cu_sl_over else None
-                capacity = max(capacity, self._cu_sl_vcpus(s, sl_id))
-            insts.append(InstanceUtil(shared_cu_id(), "cu", multi, tuple(slices),
-                                      per_slice, prbs_total, float(capacity)))
+            insts.append(InstanceUtil(shared_cu_id(), "cu", multi, tuple(slices), per_slice,
+                                      prbs_total, float(max(cu_vcpus.values(), default=0))))
         else:
             for s in slices:
                 load = self._slice_load(s, prbs_by_slice.get(s, 0), extra)
-                sl_id = cu_sl_over.get(s) if cu_sl_over else None
                 insts.append(InstanceUtil(self._nsd(s).cu_id, "cu", False, (s,),
                                           {s: cu_vcpu_consumption(load, self.params)},
-                                          prbs_by_slice.get(s, 0),
-                                          float(self._cu_sl_vcpus(s, sl_id))))
+                                          prbs_by_slice.get(s, 0), float(cu_vcpus[s])))
         return insts
 
     def _demand_map(self) -> dict[Snssai, int]:
@@ -458,15 +459,26 @@ class Orchestrator:
         demand[snssai] = demand[snssai] + est
         extra = (snssai, est, modulation_order, code_rate)
         for inst in self._project(demand, extra=extra):
-            if snssai not in inst.owners:
-                continue
-            if inst.shared:
-                result = check_isolation(
-                    inst.per_slice,
-                    CapacityBudget(inst.capacity, self.budget.per_slice_cap))
-                if not result.ok:
-                    return Reject(REJECT_VCPU_CAP,
-                                  f"{inst.instance_id}: {'; '.join(result.violations)}")
+            if snssai in inst.owners:
+                reject = self._limit(inst)
+                if reject is not None:
+                    return reject
+        self.subnets[snssai].admitted_drbs.append(
+            AdmittedDrb(drb=drb, est_prbs=est,
+                        modulation_order=modulation_order, code_rate=code_rate))
+        return Admit(est_prbs=est)
+
+    def _limit(self, inst: InstanceUtil, vnic: bool = True) -> Reject | None:
+        """The first limit ``inst`` breaks, or None: isolation if the
+        instance is shared, then (with ``vnic``) vNIC saturation and the
+        vNIC delay cap."""
+        if inst.shared:
+            result = check_isolation(
+                inst.per_slice, CapacityBudget(inst.capacity, self.budget.per_slice_cap))
+            if not result.ok:
+                return Reject(REJECT_VCPU_CAP,
+                              f"{inst.instance_id}: {'; '.join(result.violations)}")
+        if vnic:
             try:
                 wait = vnic_mean_wait(inst.prbs, self.params)
             except VnicSaturatedError as exc:
@@ -475,10 +487,7 @@ class Orchestrator:
                 return Reject(REJECT_VNIC_DELAY,
                               f"{inst.instance_id}: mean wait {wait * 1e3:.3f} ms "
                               f"exceeds cap {self.vnic_delay_cap_s * 1e3:.3f} ms")
-        self.subnets[snssai].admitted_drbs.append(
-            AdmittedDrb(drb=drb, est_prbs=est,
-                        modulation_order=modulation_order, code_rate=code_rate))
-        return Admit(est_prbs=est)
+        return None
 
     def depart_drb(self, snssai: Snssai, drb_id: str) -> bool:
         subnet = self.subnets[snssai]
@@ -491,21 +500,16 @@ class Orchestrator:
     # -- PRB allocation ---------------------------------------------------------
 
     def _isolation_feasible(self, prbs_by_slice: Mapping[Snssai, int]) -> bool:
-        for inst in self._project(prbs_by_slice):
-            if not inst.shared:
-                continue
-            result = check_isolation(
-                inst.per_slice, CapacityBudget(inst.capacity, self.budget.per_slice_cap))
-            if not result.ok:
-                return False
-        return True
+        return all(self._limit(inst, vnic=False) is None
+                   for inst in self._project(prbs_by_slice))
 
     def allocate_prbs(self, total_prbs: int) -> dict[Snssai, int]:
         """Split the PRB budget across subnets proportionally to their
         admitted demand (largest-remainder rounding), then trim the
         largest allocations one PRB at a time until isolation holds on
         every shared instance, and finally round-robin any slack back.
-        Deterministic; allocations never exceed a slice's demand."""
+        Deterministic; allocations never exceed a slice's demand. Raises
+        BaselineOverloadError when isolation fails even at zero PRBs."""
         if total_prbs < 0:
             raise ValueError("total_prbs must be >= 0")
         slices = self._sorted_slices()
@@ -524,7 +528,13 @@ class Orchestrator:
 
         while not self._isolation_feasible(alloc):
             reducible = [s for s in slices if alloc[s] > 0]
-            assert reducible, "isolation violated at zero allocation"
+            if not reducible:
+                inst = next(i for i in self._project(alloc)
+                            if self._limit(i, vnic=False) is not None)
+                raise BaselineOverloadError(
+                    f"{inst.instance_id}: isolation fails with no PRBs allocated; slice "
+                    f"baselines sum to {inst.consumption:.4f} vCPU against capacity "
+                    f"{inst.capacity:.4f}, per-slice cap {self.budget.per_slice_cap:g}")
             victim = max(reducible, key=lambda s: (alloc[s], s.key()))
             alloc[victim] -= 1
 
@@ -546,257 +556,170 @@ class Orchestrator:
 
     # -- scaling ------------------------------------------------------------------
 
-    def scale_subnet_cu(self, snssai: Snssai, direction: Direction,
-                        cause: ScalingCause = ScalingCause.LOAD_INCREASE) -> ScalingEvent:
-        """Move the subnet's CU scale level one step; the DU level is
-        untouched and the current IL becomes the declared IL for the new
-        pair."""
-        subnet = self.subnets[snssai]
-        nsd = self._nsd(snssai)
-        sa = nsd.sa_cu
-        idx = sa.index_of(subnet.cu_sl)
-        j = idx + 1 if direction is Direction.UP else idx - 1
-        if j < 0 or j >= len(sa.sls):
-            raise AtBoundaryError(
-                f"cu of {snssai} has no scale level {direction.value} from {subnet.cu_sl!r}")
-        new_sl = sa.sls[j].id
-        il = nsd.find_il(new_sl, subnet.du_sl)
-        if il is None:
-            raise NoMatchingIlError(
-                f"gnb_nsd[{nsd.id}] declares no IL for ({new_sl}, {subnet.du_sl})")
-        event = ScalingEvent(time=self.clock, target=ScaleTarget.CU, snssai=snssai,
-                             from_level=subnet.cu_sl, to_level=new_sl, cause=cause)
-        subnet.cu_sl = new_sl
-        subnet.current_il = il.id
-        self.events.append(event)
-        return event
-
-    def scale_subnet_du(self, snssai: Snssai, direction: Direction,
-                        cause: ScalingCause = ScalingCause.LOAD_INCREASE) -> ScalingEvent:
-        """Per-subnet DU scaling for subnets whose DU pool is not under
-        auxiliary coordination. Shared DUs scale through scale_shared_du."""
+    def _units(self) -> list[Unit]:
+        """Every scaling unit, in policy order: each subnet's CU, then the
+        shared DU pool or each subnet's dedicated DU pool."""
+        slices = self._sorted_slices()
+        units: list[Unit] = [(ScaleTarget.CU, s) for s in slices]
         if self.aux is not None:
-            raise OrchestrationError("shared DUs scale through the auxiliary service")
+            return units + [(ScaleTarget.SHARED_DU, None)]
+        return units + [(ScaleTarget.DU, s) for s in slices]
+
+    def _step(self, unit: Unit, direction: Direction) -> tuple[str, str | None]:
+        """The unit's current level and the adjacent one in ``direction``
+        (None at a boundary)."""
+        target, snssai = unit
+        if target is ScaleTarget.SHARED_DU:
+            levels = [il.id for il in self.ds.aux_nsds[self.aux.aux_nsd_ref].ils]
+            current = self.aux.current_il
+        elif target is ScaleTarget.CU:
+            levels, current = self._nsd(snssai).sa_cu.sl_ids(), self.subnets[snssai].cu_sl
+        else:
+            levels, current = self._nsd(snssai).sa_du.sl_ids(), self.subnets[snssai].du_sl
+        j = levels.index(current) + (1 if direction is Direction.UP else -1)
+        return current, (levels[j] if 0 <= j < len(levels) else None)
+
+    def _target_il(self, unit: Unit, level: str):
+        """The IL that puts ``unit`` at ``level``: the auxiliary IL for the
+        shared pool, else the subnet's declared IL for its new (cu_sl,
+        du_sl) pair, None if it declares none."""
+        target, snssai = unit
+        if target is ScaleTarget.SHARED_DU:
+            return self.ds.aux_nsds[self.aux.aux_nsd_ref].il(level)
         subnet = self.subnets[snssai]
-        nsd = self._nsd(snssai)
-        sa = nsd.sa_du
-        idx = sa.index_of(subnet.du_sl)
-        j = idx + 1 if direction is Direction.UP else idx - 1
-        if j < 0 or j >= len(sa.sls):
-            raise AtBoundaryError(
-                f"du of {snssai} has no scale level {direction.value} from {subnet.du_sl!r}")
-        new_sl = sa.sls[j].id
-        il = nsd.find_il(subnet.cu_sl, new_sl)
+        pair = (level, subnet.du_sl) if target is ScaleTarget.CU else (subnet.cu_sl, level)
+        return self._nsd(snssai).find_il(*pair)
+
+    def scale(self, target: ScaleTarget, direction: Direction,
+              snssai: Snssai | None = None,
+              cause: ScalingCause = ScalingCause.LOAD_INCREASE) -> list[ScalingEvent]:
+        """Move one scaling unit one level in ``direction`` and return the
+        events, the unit's own first.
+
+        CU and DU (a dedicated pool) scale the subnet ``snssai``: its
+        other level stays and its current IL becomes the declared IL for
+        the new pair. SHARED_DU scales the shared pool exactly once, on
+        the auxiliary service; every referencing subnet then follows with
+        a SUBNET_IL event (see _follow_aux)."""
+        if target is ScaleTarget.SHARED_DU:
+            if self.aux is None:
+                raise OrchestrationError("no auxiliary service instance is live")
+            snssai = None
+        elif target is ScaleTarget.SUBNET_IL:
+            raise OrchestrationError("subnet ILs follow a shared-DU scaling")
+        elif snssai not in self.subnets:
+            raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
+        elif target is ScaleTarget.DU and self.aux is not None:
+            raise OrchestrationError("shared DUs scale through the auxiliary service")
+        unit = (target, snssai)
+        current, level = self._step(unit, direction)
+        who = "auxiliary service" if snssai is None else f"{target.value} of {snssai}"
+        if level is None:
+            raise AtBoundaryError(f"{who} has no level {direction.value} from {current!r}")
+        il = self._target_il(unit, level)
         if il is None:
             raise NoMatchingIlError(
-                f"gnb_nsd[{nsd.id}] declares no IL for ({subnet.cu_sl}, {new_sl})")
-        event = ScalingEvent(time=self.clock, target=ScaleTarget.DU, snssai=snssai,
-                             from_level=subnet.du_sl, to_level=new_sl, cause=cause)
-        subnet.du_sl = new_sl
-        subnet.current_il = il.id
-        self.events.append(event)
-        return event
-
-    def _reselect_cu_sl(self, snssai: Snssai) -> str:
-        """Smallest CU scale level whose capacity covers the subnet's
-        current CU demand; the largest one if none suffices."""
-        nsd = self._nsd(snssai)
-        need = cu_vcpu_consumption(
-            self._slice_load(snssai, self.subnets[snssai].demand_prbs()), self.params)
-        for sl in nsd.sa_cu.sls:
-            if self._cu_capacity_of(nsd, sl.id) >= need:
-                return sl.id
-        return nsd.sa_cu.sls[-1].id
-
-    def scale_shared_du(self, direction: Direction,
-                        cause: ScalingCause = ScalingCause.LOAD_INCREASE) -> list[ScalingEvent]:
-        """Scale the shared DU: exactly one scaling execution, on the
-        auxiliary service, then update every referencing subnet to an IL
-        whose DU level equals the new auxiliary IL (CU level re-selected
-        from the subnet's own demand). A subnet with no usable IL keeps
-        its previous view and an InconsistentIl finding is recorded."""
-        if self.aux is None:
-            raise OrchestrationError("no auxiliary service instance is live")
-        aux_nsd = self.ds.aux_nsds[self.aux.aux_nsd_ref]
-        ids = [il.id for il in aux_nsd.ils]
-        idx = ids.index(self.aux.current_il)
-        j = idx + 1 if direction is Direction.UP else idx - 1
-        if j < 0 or j >= len(ids):
-            raise AtBoundaryError(
-                f"auxiliary service has no IL {direction.value} from {self.aux.current_il!r}")
-        old_il = self.aux.current_il
-        new_il = aux_nsd.ils[j]
-        self.aux.current_il = new_il.id
-        self.aux.live_du_ids = shared_du_ids(new_il.du_count)
-        events = [ScalingEvent(time=self.clock, target=ScaleTarget.SHARED_DU, snssai=None,
-                               from_level=old_il, to_level=new_il.id, cause=cause)]
-        self.events.append(events[0])
-
-        for s in self._sorted_slices():
-            subnet = self.subnets[s]
-            nsd = self._nsd(s)
-            new_du_sl = new_il.id
-            if nsd.sa_du.sl(new_du_sl) is None:
-                self.findings.append(
-                    f"InconsistentIl: {s}: sa_du has no scale level {new_du_sl!r}")
-                continue
-            want_cu = self._reselect_cu_sl(s)
-            chosen = nsd.find_il(want_cu, new_du_sl)
-            if chosen is None:
-                need = cu_vcpu_consumption(
-                    self._slice_load(s, subnet.demand_prbs()), self.params)
-                candidates = [il for il in nsd.ils
-                              if il.du_sl == new_du_sl and il.cu_sl is not None
-                              and self._cu_capacity_of(nsd, il.cu_sl) >= need]
-                if not candidates:
-                    self.findings.append(
-                        f"InconsistentIl: {s}: no declared IL matches du_sl {new_du_sl!r}")
-                    continue
-                chosen = min(candidates, key=lambda il: self._cu_capacity_of(nsd, il.cu_sl))
-            prev_il = subnet.current_il
-            subnet.du_sl = new_du_sl
-            subnet.cu_sl = chosen.cu_sl
-            subnet.current_il = chosen.id
-            event = ScalingEvent(time=self.clock, target=ScaleTarget.SUBNET_IL, snssai=s,
-                                 from_level=prev_il, to_level=chosen.id, cause=cause)
-            events.append(event)
-            self.events.append(event)
+                f"gnb_nsd[{self.subnets[snssai].nsd_ref}] declares no IL putting "
+                f"{who} at {level!r}")
+        events = [ScalingEvent(time=self.clock, target=target, snssai=snssai,
+                               from_level=current, to_level=level, cause=cause)]
+        if target is ScaleTarget.SHARED_DU:
+            self.aux.current_il = level
+            self.aux.live_du_ids = shared_du_ids(il.du_count)
+            events += filter(None, (self._follow_aux(s, cause) for s in self._sorted_slices()))
+        else:
+            subnet = self.subnets[snssai]
+            subnet.cu_sl, subnet.du_sl, subnet.current_il = il.cu_sl, il.du_sl, il.id
+        self.events.extend(events)
         return events
+
+    def _follow_aux(self, s: Snssai, cause: ScalingCause) -> ScalingEvent | None:
+        """Point subnet ``s`` at an IL whose DU level equals the auxiliary
+        IL, its CU level re-selected from its own demand. A subnet with no
+        usable IL keeps its previous view and an InconsistentIl finding is
+        recorded."""
+        subnet = self.subnets[s]
+        nsd = self._nsd(s)
+        new_du_sl = self.aux.current_il
+        if nsd.sa_du.sl(new_du_sl) is None:
+            self.findings.append(
+                f"InconsistentIl: {s}: sa_du has no scale level {new_du_sl!r}")
+            return None
+        need = cu_vcpu_consumption(self._slice_load(s, subnet.demand_prbs()), self.params)
+        covering = [sl.id for sl in nsd.sa_cu.sls if self._cu_capacity_of(nsd, sl.id) >= need]
+        chosen = nsd.find_il(covering[0] if covering else nsd.sa_cu.sls[-1].id, new_du_sl)
+        if chosen is None:
+            candidates = [il for il in nsd.ils
+                          if il.du_sl == new_du_sl and il.cu_sl is not None
+                          and self._cu_capacity_of(nsd, il.cu_sl) >= need]
+            if not candidates:
+                self.findings.append(
+                    f"InconsistentIl: {s}: no declared IL matches du_sl {new_du_sl!r}")
+                return None
+            chosen = min(candidates, key=lambda il: self._cu_capacity_of(nsd, il.cu_sl))
+        event = ScalingEvent(time=self.clock, target=ScaleTarget.SUBNET_IL, snssai=s,
+                             from_level=subnet.current_il, to_level=chosen.id, cause=cause)
+        subnet.cu_sl, subnet.du_sl, subnet.current_il = chosen.cu_sl, chosen.du_sl, chosen.id
+        return event
 
     # -- policy-driven scaling ----------------------------------------------------
 
     def observe_utilization(self) -> list[InstanceUtil]:
-        """Project utilization at the current allocations, record it in
-        the per-target policy histories, and return the snapshot."""
+        """Project utilization at the current allocations, append one
+        sample per scaling unit to its history, and return the snapshot.
+        A CU's sample is its slice's consumption over the subnet's own CU
+        level; a DU pool's is the pool's consumption over its capacity."""
         insts = self._project(self._allocated_map())
-        by_id = {inst.instance_id: inst for inst in insts}
-
-        for s in self._sorted_slices():
-            consumption = 0.0
-            for inst in insts:
-                if inst.kind == "cu" and s in inst.owners:
-                    consumption = inst.per_slice[s]
-                    break
-            util = consumption / self._cu_sl_vcpus(s)
-            self._history(("cu", s)).append(util)
-
-        if self.aux is not None:
-            pool = [by_id[i] for i in self.aux.live_du_ids]
-            util = sum(i.consumption for i in pool) / sum(i.capacity for i in pool)
-            self._history(("du", None)).append(util)
-        else:
-            for s in self._sorted_slices():
-                count, _ = self._du_sl_spec(s)
-                pool = [by_id[i] for i in dedicated_du_ids(s, count)]
-                util = sum(i.consumption for i in pool) / sum(i.capacity for i in pool)
-                self._history(("du", s)).append(util)
+        for unit in self._units():
+            target, s = unit
+            kind = "cu" if target is ScaleTarget.CU else "du"
+            mine = [i for i in insts if i.kind == kind and (s is None or s in i.owners)]
+            if target is ScaleTarget.CU:
+                util = mine[0].per_slice[s] / self._cu_sl_vcpus(s)
+            else:
+                util = sum(i.consumption for i in mine) / sum(i.capacity for i in mine)
+            self._history(unit).append(util)
         return insts
 
-    def _history(self, key: tuple[str, Snssai | None]) -> deque[float]:
-        if key not in self._hist:
-            self._hist[key] = deque(maxlen=max(self.thresholds.window, 1))
-        return self._hist[key]
+    def _history(self, unit: Unit) -> deque[float]:
+        if unit not in self._hist:
+            self._hist[unit] = deque(maxlen=max(self.thresholds.window, 1))
+        return self._hist[unit]
 
-    def _shared_ok(self, insts: Iterable[InstanceUtil], check_vnic: bool) -> bool:
-        for inst in insts:
-            if inst.shared:
-                result = check_isolation(
-                    inst.per_slice, CapacityBudget(inst.capacity, self.budget.per_slice_cap))
-                if not result.ok:
-                    return False
-            elif inst.consumption > inst.capacity:
-                return False
-            if check_vnic:
-                try:
-                    wait = vnic_mean_wait(inst.prbs, self.params)
-                except VnicSaturatedError:
-                    return False
-                if wait > self.vnic_delay_cap_s:
-                    return False
-        return True
-
-    def _cu_down_feasible(self, snssai: Snssai, new_sl: str) -> bool:
-        insts = self._project(self._allocated_map(), cu_sl_over={snssai: new_sl})
-        return self._shared_ok((i for i in insts if i.kind == "cu"), check_vnic=False)
-
-    def _du_down_feasible(self, snssai: Snssai | None, new_level: str) -> bool:
-        if snssai is None:
-            insts = self._project(self._allocated_map(), aux_il_over=new_level)
-        else:
-            insts = self._project(self._allocated_map(), du_sl_over={snssai: new_level})
-        return self._shared_ok((i for i in insts if i.kind == "du"), check_vnic=True)
+    def _down_feasible(self, unit: Unit, level: str) -> bool:
+        """Whether the unit's instances, projected at the current
+        allocations with the unit at ``level``, stay within capacity,
+        isolation and (DU pools only) the vNIC limits."""
+        kind = "cu" if unit[0] is ScaleTarget.CU else "du"
+        return not any(
+            (not inst.shared and inst.consumption > inst.capacity)
+            or self._limit(inst, vnic=kind == "du") is not None
+            for inst in self._project(self._allocated_map(), over={unit: level})
+            if inst.kind == kind)
 
     def apply_scaling_policies(self) -> list[ScalingEvent]:
-        """Evaluate the threshold policy per CU and per DU pool and apply
-        the resulting scalings. A scale-down that would violate isolation
-        (or saturate a vNIC) is suppressed; admitted DRBs are never
-        evicted."""
+        """Evaluate the threshold policy per scaling unit and apply the
+        resulting scalings. A step is possible only to a level with a
+        declared IL; a scale-down that would break a limit at the current
+        allocations is suppressed, so admitted DRBs are never evicted."""
         events: list[ScalingEvent] = []
-        for s in self._sorted_slices():
-            subnet = self.subnets[s]
-            nsd = self._nsd(s)
-            sa = nsd.sa_cu
-            idx = sa.index_of(subnet.cu_sl)
-            can_up = (idx + 1 < len(sa.sls)
-                      and nsd.find_il(sa.sls[idx + 1].id, subnet.du_sl) is not None)
-            can_down = (idx > 0
-                        and nsd.find_il(sa.sls[idx - 1].id, subnet.du_sl) is not None
-                        and self._cu_down_feasible(s, sa.sls[idx - 1].id))
-            key = ("cu", s)
-            hist = self._history(key)
+        for unit in self._units():
+            hist = self._history(unit)
             if not hist:
                 continue
+            up, down = (self._step(unit, d)[1] for d in (Direction.UP, Direction.DOWN))
             decision = evaluate_scaling_policy(
-                hist, self.thresholds, can_up=can_up, can_down=can_down,
-                last_event=self._last_scale.get(key), now=self.clock)
-            if decision is None:
+                hist, self.thresholds,
+                can_up=up is not None and self._target_il(unit, up) is not None,
+                can_down=down is not None and self._target_il(unit, down) is not None,
+                last_event=self._last_scale.get(unit), now=self.clock)
+            if decision is None or (decision is Direction.DOWN
+                                    and not self._down_feasible(unit, down)):
                 continue
             cause = (ScalingCause.LOAD_INCREASE if decision is Direction.UP
                      else ScalingCause.LOAD_DECREASE)
-            events.append(self.scale_subnet_cu(s, decision, cause))
-            self._last_scale[key] = (self.clock, decision)
-
-        if self.aux is not None:
-            aux_nsd = self.ds.aux_nsds[self.aux.aux_nsd_ref]
-            ids = [il.id for il in aux_nsd.ils]
-            idx = ids.index(self.aux.current_il)
-            can_up = idx + 1 < len(ids)
-            can_down = idx > 0 and self._du_down_feasible(None, ids[idx - 1])
-            key = ("du", None)
-            hist = self._history(key)
-            if hist:
-                decision = evaluate_scaling_policy(
-                    hist, self.thresholds, can_up=can_up, can_down=can_down,
-                    last_event=self._last_scale.get(key), now=self.clock)
-                if decision is not None:
-                    cause = (ScalingCause.LOAD_INCREASE if decision is Direction.UP
-                             else ScalingCause.LOAD_DECREASE)
-                    events.extend(self.scale_shared_du(decision, cause))
-                    self._last_scale[key] = (self.clock, decision)
-        else:
-            for s in self._sorted_slices():
-                subnet = self.subnets[s]
-                nsd = self._nsd(s)
-                sa = nsd.sa_du
-                idx = sa.index_of(subnet.du_sl)
-                can_up = (idx + 1 < len(sa.sls)
-                          and nsd.find_il(subnet.cu_sl, sa.sls[idx + 1].id) is not None)
-                can_down = (idx > 0
-                            and nsd.find_il(subnet.cu_sl, sa.sls[idx - 1].id) is not None
-                            and self._du_down_feasible(s, sa.sls[idx - 1].id))
-                key = ("du", s)
-                hist = self._history(key)
-                if not hist:
-                    continue
-                decision = evaluate_scaling_policy(
-                    hist, self.thresholds, can_up=can_up, can_down=can_down,
-                    last_event=self._last_scale.get(key), now=self.clock)
-                if decision is None:
-                    continue
-                cause = (ScalingCause.LOAD_INCREASE if decision is Direction.UP
-                         else ScalingCause.LOAD_DECREASE)
-                events.append(self.scale_subnet_du(s, decision, cause))
-                self._last_scale[key] = (self.clock, decision)
+            events += self.scale(unit[0], decision, unit[1], cause)
+            self._last_scale[unit] = (self.clock, decision)
         return events
 
     # -- accounting ----------------------------------------------------------------

@@ -168,21 +168,6 @@ def check_isolation(consumptions: Mapping[Snssai, float],
     )
 
 
-def isolation_ok(loads: Sequence[SliceLoad], budget: CapacityBudget,
-                 p: ResourceModelParams,
-                 consumption: Callable[[SliceLoad, ResourceModelParams], float] = du_vcpu_consumption,
-                 ) -> IsolationResult:
-    """Isolation predicate over slice loads sharing one instance."""
-    if not loads:
-        raise ValueError("loads must be non-empty")
-    consumptions: dict[Snssai, float] = {}
-    for load in loads:
-        if load.snssai in consumptions:
-            raise ValueError(f"duplicate load for slice {load.snssai}")
-        consumptions[load.snssai] = consumption(load, p)
-    return check_isolation(consumptions, budget)
-
-
 def estimate_prbs(throughput_mbps: float, modulation_order: int, code_rate: float,
                   numerology_index: int, dl_ul_symbol_ratio: float) -> int:
     """PRBs needed to carry a downlink throughput at the given MCS.

@@ -1,5 +1,5 @@
 """Concrete CU/DU/RU instance graphs for the four component-sharing
-scenarios, plus per-DRB routing through them.
+scenarios.
 
 Sharing semantics with K slice subnets and n DUs per gNB:
 
@@ -10,14 +10,13 @@ Sharing semantics with K slice subnets and n DUs per gNB:
 * s4: DUs shared, CU per subnet (K CUs, n DUs); the shared DUs keep a
   matching table from CU identifier to S-NSSAI.
 
-RUs are physical and shared in every scenario. Graphs are immutable and
-routing is a pure function, so concurrent readers are safe.
+RUs are physical and shared in every scenario. Graphs are immutable, so
+concurrent readers are safe.
 """
 
 from __future__ import annotations
 
 import enum
-import zlib
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -63,10 +62,6 @@ class NoSlicesError(TopologyError):
     pass
 
 
-class UnknownSliceError(TopologyError):
-    pass
-
-
 @dataclass(frozen=True)
 class DrbQos:
     throughput_mbps: float
@@ -82,28 +77,17 @@ class DrbQos:
 
 @dataclass(frozen=True)
 class Drb:
-    """A data radio bearer of one slice subnet. ``signalling`` marks
-    attachment-only bearers in the hybrid use case where a fully shared
-    gNB carries signalling and dedicated gNBs carry user data; such DRBs
-    are routed through a separate graph by the caller."""
+    """A data radio bearer of one slice subnet."""
 
     drb_id: str
     snssai: Snssai
     qos: DrbQos
-    signalling: bool = False
 
 
 @dataclass(frozen=True)
 class NodeInstance:
     instance_id: str
     owners: frozenset[Snssai]
-
-
-@dataclass(frozen=True)
-class RoutePath:
-    ru_id: str
-    du_id: str
-    cu_id: str
 
 
 @dataclass(frozen=True)
@@ -212,37 +196,6 @@ def build_instance_graph(ds: DescriptorSet, scenario: Scenario,
         snssai_to_du=snssai_to_du,
         cu_to_snssai=cu_to_snssai,
     )
-
-
-def _stable_index(drb_id: str, count: int) -> int:
-    # Reproducible across processes, unlike the built-in str hash.
-    return zlib.crc32(drb_id.encode("utf-8")) % count
-
-
-def route_drb(graph: InstanceGraph, drb: Drb) -> RoutePath:
-    """Route a DRB to its serving (RU, DU, CU). The CU and DU pool are
-    unique per slice; within a multi-DU pool the DU is picked by stable
-    hashing of the DRB id so replays are reproducible."""
-    if drb.snssai not in graph.slices():
-        raise UnknownSliceError(f"slice {drb.snssai} not present in the graph")
-
-    if graph.scenario is Scenario.S4_DU_SHARED:
-        cu_id = next(cu for cu, s in graph.cu_to_snssai.items() if s == drb.snssai)
-    else:
-        cu_id = next(cu.instance_id for cu in graph.cu_instances
-                     if drb.snssai in cu.owners)
-
-    if graph.snssai_to_du:
-        du_pool = graph.snssai_to_du[drb.snssai]
-    else:
-        du_pool = tuple(du.instance_id for du in graph.du_instances
-                        if drb.snssai in du.owners)
-    du_id = du_pool[_stable_index(drb.drb_id, len(du_pool))]
-
-    if not graph.ru_units:
-        raise TopologyError("graph has no radio units")
-    ru_id = graph.ru_units[_stable_index(drb.drb_id, len(graph.ru_units))]
-    return RoutePath(ru_id=ru_id, du_id=du_id, cu_id=cu_id)
 
 
 def slice_awareness_required(scenario: Scenario) -> frozenset[SliceAwareness]:

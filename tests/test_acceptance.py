@@ -181,14 +181,14 @@ def test_criterion_4_auxiliary_nsd_consistency():
             s = rng.choice(ds.snssais())
             try:
                 if op == "cu_up":
-                    orch.scale_subnet_cu(s, Direction.UP)
+                    orch.scale(ScaleTarget.CU, Direction.UP, s)
                 elif op == "cu_down":
-                    orch.scale_subnet_cu(s, Direction.DOWN)
+                    orch.scale(ScaleTarget.CU, Direction.DOWN, s)
                 elif op == "du_up":
-                    orch.scale_shared_du(Direction.UP)
+                    orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
                     executed_du_scalings += 1
                 elif op == "du_down":
-                    orch.scale_shared_du(Direction.DOWN)
+                    orch.scale(ScaleTarget.SHARED_DU, Direction.DOWN)
                     executed_du_scalings += 1
                 elif op == "admit":
                     prbs = rng.randint(1, 40)

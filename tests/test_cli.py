@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 import yaml
 
-from helpers import build_documents
+from helpers import build_documents, slice_plan
 
+import ranslice
 from ranslice.cli import main
 
 
@@ -125,6 +131,30 @@ def test_simulate_ticks_override(tmp_path):
                "--scenario", "s1", "--ticks", "3", "--out", str(out)])
     assert rc == 0
     assert len(out.read_text().splitlines()) == 1 + 3 * 2
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_simulate_baseline_overload_exit_two(tmp_path, flags):
+    # Twelve slices' c0 baselines overload the one shared 1-vCPU DU. The
+    # typed error must hold without assert statements too (python -O).
+    d = write_descriptors(tmp_path, build_documents(n_slices=12))
+    profiles = [{"snssai": {"service_type": service, **({"subtype": sub} if sub else {})},
+                 "drb_arrival_rate": 0.0, "mean_holding": 4,
+                 "qos": {"throughput_mbps": 8.0, "latency_ms": 5.0, "reliability": 0.999},
+                 "mcs": [{"modulation_order": 4, "code_rate": 0.5, "p": 1.0}],
+                 "seed": i + 1}
+                for i, (service, sub) in enumerate(slice_plan(12))]
+    cfg = write_config(tmp_path, profiles=profiles,
+                       resource={"c0": 0.1, "k": 0.0001, "beta": 0.35, "cu_scale": 0.3,
+                                 "vnic_mu": 100000.0, "pkt_per_prb": 125.0})
+    env = dict(os.environ, PYTHONPATH=str(Path(ranslice.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "ranslice.cli", "simulate", "--descriptors", str(d),
+         "--config", str(cfg), "--scenario", "s2", "--out", str(tmp_path / "x.csv")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: du-shared-1: isolation fails with no PRBs")
+    assert "Traceback" not in proc.stderr
 
 
 def test_compare_writes_summary(tmp_path):

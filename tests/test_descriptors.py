@@ -10,7 +10,6 @@ from ranslice.descriptors import (
     DuplicateIdError,
     ServiceType,
     Snssai,
-    enumerate_ils,
     parse_descriptor_set,
     serialize_descriptor_set,
     validate,
@@ -137,7 +136,7 @@ def test_enumerate_ils_matches_declared_table():
     # Oracle: the table written by hand from the documents above.
     ds = _nsd_with_three_ils()
     nsd = next(iter(ds.gnb_nsds.values()))
-    assert enumerate_ils(nsd) == [
+    assert [(il.id, il.cu_sl, il.du_sl) for il in nsd.ils] == [
         ("il-1", "cu-sl-1", "du-sl-1"),
         ("il-2", "cu-sl-1", "du-sl-2"),
         ("il-3", "cu-sl-2", "du-sl-2"),
@@ -147,7 +146,7 @@ def test_enumerate_ils_matches_declared_table():
 def test_enumerate_ils_singleton():
     ds = build_descriptor_set(n_slices=2, full_il_product=False)
     nsd = next(iter(ds.gnb_nsds.values()))
-    assert enumerate_ils(nsd) == [("il-1-1", "cu-sl-1", "du-sl-1")]
+    assert [(il.id, il.cu_sl, il.du_sl) for il in nsd.ils] == [("il-1-1", "cu-sl-1", "du-sl-1")]
 
 
 def test_il_combines_one_sl_per_sa():
@@ -155,8 +154,8 @@ def test_il_combines_one_sl_per_sa():
     # second IL here combines CU SL #1 with DU SL #2.
     ds = _nsd_with_three_ils()
     nsd = next(iter(ds.gnb_nsds.values()))
-    il_id, cu_sl, du_sl = enumerate_ils(nsd)[1]
-    assert (il_id, cu_sl, du_sl) == ("il-2", "cu-sl-1", "du-sl-2")
+    il = nsd.ils[1]
+    assert (il.id, il.cu_sl, il.du_sl) == ("il-2", "cu-sl-1", "du-sl-2")
 
 
 def test_every_il_selects_one_sl_per_sa(ds_three_slices):

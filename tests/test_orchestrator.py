@@ -263,7 +263,7 @@ def test_allocate_zero_total(ds_two_slices):
 def test_scale_cu_up_and_il_update(ds_two_slices):
     orch = make_orch(ds_two_slices)
     embb = ds_two_slices.snssais()[0]
-    event = orch.scale_subnet_cu(embb, Direction.UP)
+    [event] = orch.scale(ScaleTarget.CU, Direction.UP, embb)
     subnet = orch.subnets[embb]
     assert (subnet.cu_sl, subnet.du_sl) == ("cu-sl-2", "du-sl-1")
     assert subnet.current_il == "il-2-1"
@@ -275,7 +275,7 @@ def test_scale_cu_down_at_boundary(ds_two_slices):
     orch = make_orch(ds_two_slices)
     embb = ds_two_slices.snssais()[0]
     with pytest.raises(AtBoundaryError):
-        orch.scale_subnet_cu(embb, Direction.DOWN)
+        orch.scale(ScaleTarget.CU, Direction.DOWN, embb)
 
 
 def test_scale_cu_no_matching_il():
@@ -292,13 +292,13 @@ def test_scale_cu_no_matching_il():
     embb = ds.snssais()[0]
     before = copy.deepcopy(orch.subnets[embb])
     with pytest.raises(NoMatchingIlError):
-        orch.scale_subnet_cu(embb, Direction.UP)
+        orch.scale(ScaleTarget.CU, Direction.UP, embb)
     assert orch.subnets[embb] == before  # rolled back untouched
 
 
 def test_scale_shared_du_coordinates_all_subnets(ds_two_slices):
     orch = make_orch(ds_two_slices)
-    events = orch.scale_shared_du(Direction.UP)
+    events = orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
     assert [e.target for e in events] == [
         ScaleTarget.SHARED_DU, ScaleTarget.SUBNET_IL, ScaleTarget.SUBNET_IL]
     assert orch.aux.current_il == "du-sl-2"
@@ -316,7 +316,7 @@ def test_scale_shared_du_single_subnet(ds_two_slices):
     orch = Orchestrator(ds, Scenario.S4_DU_SHARED, PARAMS, BUDGET)
     embb = ds.snssais()[0]
     orch.instantiate_subnet(embb)
-    events = orch.scale_shared_du(Direction.UP)
+    events = orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
     assert len(events) == 2
     assert orch.subnets[embb].du_sl == "du-sl-2"
 
@@ -327,7 +327,7 @@ def test_scale_shared_du_reselects_cu_from_demand(ds_two_slices):
     orch = make_orch(ds_two_slices)
     embb, urllc = ds_two_slices.snssais()
     orch.subnets[embb].admitted_drbs.append(_raw_drb(embb, 400))
-    orch.scale_shared_du(Direction.UP)
+    orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
     assert orch.subnets[embb].cu_sl == "cu-sl-2"
     assert orch.subnets[embb].current_il == "il-2-2"
     assert orch.subnets[urllc].cu_sl == "cu-sl-1"
@@ -346,7 +346,7 @@ def test_scale_shared_du_rolls_back_subnet_without_usable_il():
     orch = make_orch(ds)
     embb, urllc = ds.snssais()
     before = copy.deepcopy(orch.subnets[urllc])
-    events = orch.scale_shared_du(Direction.UP)
+    events = orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
     assert orch.aux.current_il == "du-sl-2"
     assert orch.subnets[embb].du_sl == "du-sl-2"
     assert orch.subnets[urllc] == before
@@ -357,23 +357,23 @@ def test_scale_shared_du_rolls_back_subnet_without_usable_il():
 def test_scale_shared_du_at_boundary(ds_two_slices):
     orch = make_orch(ds_two_slices)
     with pytest.raises(AtBoundaryError):
-        orch.scale_shared_du(Direction.DOWN)
+        orch.scale(ScaleTarget.SHARED_DU, Direction.DOWN)
 
 
 def test_scale_shared_du_requires_aux(ds_two_slices):
     orch = make_orch(ds_two_slices, scenario=Scenario.S1_DEDICATED)
     with pytest.raises(OrchestrationError):
-        orch.scale_shared_du(Direction.UP)
+        orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
 
 
 def test_scale_subnet_du_dedicated(ds_two_slices):
     orch = make_orch(ds_two_slices, scenario=Scenario.S1_DEDICATED)
     embb = ds_two_slices.snssais()[0]
-    event = orch.scale_subnet_du(embb, Direction.UP)
+    [event] = orch.scale(ScaleTarget.DU, Direction.UP, embb)
     assert orch.subnets[embb].du_sl == "du-sl-2"
     assert event.target is ScaleTarget.DU
     with pytest.raises(OrchestrationError):
-        make_orch(ds_two_slices).scale_subnet_du(embb, Direction.UP)
+        make_orch(ds_two_slices).scale(ScaleTarget.DU, Direction.UP, embb)
 
 
 def test_cu_scaling_independence(ds_two_slices):
@@ -382,15 +382,15 @@ def test_cu_scaling_independence(ds_two_slices):
     admit_prbs(orch, ds_two_slices, urllc, 20)
     other_before = copy.deepcopy(orch.subnets[urllc])
     aux_before = copy.deepcopy(orch.aux)
-    orch.scale_subnet_cu(embb, Direction.UP)
+    orch.scale(ScaleTarget.CU, Direction.UP, embb)
     assert orch.subnets[urllc] == other_before
     assert orch.aux == aux_before
 
 
 def test_shared_du_scaling_exactly_once(ds_two_slices):
     orch = make_orch(ds_two_slices)
-    orch.scale_shared_du(Direction.UP)
-    orch.scale_shared_du(Direction.DOWN)
+    orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
+    orch.scale(ScaleTarget.SHARED_DU, Direction.DOWN)
     aux_events = [e for e in orch.events if e.target is ScaleTarget.SHARED_DU]
     assert len(aux_events) == 2
 
@@ -410,13 +410,13 @@ def test_interleaved_scalings_keep_du_sl_consistent(ds_three_slices):
             s = rng.choice(ds.snssais())
             try:
                 if op == "cu_up":
-                    orch.scale_subnet_cu(s, Direction.UP)
+                    orch.scale(ScaleTarget.CU, Direction.UP, s)
                 elif op == "cu_down":
-                    orch.scale_subnet_cu(s, Direction.DOWN)
+                    orch.scale(ScaleTarget.CU, Direction.DOWN, s)
                 elif op == "du_up":
-                    orch.scale_shared_du(Direction.UP)
+                    orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
                 elif op == "du_down":
-                    orch.scale_shared_du(Direction.DOWN)
+                    orch.scale(ScaleTarget.SHARED_DU, Direction.DOWN)
                 elif op == "admit":
                     drb_id = f"r{round_no}-s{step}"
                     if admit_prbs(orch, ds, s, rng.randint(1, 30), drb_id=drb_id).admitted:
@@ -468,7 +468,7 @@ def test_policy_driven_cu_scale_up(ds_two_slices):
     embb = ds.snssais()[0]
     admit_prbs(orch, ds, embb, 90)
     orch.allocate_prbs(273)
-    orch._history(("cu", embb)).extend([0.95] * 5)
+    orch._history((ScaleTarget.CU, embb)).extend([0.95] * 5)
     events = orch.apply_scaling_policies()
     cu_events = [e for e in events if e.target is ScaleTarget.CU and e.snssai == embb]
     assert len(cu_events) == 1
@@ -479,7 +479,7 @@ def test_scale_down_violating_isolation_is_suppressed(ds_two_slices):
     orch = make_orch(ds_two_slices,
                      thresholds=ScalingThresholds(hi=0.9, lo=0.65, window=3, cooldown=0))
     embb, urllc = ds_two_slices.snssais()
-    orch.scale_shared_du(Direction.UP)          # 2 shared DU instances
+    orch.scale(ScaleTarget.SHARED_DU, Direction.UP)  # 2 shared DU instances
     orch.subnets[embb].admitted_drbs.append(_raw_drb(embb, 70))
     orch.subnets[urllc].admitted_drbs.append(_raw_drb(urllc, 50))
     orch.allocate_prbs(273)
@@ -498,8 +498,8 @@ def test_event_log_determinism(ds_three_slices):
         for s in ds.snssais():
             admit_prbs(orch, ds, s, 25)
         orch.allocate_prbs(200)
-        orch.scale_shared_du(Direction.UP)
-        orch.scale_subnet_cu(ds.snssais()[0], Direction.UP)
+        orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
+        orch.scale(ScaleTarget.CU, Direction.UP, ds.snssais()[0])
         return [(e.target.value, str(e.snssai), e.from_level, e.to_level)
                 for e in orch.events]
 
@@ -531,17 +531,17 @@ def test_fuzz_all_scenarios_hold_invariants():
             s = rng.choice(ds.snssais())
             try:
                 if op == "cu_up":
-                    orch.scale_subnet_cu(s, Direction.UP)
+                    orch.scale(ScaleTarget.CU, Direction.UP, s)
                 elif op == "cu_down":
-                    orch.scale_subnet_cu(s, Direction.DOWN)
+                    orch.scale(ScaleTarget.CU, Direction.DOWN, s)
                 elif op == "du_up":
-                    orch.scale_subnet_du(s, Direction.UP)
+                    orch.scale(ScaleTarget.DU, Direction.UP, s)
                 elif op == "du_down":
-                    orch.scale_subnet_du(s, Direction.DOWN)
+                    orch.scale(ScaleTarget.DU, Direction.DOWN, s)
                 elif op == "sdu_up":
-                    orch.scale_shared_du(Direction.UP)
+                    orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
                 elif op == "sdu_down":
-                    orch.scale_shared_du(Direction.DOWN)
+                    orch.scale(ScaleTarget.SHARED_DU, Direction.DOWN)
                 elif op == "admit":
                     drb = Drb(f"fz{trial}-{step}", s,
                               DrbQos(rng.uniform(0.5, 120.0), 20.0, 0.99))
@@ -569,7 +569,7 @@ def test_fuzz_all_scenarios_hold_invariants():
 def test_live_vm_count(ds_two_slices):
     orch = make_orch(ds_two_slices)               # S4: 2 CUs + 1 shared DU
     assert orch.live_vm_count() == 3
-    orch.scale_shared_du(Direction.UP)
+    orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
     assert orch.live_vm_count() == 4
     orch_s2 = make_orch(ds_two_slices, scenario=Scenario.S2_ALL_SHARED)
     assert orch_s2.live_vm_count() == 2           # shared CU + shared DU

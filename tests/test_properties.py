@@ -1,0 +1,105 @@
+"""Property tests of the scaling-unit model: random sequences of scale,
+admit, depart and tick operations, under every sharing scenario."""
+
+from __future__ import annotations
+
+from functools import lru_cache
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from helpers import build_descriptor_set
+
+from ranslice.orchestrator import (
+    Direction,
+    OrchestrationError,
+    Orchestrator,
+    ScaleTarget,
+    ScalingThresholds,
+)
+from ranslice.resources import CapacityBudget, ResourceModelParams, check_isolation
+from ranslice.topology import Drb, DrbQos, Scenario
+
+PARAMS = ResourceModelParams(c0=0.002, k=0.004, beta=0.35)
+BUDGET = CapacityBudget(vcpu_capacity=1.0, per_slice_cap=0.9)
+# Short window and cooldown so that the policy fires within a few ticks.
+THRESHOLDS = ScalingThresholds(hi=0.6, lo=0.3, window=2, cooldown=1)
+MCS = ((2, 0.3), (4, 0.5), (6, 0.75), (8, 0.9))
+
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("scale"),
+              st.sampled_from((ScaleTarget.CU, ScaleTarget.DU, ScaleTarget.SHARED_DU)),
+              st.sampled_from(Direction), st.integers(0, 2)),
+    st.tuples(st.just("admit"), st.integers(0, 2), st.floats(0.5, 60.0),
+              st.sampled_from(MCS)),
+    st.tuples(st.just("depart"), st.integers(0, 1000)),
+    st.just(("tick",)),
+), max_size=30)
+
+
+@lru_cache(maxsize=None)
+def descriptor_set(n_slices: int):
+    return build_descriptor_set(n_slices=n_slices, du_counts=(1, 2, 3), cu_vcpus=(1, 2, 4))
+
+
+def assert_units_consistent(orch: Orchestrator, shared_scalings: int) -> None:
+    # A shared DU scales exactly once per successful call, on the
+    # auxiliary service; per-subnet follow-ups are SUBNET_IL events.
+    assert sum(e.target is ScaleTarget.SHARED_DU for e in orch.events) == shared_scalings
+    for sub in orch.subnets.values():
+        il = orch.ds.gnb_nsds[sub.nsd_ref].il(sub.current_il)
+        assert (il.cu_sl, il.du_sl) == (sub.cu_sl, sub.du_sl)
+        if orch.aux is not None:
+            assert sub.du_sl == orch.aux.current_il
+
+
+def assert_shared_instances_isolated(orch: Orchestrator) -> None:
+    for inst in orch._project(orch._allocated_map()):
+        if inst.shared:
+            budget = CapacityBudget(inst.capacity, BUDGET.per_slice_cap)
+            assert check_isolation(inst.per_slice, budget).ok, inst
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n_slices=st.integers(1, 3), scenario=st.sampled_from(Scenario), ops=OPS)
+def test_scaling_units_keep_their_invariants(n_slices, scenario, ops):
+    ds = descriptor_set(n_slices)
+    slices = ds.snssais()
+    orch = Orchestrator(ds, scenario, PARAMS, BUDGET, THRESHOLDS, vnic_delay_cap_s=5e-3)
+    for s in slices:
+        orch.instantiate_subnet(s)
+
+    # Count every successful shared-DU scale call, the policy's included.
+    shared_scalings = 0
+    scale = orch.scale
+
+    def counting_scale(target, *args, **kwargs):
+        nonlocal shared_scalings
+        events = scale(target, *args, **kwargs)
+        shared_scalings += target is ScaleTarget.SHARED_DU
+        return events
+
+    orch.scale = counting_scale
+    live: list[tuple] = []
+    for step, op in enumerate(ops):
+        if op[0] == "scale":
+            _, target, direction, i = op
+            try:
+                orch.scale(target, direction, slices[i % n_slices])
+            except OrchestrationError:
+                pass
+        elif op[0] == "admit":
+            _, i, mbps, (m, cr) = op
+            s = slices[i % n_slices]
+            drb = Drb(f"d{step}", s, DrbQos(mbps, 20.0, 0.99))
+            if orch.admit_drb(s, drb, m, cr).admitted:
+                live.append((s, drb.drb_id))
+        elif op[0] == "depart" and live:
+            orch.depart_drb(*live.pop(op[1] % len(live)))
+        elif op[0] == "tick":
+            orch.allocate_prbs(273)
+            orch.observe_utilization()
+            orch.apply_scaling_policies()
+            assert_shared_instances_isolated(orch)
+            orch.advance_clock()
+        assert_units_consistent(orch, shared_scalings)

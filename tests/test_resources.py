@@ -18,7 +18,6 @@ from ranslice.resources import (
     cu_vcpu_consumption,
     du_vcpu_consumption,
     estimate_prbs,
-    isolation_ok,
     vnic_mean_wait,
 )
 
@@ -149,21 +148,6 @@ def test_isolation_monotone_removing_a_slice():
                 remaining = {s: c for s, c in consumptions.items() if s != drop}
                 if remaining:
                     assert check_isolation(remaining, budget).ok
-
-
-def test_isolation_ok_over_loads():
-    params = ResourceModelParams(c0=0.0, k=0.001, beta=0.35)
-    result = isolation_ok([load(100, snssai=EMBB), load(50, snssai=URLLC)],
-                          CapacityBudget(2.0, 0.9), params)
-    expected = (du_vcpu_consumption(load(100), params)
-                + du_vcpu_consumption(load(50), params))
-    assert result.ok
-    assert result.capacity_headroom == pytest.approx(2.0 - expected)
-
-
-def test_isolation_ok_rejects_duplicate_slice():
-    with pytest.raises(ValueError):
-        isolation_ok([load(10), load(20)], CapacityBudget(1.0), PARAMS)
 
 
 def test_calibrate_two_anchor_exact_solve():

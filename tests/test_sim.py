@@ -8,6 +8,7 @@ import pytest
 
 from helpers import build_descriptor_set, make_config
 
+from ranslice.orchestrator import BaselineOverloadError
 from ranslice.resources import CapacityBudget, ResourceModelParams
 from ranslice.sim import (
     ConfigError,
@@ -153,6 +154,17 @@ def test_compare_uses_same_demand_seed(ds_two_slices):
     table = compare_scenarios(config, ds_two_slices,
                               [Scenario.S1_DEDICATED, Scenario.S2_ALL_SHARED])
     assert table.summaries[0].arrived == table.summaries[1].arrived
+
+
+def test_baseline_overload_is_a_typed_error():
+    # Twelve slices each pay c0 = 0.1 vCPU on one 1-vCPU shared DU: the
+    # baselines alone (1.2 vCPU) break isolation before any PRB is given.
+    ds = build_descriptor_set(n_slices=12)
+    config = make_config(ds, params=ResourceModelParams(c0=0.1),
+                         scenario=Scenario.S2_ALL_SHARED)
+    with pytest.raises(BaselineOverloadError,
+                       match=r"du-shared-1: .* 1\.2000 vCPU against capacity 1\.0000"):
+        run(config, ds)
 
 
 def test_idle_trace_matches_golden_csv(ds_two_slices):

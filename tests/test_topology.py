@@ -6,18 +6,14 @@ from helpers import build_descriptor_set
 
 from ranslice.descriptors import DescriptorSet
 from ranslice.topology import (
-    Drb,
     DrbQos,
     NoSlicesError,
     Scenario,
     SliceAwareness,
-    UnknownSliceError,
     build_instance_graph,
-    route_drb,
     slice_awareness_required,
 )
 
-QOS = DrbQos(throughput_mbps=10.0, latency_ms=20.0, reliability=0.99)
 
 # Expected (cu_count, du_count) per scenario for K slices and n DUs,
 # straight from the sharing rules: dedicated components multiply by K.
@@ -123,60 +119,6 @@ def test_no_slices_error():
         build_instance_graph(DescriptorSet(), Scenario.S1_DEDICATED, 1)
 
 
-def test_route_s3_uses_snssai_to_du_table():
-    ds = build_descriptor_set(n_slices=2)
-    graph = build_instance_graph(ds, Scenario.S3_CU_SHARED, 1)
-    embb, urllc = ds.snssais()
-    path = route_drb(graph, Drb("d1", embb, QOS))
-    assert path.du_id == graph.snssai_to_du[embb][0]
-    assert path.cu_id == "cu-shared"
-    path = route_drb(graph, Drb("d2", urllc, QOS))
-    assert path.du_id == graph.snssai_to_du[urllc][0]
-
-
-def test_route_s2_single_shared_cu():
-    ds = build_descriptor_set(n_slices=2)
-    graph = build_instance_graph(ds, Scenario.S2_ALL_SHARED, 3)
-    for s in ds.snssais():
-        path = route_drb(graph, Drb("any", s, QOS))
-        assert path.cu_id == "cu-shared"
-        assert path.du_id in {du.instance_id for du in graph.du_instances}
-
-
-def test_route_s4_inverse_cu_lookup():
-    ds = build_descriptor_set(n_slices=2)
-    graph = build_instance_graph(ds, Scenario.S4_DU_SHARED, 2)
-    embb, urllc = ds.snssais()
-    path = route_drb(graph, Drb("d", urllc, QOS))
-    assert graph.cu_to_snssai[path.cu_id] == urllc
-    assert path.cu_id == "cu-uRLLC"
-
-
-def test_route_total_and_deterministic():
-    # Brute force over all slices x many DRBs x all scenarios: routing
-    # never fails, repeats itself, and lands inside the slice's pool.
-    ds = build_descriptor_set(n_slices=3, du_counts=(2, 3))
-    for scenario in Scenario:
-        graph = build_instance_graph(ds, scenario, 2)
-        for s in ds.snssais():
-            pool = {du.instance_id for du in graph.du_instances if s in du.owners}
-            for i in range(40):
-                drb = Drb(f"drb-{s.key()}-{i}", s, QOS)
-                first = route_drb(graph, drb)
-                again = route_drb(graph, drb)
-                assert first == again
-                assert first.du_id in pool
-                assert first.ru_id in graph.ru_units
-
-
-def test_route_unknown_slice():
-    ds = build_descriptor_set(n_slices=1)
-    graph = build_instance_graph(ds, Scenario.S1_DEDICATED, 1)
-    stranger = build_descriptor_set(n_slices=2).snssais()[1]
-    with pytest.raises(UnknownSliceError):
-        route_drb(graph, Drb("d", stranger, QOS))
-
-
 def test_slice_awareness_per_scenario():
     assert slice_awareness_required(Scenario.S1_DEDICATED) == frozenset()
     assert slice_awareness_required(Scenario.S2_ALL_SHARED) == frozenset({
@@ -208,8 +150,3 @@ def test_drb_qos_invariants():
         DrbQos(throughput_mbps=0.0, latency_ms=10.0, reliability=0.9)
     with pytest.raises(ValueError):
         DrbQos(throughput_mbps=1.0, latency_ms=10.0, reliability=1.5)
-
-
-def test_signalling_flag_defaults_false():
-    drb = Drb("d", build_descriptor_set(n_slices=1).snssais()[0], QOS)
-    assert drb.signalling is False
