@@ -30,7 +30,6 @@ from .sim import DemandProfile, SimConfig, SimTrace, compare_scenarios, export, 
 from .topology import (
     Drb,
     DrbQos,
-    InstanceGraph,
     Scenario,
     build_instance_graph,
     slice_awareness_required,
@@ -45,7 +44,6 @@ __all__ = [
     "Direction",
     "Drb",
     "DrbQos",
-    "InstanceGraph",
     "Orchestrator",
     "ResourceModelParams",
     "ScaleTarget",

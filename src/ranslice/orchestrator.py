@@ -89,7 +89,6 @@ Unit = tuple[ScaleTarget, Snssai | None]
 class ScalingCause(enum.Enum):
     LOAD_INCREASE = "load_increase"
     LOAD_DECREASE = "load_decrease"
-    ADMISSION = "admission"
 
 
 @dataclass(frozen=True)
@@ -134,22 +133,15 @@ REJECT_VNIC_DELAY = "vnic_delay"
 
 
 @dataclass(frozen=True)
-class Admit:
-    est_prbs: int
+class Decision:
+    """Outcome of one admission: admitted with the DRB's PRB estimate, or
+    rejected with a reason (one of the REJECT_* codes) and a detail
+    naming the instance that breaks the limit."""
 
-    @property
-    def admitted(self) -> bool:
-        return True
-
-
-@dataclass(frozen=True)
-class Reject:
-    reason: str
+    admitted: bool
+    est_prbs: int = 0
+    reason: str = ""
     detail: str = ""
-
-    @property
-    def admitted(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -187,7 +179,22 @@ class AuxServiceInstance:
 
     aux_nsd_ref: str
     current_il: str
-    live_du_ids: list[str]
+
+
+@dataclass(frozen=True)
+class Instance:
+    """One live VNF instance: its kind, the slices it serves, whether it
+    is shared between several of them, its flavour capacity (vCPUs) and
+    its position ``index`` in a pool of ``pool`` instances that split
+    each owner's PRBs evenly (a CU is a pool of one)."""
+
+    instance_id: str
+    kind: str                    # "cu" | "du"
+    owners: tuple[Snssai, ...]
+    shared: bool
+    capacity: float
+    index: int = 0
+    pool: int = 1
 
 
 @dataclass(frozen=True)
@@ -240,13 +247,22 @@ def evaluate_scaling_policy(history: Sequence[float], thresholds: ScalingThresho
     return decision
 
 
-def _integer_split(total: int, parts: int) -> list[int]:
-    base, rem = divmod(total, parts)
-    return [base + (1 if i < rem else 0) for i in range(parts)]
+def _share(total: int, pool: int, index: int) -> int:
+    """Instance ``index``'s part of ``total`` PRBs split evenly (integer
+    split, remainder to the first instances) over a pool of ``pool``."""
+    base, rem = divmod(total, pool)
+    return base + (1 if index < rem else 0)
 
 
 def _snap_modulation(value: float) -> int:
     return min(MODULATION_ORDERS, key=lambda m: (abs(m - value), m))
+
+
+def _own(unit: Unit, insts: Sequence[InstanceUtil]) -> list[InstanceUtil]:
+    """The unit's own instances: a CU unit's CU, a DU pool's DUs."""
+    target, snssai = unit
+    kind = "cu" if target is ScaleTarget.CU else "du"
+    return [i for i in insts if i.kind == kind and (snssai is None or snssai in i.owners)]
 
 
 class Orchestrator:
@@ -279,29 +295,6 @@ class Orchestrator:
     def _nsd(self, snssai: Snssai) -> GnbNsd:
         return self.ds.gnb_nsds[self.subnets[snssai].nsd_ref]
 
-    def _cu_sl_vcpus(self, snssai: Snssai, sl_id: str | None = None) -> int:
-        return self._cu_capacity_of(self._nsd(snssai), sl_id or self.subnets[snssai].cu_sl)
-
-    def _du_sl_spec(self, snssai: Snssai, sl_id: str | None = None) -> tuple[int, int]:
-        """(instance count, vCPUs per instance) of a dedicated DU scale level."""
-        subnet = self.subnets[snssai]
-        nsd = self._nsd(snssai)
-        sl = nsd.sa_du.sl(sl_id or subnet.du_sl)
-        if len(sl.constituents) != 1:
-            raise OrchestrationError(
-                f"DU scale level {sl.id!r} must have exactly one constituent")
-        c = sl.constituents[0]
-        flavour = self.ds.du_vnfd(nsd).flavour(c.flavour_ref)
-        return c.instance_count, flavour.vcpus
-
-    def _aux_spec(self, il_id: str | None = None) -> tuple[int, int]:
-        """(instance count, vCPUs per instance) of an auxiliary-service IL."""
-        aux_nsd = self.ds.aux_nsds[self.aux.aux_nsd_ref]
-        il = aux_nsd.il(il_id or self.aux.current_il)
-        any_subnet = next(iter(self.subnets.values()))
-        du_vnfd = self.ds.du_vnfd(self.ds.gnb_nsds[any_subnet.nsd_ref])
-        return il.du_count, du_vnfd.flavour(il.du_il_ref).vcpus
-
     def _cu_capacity_of(self, nsd: GnbNsd, cu_sl: str) -> int:
         return self.ds.sl_total_vcpus(nsd, nsd.sa_cu.sl(cu_sl), self.ds.cu_vnfd(nsd))
 
@@ -331,11 +324,7 @@ class Orchestrator:
         if self.scenario.du_shared and nsd.aux_nsd_ref is not None:
             if self.aux is None:
                 first = self.ds.aux_nsds[nsd.aux_nsd_ref].ils[0]
-                self.aux = AuxServiceInstance(
-                    aux_nsd_ref=nsd.aux_nsd_ref,
-                    current_il=first.id,
-                    live_du_ids=shared_du_ids(first.du_count),
-                )
+                self.aux = AuxServiceInstance(aux_nsd_ref=nsd.aux_nsd_ref, current_il=first.id)
             elif nsd.aux_nsd_ref != self.aux.aux_nsd_ref:
                 raise OrchestrationError(
                     f"gnb_nsd[{nsd.id}] references auxiliary NSD "
@@ -376,65 +365,71 @@ class Orchestrator:
         mean_cr = sum(w * cr for w, _, cr in entries) / total
         return _snap_modulation(mean_m), mean_cr
 
-    def _slice_load(self, snssai: Snssai, prbs: int,
-                    extra: tuple[Snssai, int, int, float] | None = None) -> SliceLoad:
-        m, cr = self._slice_mcs(snssai, extra)
-        return SliceLoad(snssai=snssai, prbs=prbs, modulation_order=m, code_rate=cr)
+    def instances(self, over: Mapping[Unit, str] | None = None) -> list[Instance]:
+        """The live VNF instances: the shared DU pool or each subnet's
+        dedicated DU pool, then the shared CU or each subnet's CU. The
+        one place where ids, owners and capacities come from the scale
+        levels and the auxiliary IL. ``over`` puts units at hypothetical
+        levels without touching state."""
+        over = over or {}
+        slices = self._sorted_slices()
+        if not slices:
+            return []
+        # With a single owning subnet a "shared" instance degenerates to a
+        # dedicated one: there is no other slice for the cap to protect.
+        multi = len(slices) > 1
+        insts: list[Instance] = []
+        if self.aux is not None:
+            il = self.ds.aux_nsds[self.aux.aux_nsd_ref].il(
+                over.get((ScaleTarget.SHARED_DU, None), self.aux.current_il))
+            any_nsd = self.ds.gnb_nsds[next(iter(self.subnets.values())).nsd_ref]
+            vcpus = float(self.ds.du_vnfd(any_nsd).flavour(il.du_il_ref).vcpus)
+            insts += [Instance(du_id, "du", tuple(slices), multi, vcpus, i, il.du_count)
+                      for i, du_id in enumerate(shared_du_ids(il.du_count))]
+        else:
+            for s in slices:
+                nsd = self._nsd(s)
+                sl = nsd.sa_du.sl(over.get((ScaleTarget.DU, s), self.subnets[s].du_sl))
+                if len(sl.constituents) != 1:
+                    raise OrchestrationError(
+                        f"DU scale level {sl.id!r} must have exactly one constituent")
+                c = sl.constituents[0]
+                vcpus = float(self.ds.du_vnfd(nsd).flavour(c.flavour_ref).vcpus)
+                insts += [Instance(du_id, "du", (s,), False, vcpus, i, c.instance_count)
+                          for i, du_id in enumerate(dedicated_du_ids(s, c.instance_count))]
+
+        cu_vcpus = {}
+        for s in slices:
+            level = over.get((ScaleTarget.CU, s), self.subnets[s].cu_sl)
+            cu_vcpus[s] = float(self._cu_capacity_of(self._nsd(s), level))
+        if self.scenario.cu_shared:
+            insts.append(Instance(shared_cu_id(), "cu", tuple(slices), multi,
+                                  max(cu_vcpus.values())))
+        else:
+            insts += [Instance(self._nsd(s).cu_id, "cu", (s,), False, cu_vcpus[s])
+                      for s in slices]
+        return insts
 
     def _project(self, prbs_by_slice: Mapping[Snssai, int],
                  extra: tuple[Snssai, int, int, float] | None = None,
                  over: Mapping[Unit, str] | None = None) -> list[InstanceUtil]:
-        """Per-instance consumption/PRB projection for a given PRB split.
-        A slice's PRBs spread evenly (integer split) over the DU pool
-        serving it; its CU carries the full slice load. ``over`` puts
-        units at hypothetical levels without touching state."""
-        over = over or {}
-        slices = self._sorted_slices()
-        insts: list[InstanceUtil] = []
-        # With a single owning subnet a "shared" instance degenerates to a
-        # dedicated one: there is no other slice for the cap to protect.
-        multi = len(slices) > 1
-
-        if self.aux is not None:
-            count, vcpus = self._aux_spec(over.get((ScaleTarget.SHARED_DU, None)))
-            ids = shared_du_ids(count)
-            shares = {s: _integer_split(prbs_by_slice.get(s, 0), count) for s in slices}
-            for i, du_id in enumerate(ids):
-                per_slice = {}
-                prbs_total = 0
-                for s in slices:
-                    load = self._slice_load(s, shares[s][i], extra)
-                    per_slice[s] = du_vcpu_consumption(load, self.params)
-                    prbs_total += shares[s][i]
-                insts.append(InstanceUtil(du_id, "du", multi, tuple(slices),
-                                          per_slice, prbs_total, float(vcpus)))
-        else:
-            for s in slices:
-                count, vcpus = self._du_sl_spec(s, over.get((ScaleTarget.DU, s)))
-                shares = _integer_split(prbs_by_slice.get(s, 0), count)
-                for i, du_id in enumerate(dedicated_du_ids(s, count)):
-                    load = self._slice_load(s, shares[i], extra)
-                    insts.append(InstanceUtil(du_id, "du", False, (s,),
-                                              {s: du_vcpu_consumption(load, self.params)},
-                                              shares[i], float(vcpus)))
-
-        cu_vcpus = {s: self._cu_sl_vcpus(s, over.get((ScaleTarget.CU, s))) for s in slices}
-        if self.scenario.cu_shared:
+        """Per-instance consumption/PRB projection of ``instances(over)``
+        for a given PRB split: a slice's PRBs spread evenly over the DU
+        pool serving it, and its CU carries the full slice load."""
+        params = self.params
+        mcs = {s: self._slice_mcs(s, extra) for s in self.subnets}
+        projected = []
+        for inst in self.instances(over):
+            consumption = du_vcpu_consumption if inst.kind == "du" else cu_vcpu_consumption
             per_slice = {}
-            prbs_total = 0
-            for s in slices:
-                load = self._slice_load(s, prbs_by_slice.get(s, 0), extra)
-                per_slice[s] = cu_vcpu_consumption(load, self.params)
-                prbs_total += prbs_by_slice.get(s, 0)
-            insts.append(InstanceUtil(shared_cu_id(), "cu", multi, tuple(slices), per_slice,
-                                      prbs_total, float(max(cu_vcpus.values(), default=0))))
-        else:
-            for s in slices:
-                load = self._slice_load(s, prbs_by_slice.get(s, 0), extra)
-                insts.append(InstanceUtil(self._nsd(s).cu_id, "cu", False, (s,),
-                                          {s: cu_vcpu_consumption(load, self.params)},
-                                          prbs_by_slice.get(s, 0), float(cu_vcpus[s])))
-        return insts
+            prbs = 0
+            for s in inst.owners:
+                share = _share(prbs_by_slice.get(s, 0), inst.pool, inst.index)
+                per_slice[s] = consumption(SliceLoad(s, share, *mcs[s]), params)
+                prbs += share
+            projected.append(InstanceUtil(inst.instance_id, inst.kind, inst.shared,
+                                          inst.owners, per_slice, prbs, inst.capacity))
+        return projected
 
     def _demand_map(self) -> dict[Snssai, int]:
         return {s: self.subnets[s].demand_prbs() for s in self._sorted_slices()}
@@ -445,7 +440,7 @@ class Orchestrator:
     # -- admission ------------------------------------------------------------
 
     def admit_drb(self, snssai: Snssai, drb: Drb,
-                  modulation_order: int, code_rate: float) -> Admit | Reject:
+                  modulation_order: int, code_rate: float) -> Decision:
         """Admit the DRB iff, with every slice at its post-admission
         demand, isolation holds on each shared instance the DRB touches
         and no touched vNIC saturates or exceeds the delay cap."""
@@ -466,9 +461,9 @@ class Orchestrator:
         self.subnets[snssai].admitted_drbs.append(
             AdmittedDrb(drb=drb, est_prbs=est,
                         modulation_order=modulation_order, code_rate=code_rate))
-        return Admit(est_prbs=est)
+        return Decision(True, est_prbs=est)
 
-    def _limit(self, inst: InstanceUtil, vnic: bool = True) -> Reject | None:
+    def _limit(self, inst: InstanceUtil, vnic: bool = True) -> Decision | None:
         """The first limit ``inst`` breaks, or None: isolation if the
         instance is shared, then (with ``vnic``) vNIC saturation and the
         vNIC delay cap."""
@@ -476,17 +471,18 @@ class Orchestrator:
             result = check_isolation(
                 inst.per_slice, CapacityBudget(inst.capacity, self.budget.per_slice_cap))
             if not result.ok:
-                return Reject(REJECT_VCPU_CAP,
-                              f"{inst.instance_id}: {'; '.join(result.violations)}")
+                return Decision(False, reason=REJECT_VCPU_CAP,
+                                detail=f"{inst.instance_id}: {'; '.join(result.violations)}")
         if vnic:
             try:
                 wait = vnic_mean_wait(inst.prbs, self.params)
             except VnicSaturatedError as exc:
-                return Reject(REJECT_VNIC_SATURATED, f"{inst.instance_id}: {exc}")
+                return Decision(False, reason=REJECT_VNIC_SATURATED,
+                                detail=f"{inst.instance_id}: {exc}")
             if wait > self.vnic_delay_cap_s:
-                return Reject(REJECT_VNIC_DELAY,
-                              f"{inst.instance_id}: mean wait {wait * 1e3:.3f} ms "
-                              f"exceeds cap {self.vnic_delay_cap_s * 1e3:.3f} ms")
+                return Decision(False, reason=REJECT_VNIC_DELAY,
+                                detail=f"{inst.instance_id}: mean wait {wait * 1e3:.3f} ms "
+                                       f"exceeds cap {self.vnic_delay_cap_s * 1e3:.3f} ms")
         return None
 
     def depart_drb(self, snssai: Snssai, drb_id: str) -> bool:
@@ -625,7 +621,6 @@ class Orchestrator:
                                from_level=current, to_level=level, cause=cause)]
         if target is ScaleTarget.SHARED_DU:
             self.aux.current_il = level
-            self.aux.live_du_ids = shared_du_ids(il.du_count)
             events += filter(None, (self._follow_aux(s, cause) for s in self._sorted_slices()))
         else:
             subnet = self.subnets[snssai]
@@ -645,7 +640,8 @@ class Orchestrator:
             self.findings.append(
                 f"InconsistentIl: {s}: sa_du has no scale level {new_du_sl!r}")
             return None
-        need = cu_vcpu_consumption(self._slice_load(s, subnet.demand_prbs()), self.params)
+        need = cu_vcpu_consumption(SliceLoad(s, subnet.demand_prbs(), *self._slice_mcs(s)),
+                                   self.params)
         covering = [sl.id for sl in nsd.sa_cu.sls if self._cu_capacity_of(nsd, sl.id) >= need]
         chosen = nsd.find_il(covering[0] if covering else nsd.sa_cu.sls[-1].id, new_du_sl)
         if chosen is None:
@@ -672,10 +668,10 @@ class Orchestrator:
         insts = self._project(self._allocated_map())
         for unit in self._units():
             target, s = unit
-            kind = "cu" if target is ScaleTarget.CU else "du"
-            mine = [i for i in insts if i.kind == kind and (s is None or s in i.owners)]
+            mine = _own(unit, insts)
             if target is ScaleTarget.CU:
-                util = mine[0].per_slice[s] / self._cu_sl_vcpus(s)
+                util = mine[0].per_slice[s] / self._cu_capacity_of(self._nsd(s),
+                                                                   self.subnets[s].cu_sl)
             else:
                 util = sum(i.consumption for i in mine) / sum(i.capacity for i in mine)
             self._history(unit).append(util)
@@ -725,16 +721,8 @@ class Orchestrator:
     # -- accounting ----------------------------------------------------------------
 
     def live_vm_count(self) -> int:
-        """Live VMs implied by the current scale levels: one per CU
-        instance plus the DU pool size."""
-        if not self.subnets:
-            return 0
-        cu = 1 if self.scenario.cu_shared else len(self.subnets)
-        if self.aux is not None:
-            du = self._aux_spec()[0]
-        else:
-            du = sum(self._du_sl_spec(s)[0] for s in self.subnets)
-        return cu + du
+        """Live VMs: one per live CU or DU instance."""
+        return len(self.instances())
 
     def advance_clock(self) -> None:
         self.clock += 1

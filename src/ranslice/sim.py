@@ -35,7 +35,7 @@ from .resources import (
     vnic_mean_wait,
     VnicSaturatedError,
 )
-from .topology import Drb, DrbQos, InstanceGraph, Scenario, build_instance_graph
+from .topology import Drb, DrbQos, Scenario, build_instance_graph
 
 CSV_TRACE_HEADER = ("tick", "slice", "prbs", "du_util", "cu_util", "vnic_wait_ms",
                     "admitted", "rejected", "vm_count", "event")
@@ -307,19 +307,10 @@ def _sample_mcs(rng: random.Random, atoms: Sequence[McsAtom]) -> McsAtom:
     return atoms[-1]
 
 
-def _graph_summary(graph: InstanceGraph) -> dict[str, Any]:
-    return {
-        "cu_instances": [cu.instance_id for cu in graph.cu_instances],
-        "du_instances": [du.instance_id for du in graph.du_instances],
-        "ru_units": list(graph.ru_units),
-        "snssai_to_du": {s.key(): list(pool) for s, pool in
-                         sorted(graph.snssai_to_du.items(), key=lambda kv: kv[0].key())},
-        "cu_to_snssai": {cu: s.key() for cu, s in sorted(graph.cu_to_snssai.items())},
-    }
-
-
 def _check_profiles(config: SimConfig, ds: DescriptorSet) -> dict[Snssai, DemandProfile]:
     declared = set(ds.snssais())
+    if not declared:
+        raise ConfigError("profiles", "the descriptor set declares no slice subnet")
     by_snssai = {p.snssai: p for p in config.profiles}
     missing = declared - set(by_snssai)
     extra = set(by_snssai) - declared
@@ -356,13 +347,8 @@ def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
     for s in slices:
         orch.instantiate_subnet(s)
 
-    if orch.aux is not None:
-        n_dus0 = len(orch.aux.live_du_ids)
-    else:
-        n_dus0, _ = orch._du_sl_spec(slices[0])
-    graph = build_instance_graph(ds, config.scenario, n_dus0)
     trace = SimTrace(scenario=config.scenario, total_prbs=config.total_prbs,
-                     topology=_graph_summary(graph))
+                     topology=build_instance_graph(ds, orch.instances()))
 
     rngs = {s: random.Random(f"{config.seed}:{profiles[s].seed}:{s.key()}")
             for s in slices}

@@ -1,5 +1,5 @@
-"""Concrete CU/DU/RU instance graphs for the four component-sharing
-scenarios.
+"""The four component-sharing scenarios, DRBs, instance ids and the
+exported topology of a deployment's live instances.
 
 Sharing semantics with K slice subnets and n DUs per gNB:
 
@@ -10,18 +10,19 @@ Sharing semantics with K slice subnets and n DUs per gNB:
 * s4: DUs shared, CU per subnet (K CUs, n DUs); the shared DUs keep a
   matching table from CU identifier to S-NSSAI.
 
-RUs are physical and shared in every scenario. Graphs are immutable, so
-concurrent readers are safe.
+RUs are physical and shared in every scenario.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .descriptors import DescriptorSet, Snssai
-from .errors import RansliceError
+
+if TYPE_CHECKING:
+    from .orchestrator import Instance
 
 
 class Scenario(enum.Enum):
@@ -54,14 +55,6 @@ class SliceAwareness(enum.Enum):
     RRC_LAYER = "rrc_layer"
 
 
-class TopologyError(RansliceError):
-    pass
-
-
-class NoSlicesError(TopologyError):
-    pass
-
-
 @dataclass(frozen=True)
 class DrbQos:
     throughput_mbps: float
@@ -84,36 +77,6 @@ class Drb:
     qos: DrbQos
 
 
-@dataclass(frozen=True)
-class NodeInstance:
-    instance_id: str
-    owners: frozenset[Snssai]
-
-
-@dataclass(frozen=True)
-class InstanceGraph:
-    scenario: Scenario
-    cu_instances: tuple[NodeInstance, ...]
-    du_instances: tuple[NodeInstance, ...]
-    ru_units: tuple[str, ...]
-    cu_to_dus: Mapping[str, tuple[str, ...]]
-    du_to_rus: Mapping[str, tuple[str, ...]]
-    # Matching tables, populated exactly in the scenario that needs them:
-    # s3 gives the shared CU the DU pool of each slice, s4 gives the
-    # shared DUs the slice owning each CU.
-    snssai_to_du: Mapping[Snssai, tuple[str, ...]] = field(default_factory=dict)
-    cu_to_snssai: Mapping[str, Snssai] = field(default_factory=dict)
-
-    def slices(self) -> list[Snssai]:
-        found: set[Snssai] = set()
-        for cu in self.cu_instances:
-            found |= cu.owners
-        return sorted(found, key=lambda s: s.key())
-
-    def total_vnf_instances(self) -> int:
-        return len(self.cu_instances) + len(self.du_instances)
-
-
 def shared_cu_id() -> str:
     return "cu-shared"
 
@@ -126,76 +89,35 @@ def dedicated_du_ids(snssai: Snssai, count: int) -> list[str]:
     return [f"du-{snssai.key()}-{i + 1}" for i in range(count)]
 
 
-def build_instance_graph(ds: DescriptorSet, scenario: Scenario,
-                         n_dus_per_gnb: int) -> InstanceGraph:
-    """Instantiate the CU/DU/RU graph of one gNB deployment for the given
-    sharing scenario. Slice order (and all ids) are deterministic."""
-    if n_dus_per_gnb < 1:
-        raise ValueError("n_dus_per_gnb must be >= 1")
-    snssais = ds.snssais()
-    if not snssais:
-        raise NoSlicesError("descriptor set declares no slice subnet")
-    all_owners = frozenset(snssais)
-
-    cu_ids_by_slice: dict[Snssai, str] = {}
-    for s in snssais:
-        nsst = ds.nsst_for(s)
-        nsd = ds.gnb_nsd_for(nsst) if nsst else None
-        cu_ids_by_slice[s] = nsd.cu_id if nsd is not None else f"cu-{s.key()}"
-
-    if scenario.cu_shared:
-        cu_instances = (NodeInstance(shared_cu_id(), all_owners),)
-    else:
-        cu_instances = tuple(NodeInstance(cu_ids_by_slice[s], frozenset({s}))
-                             for s in snssais)
-
-    snssai_to_du: dict[Snssai, tuple[str, ...]] = {}
-    if scenario.du_shared:
-        pool = tuple(shared_du_ids(n_dus_per_gnb))
-        du_instances = tuple(NodeInstance(du, all_owners) for du in pool)
-        du_pools = {s: pool for s in snssais}
-    else:
-        du_instances_list: list[NodeInstance] = []
-        du_pools = {}
-        for s in snssais:
-            pool = tuple(dedicated_du_ids(s, n_dus_per_gnb))
-            du_pools[s] = pool
-            du_instances_list.extend(NodeInstance(du, frozenset({s})) for du in pool)
-        du_instances = tuple(du_instances_list)
-        if scenario is Scenario.S3_CU_SHARED:
-            snssai_to_du = {s: du_pools[s] for s in snssais}
-
-    cu_to_snssai: dict[str, Snssai] = {}
-    if scenario is Scenario.S4_DU_SHARED:
-        cu_to_snssai = {cu_ids_by_slice[s]: s for s in snssais}
-
+def build_instance_graph(ds: DescriptorSet, instances: Sequence[Instance]) -> dict[str, Any]:
+    """The exported topology of a deployment's live instances (see
+    ``Orchestrator.instances``): CU and DU ids in instance order, the RU
+    units of every served slice, and the matching tables. A CU serving
+    several slices over dedicated DUs (s3) maps each S-NSSAI to its DU
+    pool; DUs serving several slices behind dedicated CUs (s4) map each
+    CU id to its S-NSSAI. A single-slice deployment needs neither."""
+    cus = [i for i in instances if i.kind == "cu"]
+    dus = [i for i in instances if i.kind == "du"]
+    snssais = sorted({s for cu in cus for s in cu.owners}, key=lambda s: s.key())
     ru_units: list[str] = []
     for s in snssais:
-        nsst = ds.nsst_for(s)
-        nsd = ds.gnb_nsd_for(nsst) if nsst else None
-        for ref in (nsd.ru_pnfd_refs if nsd else ()):
+        for ref in ds.gnb_nsd_for(ds.nsst_for(s)).ru_pnfd_refs:
             if ref not in ru_units:
                 ru_units.append(ref)
-
-    cu_to_dus: dict[str, tuple[str, ...]] = {}
-    for cu in cu_instances:
-        reachable: list[str] = []
-        for du in du_instances:
-            if cu.owners & du.owners:
-                reachable.append(du.instance_id)
-        cu_to_dus[cu.instance_id] = tuple(reachable)
-    du_to_rus = {du.instance_id: tuple(ru_units) for du in du_instances}
-
-    return InstanceGraph(
-        scenario=scenario,
-        cu_instances=cu_instances,
-        du_instances=du_instances,
-        ru_units=tuple(ru_units),
-        cu_to_dus=cu_to_dus,
-        du_to_rus=du_to_rus,
-        snssai_to_du=snssai_to_du,
-        cu_to_snssai=cu_to_snssai,
-    )
+    snssai_to_du: dict[str, list[str]] = {}
+    if any(cu.shared for cu in cus) and not any(du.shared for du in dus):
+        for du in dus:
+            snssai_to_du.setdefault(du.owners[0].key(), []).append(du.instance_id)
+    cu_to_snssai: dict[str, str] = {}
+    if any(du.shared for du in dus) and not any(cu.shared for cu in cus):
+        cu_to_snssai = {cu.instance_id: cu.owners[0].key() for cu in cus}
+    return {
+        "cu_instances": [cu.instance_id for cu in cus],
+        "du_instances": [du.instance_id for du in dus],
+        "ru_units": ru_units,
+        "snssai_to_du": dict(sorted(snssai_to_du.items())),
+        "cu_to_snssai": dict(sorted(cu_to_snssai.items())),
+    }
 
 
 def slice_awareness_required(scenario: Scenario) -> frozenset[SliceAwareness]:

@@ -30,7 +30,7 @@ from ranslice.resources import (
     du_vcpu_consumption,
 )
 from ranslice.sim import McsAtom, run
-from ranslice.topology import Drb, DrbQos, Scenario, build_instance_graph
+from ranslice.topology import Drb, DrbQos, Scenario
 
 _SYM_MU0 = 12 * 14 * 1000
 
@@ -107,11 +107,16 @@ def test_criterion_1_sharing_gain_reproduction():
 def test_criterion_2_instance_count_ordering():
     started = time.perf_counter()
     failures = []
+    params, budget = ResourceModelParams(), CapacityBudget(1.0, 0.9)
     for k in (2, 3, 4):
-        ds = build_descriptor_set(n_slices=k)
         for n in (1, 2, 3):
-            totals = {sc: build_instance_graph(ds, sc, n).total_vnf_instances()
-                      for sc in Scenario}
+            ds = build_descriptor_set(n_slices=k, du_counts=(n,))
+            totals = {}
+            for sc in Scenario:
+                orch = Orchestrator(ds, sc, params, budget)
+                for s in ds.snssais():
+                    orch.instantiate_subnet(s)
+                totals[sc] = len(orch.instances())
             s1, s2 = totals[Scenario.S1_DEDICATED], totals[Scenario.S2_ALL_SHARED]
             s3, s4 = totals[Scenario.S3_CU_SHARED], totals[Scenario.S4_DU_SHARED]
             if not s2 <= s4 <= s3 <= s1:
@@ -246,7 +251,7 @@ def test_criterion_5_admission_safety():
 
             # independent recomputation of the post-admission state on
             # the shared DU pool, from the admitted DRB lists
-            pool = len(orch.aux.live_du_ids)
+            pool = sum(inst.kind == "du" for inst in orch.instances())
             per_slice = {}
             for sn in slices:
                 demand = orch.subnets[sn].demand_prbs()

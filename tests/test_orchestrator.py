@@ -10,14 +10,12 @@ from helpers import build_descriptor_set, build_documents
 
 from ranslice.descriptors import DescriptorSet, Snssai, parse_descriptor_set
 from ranslice.orchestrator import (
-    Admit,
     AtBoundaryError,
     DescriptorInvalidError,
     Direction,
     NoMatchingIlError,
     Orchestrator,
     OrchestrationError,
-    Reject,
     REJECT_VCPU_CAP,
     REJECT_VNIC_DELAY,
     REJECT_VNIC_SATURATED,
@@ -64,6 +62,10 @@ def admit_prbs(orch, ds, snssai, prbs, drb_id=None, m=6, cr=0.75):
     return orch.admit_drb(snssai, drb, m, cr)
 
 
+def du_ids(orch):
+    return [i.instance_id for i in orch.instances() if i.kind == "du"]
+
+
 # -- instantiation ------------------------------------------------------------
 
 def test_first_subnet_creates_aux_at_lowest_il(ds_two_slices):
@@ -72,7 +74,7 @@ def test_first_subnet_creates_aux_at_lowest_il(ds_two_slices):
     orch.instantiate_subnet(embb)
     assert orch.aux is not None
     assert orch.aux.current_il == "du-sl-1"
-    assert orch.aux.live_du_ids == ["du-shared-1"]
+    assert du_ids(orch) == ["du-shared-1"]
 
     before = copy.deepcopy(orch.aux)
     orch.instantiate_subnet(urllc)
@@ -127,11 +129,13 @@ def test_admission_vcpu_cap_arithmetic(ds_two_slices):
     assert admit_prbs(orch, ds_two_slices, embb, 80).admitted
 
     decision = admit_prbs(orch, ds_two_slices, embb, 15)
-    assert isinstance(decision, Reject)
+    assert not decision.admitted
     assert decision.reason == REJECT_VCPU_CAP
+    assert decision.detail.startswith("du-shared-1: ")
 
     decision = admit_prbs(orch, ds_two_slices, embb, 5)
-    assert isinstance(decision, Admit)
+    assert decision.admitted
+    assert (decision.est_prbs, decision.reason) == (5, "")
     assert len(orch.subnets[embb].admitted_drbs) == 2
 
 
@@ -149,7 +153,7 @@ def test_admission_rejects_vnic_saturation():
     embb = ds.snssais()[0]
     # 801 PRBs * 125 pkt/s >= mu = 1e5 pkt/s
     decision = admit_prbs(orch, ds, embb, 801)
-    assert isinstance(decision, Reject)
+    assert not decision.admitted
     assert decision.reason == REJECT_VNIC_SATURATED
     assert orch.subnets[embb].admitted_drbs == []
 
@@ -160,7 +164,7 @@ def test_admission_rejects_vnic_delay_cap():
     embb = ds.snssais()[0]
     # 798 PRBs: stable queue (lambda = 99750 < 1e5) but ~4 ms mean wait
     decision = admit_prbs(orch, ds, embb, 798)
-    assert isinstance(decision, Reject)
+    assert not decision.admitted
     assert decision.reason == REJECT_VNIC_DELAY
 
 
@@ -302,7 +306,7 @@ def test_scale_shared_du_coordinates_all_subnets(ds_two_slices):
     assert [e.target for e in events] == [
         ScaleTarget.SHARED_DU, ScaleTarget.SUBNET_IL, ScaleTarget.SUBNET_IL]
     assert orch.aux.current_il == "du-sl-2"
-    assert orch.aux.live_du_ids == ["du-shared-1", "du-shared-2"]
+    assert du_ids(orch) == ["du-shared-1", "du-shared-2"]
     du_levels = {sub.du_sl for sub in orch.subnets.values()}
     assert du_levels == {"du-sl-2"}
     for sub in orch.subnets.values():

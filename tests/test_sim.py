@@ -6,8 +6,11 @@ import math
 
 import pytest
 
-from helpers import build_descriptor_set, make_config
+import yaml
 
+from helpers import build_descriptor_set, build_documents, make_config
+
+from ranslice.descriptors import DescriptorSet, parse_descriptor_set
 from ranslice.orchestrator import BaselineOverloadError
 from ranslice.resources import CapacityBudget, ResourceModelParams
 from ranslice.sim import (
@@ -214,6 +217,36 @@ def test_trace_topology_summary(ds_two_slices):
     trace = run(config, ds_two_slices)
     assert trace.topology["cu_instances"] == ["cu-shared"]
     assert set(trace.topology["snssai_to_du"]) == {"eMBB", "uRLLC"}
+
+
+def test_trace_topology_is_the_tick_zero_instance_view():
+    # uRLLC starts at a DU level with two instances, eMBB with one: the
+    # exported topology and the s3 matching table list exactly the DUs
+    # live at tick 0.
+    docs = [yaml.safe_load(d) for d in
+            build_documents(n_slices=2, du_counts=(1, 2), shared_du=False)]
+    for doc in docs:
+        if doc.get("gnb_nsd", {}).get("id") == "gnb-uRLLC":
+            doc["gnb_nsd"]["sa_du"]["sls"][0]["constituents"][0]["instance_count"] = 2
+    ds = parse_descriptor_set(docs)
+    for scenario in (Scenario.S1_DEDICATED, Scenario.S3_CU_SHARED):
+        trace = run(make_config(ds, ticks=1, scenario=scenario), ds)
+        tick0 = [i.instance_id for i in trace.rows[0].instances if i.kind == "du"]
+        assert tick0 == ["du-eMBB-1", "du-uRLLC-1", "du-uRLLC-2"]
+        assert trace.topology["du_instances"] == tick0
+        assert trace.rows[0].vm_count == len(tick0) + len(trace.topology["cu_instances"])
+        if scenario is Scenario.S3_CU_SHARED:
+            pools = trace.topology["snssai_to_du"]
+            assert [du for pool in pools.values() for du in pool] == tick0
+
+
+def test_descriptor_set_without_slices_is_a_config_error():
+    config = make_config(DescriptorSet(), ticks=1)
+    assert config.profiles == ()
+    for scenario in Scenario:
+        with pytest.raises(ConfigError) as excinfo:
+            run(dataclasses.replace(config, scenario=scenario), DescriptorSet())
+        assert excinfo.value.path == "profiles"
 
 
 def test_demand_profile_invariants(ds_two_slices):

@@ -4,10 +4,10 @@ import pytest
 
 from helpers import build_descriptor_set
 
-from ranslice.descriptors import DescriptorSet
+from ranslice.orchestrator import Orchestrator
+from ranslice.resources import CapacityBudget, ResourceModelParams
 from ranslice.topology import (
     DrbQos,
-    NoSlicesError,
     Scenario,
     SliceAwareness,
     build_instance_graph,
@@ -23,37 +23,51 @@ def expected_counts(scenario: Scenario, k: int, n: int) -> tuple[int, int]:
     return cu, du
 
 
+def live_instances(ds, scenario):
+    """The instances of every declared subnet instantiated at its lowest IL."""
+    orch = Orchestrator(ds, scenario, ResourceModelParams(), CapacityBudget(1.0, 0.9))
+    for s in ds.snssais():
+        orch.instantiate_subnet(s)
+    return orch.instances()
+
+
+def counts(instances) -> tuple[int, int]:
+    return (sum(i.kind == "cu" for i in instances), sum(i.kind == "du" for i in instances))
+
+
 def test_instance_counts_two_slices_three_dus():
-    ds = build_descriptor_set(n_slices=2)
+    ds = build_descriptor_set(n_slices=2, du_counts=(3,))
     expected = {
         Scenario.S1_DEDICATED: (2, 6),
         Scenario.S2_ALL_SHARED: (1, 3),
         Scenario.S3_CU_SHARED: (1, 6),
         Scenario.S4_DU_SHARED: (2, 3),
     }
-    for scenario, (cus, dus) in expected.items():
-        graph = build_instance_graph(ds, scenario, n_dus_per_gnb=3)
-        assert len(graph.cu_instances) == cus
-        assert len(graph.du_instances) == dus
+    for scenario, cus_dus in expected.items():
+        assert counts(live_instances(ds, scenario)) == cus_dus
 
 
 def test_single_slice_scenarios_coincide():
-    ds = build_descriptor_set(n_slices=1)
-    counts = set()
+    # One slice shares with nobody: every scenario gives one CU, the
+    # DU pool and no matching table.
+    ds = build_descriptor_set(n_slices=1, du_counts=(4,))
+    seen = set()
     for scenario in Scenario:
-        graph = build_instance_graph(ds, scenario, n_dus_per_gnb=4)
-        counts.add((len(graph.cu_instances), len(graph.du_instances)))
-    assert counts == {(1, 4)}
+        instances = live_instances(ds, scenario)
+        assert not any(i.shared for i in instances)
+        topology = build_instance_graph(ds, instances)
+        assert topology["snssai_to_du"] == {} and topology["cu_to_snssai"] == {}
+        seen.add(counts(instances))
+    assert seen == {(1, 4)}
 
 
 def test_instance_count_ordering_across_grid():
     # S2 <= S4 <= S3 <= S1 in total VNF instances, strict for K >= 2
     # and n >= 2; checked exhaustively.
     for k in (2, 3, 4):
-        ds = build_descriptor_set(n_slices=k)
         for n in (1, 2, 3):
-            totals = {sc: build_instance_graph(ds, sc, n).total_vnf_instances()
-                      for sc in Scenario}
+            ds = build_descriptor_set(n_slices=k, du_counts=(n,))
+            totals = {sc: len(live_instances(ds, sc)) for sc in Scenario}
             assert (totals[Scenario.S2_ALL_SHARED]
                     <= totals[Scenario.S4_DU_SHARED]
                     <= totals[Scenario.S3_CU_SHARED]
@@ -66,57 +80,46 @@ def test_instance_count_ordering_across_grid():
 
 
 def test_matching_tables_per_scenario():
-    ds = build_descriptor_set(n_slices=2)
-    s3 = build_instance_graph(ds, Scenario.S3_CU_SHARED, 2)
-    s4 = build_instance_graph(ds, Scenario.S4_DU_SHARED, 2)
-    s1 = build_instance_graph(ds, Scenario.S1_DEDICATED, 2)
-    s2 = build_instance_graph(ds, Scenario.S2_ALL_SHARED, 2)
+    ds = build_descriptor_set(n_slices=2, du_counts=(2,))
+    s1, s2, s3, s4 = (build_instance_graph(ds, live_instances(ds, sc))
+                      for sc in (Scenario.S1_DEDICATED, Scenario.S2_ALL_SHARED,
+                                 Scenario.S3_CU_SHARED, Scenario.S4_DU_SHARED))
 
-    assert set(s3.snssai_to_du) == set(ds.snssais())
-    for snssai, pool in s3.snssai_to_du.items():
-        assert len(pool) == 2
-        assert all(snssai.key() in du for du in pool)
-    assert not s3.cu_to_snssai
+    assert set(s3["snssai_to_du"]) == {s.key() for s in ds.snssais()}
+    for key, pool in s3["snssai_to_du"].items():
+        assert pool == [f"du-{key}-1", f"du-{key}-2"]
+    assert not s3["cu_to_snssai"]
 
     # One table entry per CU, mapping its identifier to the slice it serves.
-    assert len(s4.cu_to_snssai) == len(s4.cu_instances)
-    assert set(s4.cu_to_snssai.values()) == set(ds.snssais())
-    assert not s4.snssai_to_du
+    assert s4["cu_to_snssai"] == {"cu-eMBB": "eMBB", "cu-uRLLC": "uRLLC"}
+    assert list(s4["cu_to_snssai"]) == s4["cu_instances"]
+    assert not s4["snssai_to_du"]
 
-    for graph in (s1, s2):
-        assert not graph.snssai_to_du
-        assert not graph.cu_to_snssai
+    for topology in (s1, s2):
+        assert not topology["snssai_to_du"]
+        assert not topology["cu_to_snssai"]
 
 
 def test_owner_set_shapes_per_scenario():
-    ds = build_descriptor_set(n_slices=3, du_counts=(1, 2, 3))
-    all_slices = frozenset(ds.snssais())
+    ds = build_descriptor_set(n_slices=3, du_counts=(2, 3))
+    all_slices = set(ds.snssais())
     for scenario in Scenario:
-        graph = build_instance_graph(ds, scenario, 2)
-        for cu in graph.cu_instances:
-            assert cu.owners == (all_slices if scenario.cu_shared
-                                 else frozenset({next(iter(cu.owners))}))
-            if not scenario.cu_shared:
-                assert len(cu.owners) == 1
-        for du in graph.du_instances:
-            if scenario.du_shared:
-                assert du.owners == all_slices
+        instances = live_instances(ds, scenario)
+        assert counts(instances) == expected_counts(scenario, 3, 2)
+        for inst in instances:
+            shared = scenario.cu_shared if inst.kind == "cu" else scenario.du_shared
+            assert inst.shared == shared
+            if shared:
+                assert set(inst.owners) == all_slices
             else:
-                assert len(du.owners) == 1
+                assert len(inst.owners) == 1
 
 
 def test_rus_shared_in_every_scenario():
     ds = build_descriptor_set(n_slices=2, n_rus=3)
     for scenario in Scenario:
-        graph = build_instance_graph(ds, scenario, 1)
-        assert len(graph.ru_units) == 3
-        for du in graph.du_instances:
-            assert graph.du_to_rus[du.instance_id] == graph.ru_units
-
-
-def test_no_slices_error():
-    with pytest.raises(NoSlicesError):
-        build_instance_graph(DescriptorSet(), Scenario.S1_DEDICATED, 1)
+        topology = build_instance_graph(ds, live_instances(ds, scenario))
+        assert topology["ru_units"] == ["pnfd-ru-1", "pnfd-ru-2", "pnfd-ru-3"]
 
 
 def test_slice_awareness_per_scenario():
@@ -137,12 +140,10 @@ def test_slice_awareness_per_scenario():
 
 def test_counts_match_sharing_rule_oracle():
     for k in (1, 2, 3):
-        ds = build_descriptor_set(n_slices=k)
         for n in (1, 2):
+            ds = build_descriptor_set(n_slices=k, du_counts=(n,))
             for scenario in Scenario:
-                graph = build_instance_graph(ds, scenario, n)
-                cu, du = expected_counts(scenario, k, n)
-                assert (len(graph.cu_instances), len(graph.du_instances)) == (cu, du)
+                assert counts(live_instances(ds, scenario)) == expected_counts(scenario, k, n)
 
 
 def test_drb_qos_invariants():
