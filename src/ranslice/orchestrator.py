@@ -683,15 +683,14 @@ class Orchestrator:
         return self._hist[unit]
 
     def _down_feasible(self, unit: Unit, level: str) -> bool:
-        """Whether the unit's instances, projected at the current
+        """Whether the unit's own instances, projected at the current
         allocations with the unit at ``level``, stay within capacity,
         isolation and (DU pools only) the vNIC limits."""
-        kind = "cu" if unit[0] is ScaleTarget.CU else "du"
+        vnic = unit[0] is not ScaleTarget.CU
         return not any(
             (not inst.shared and inst.consumption > inst.capacity)
-            or self._limit(inst, vnic=kind == "du") is not None
-            for inst in self._project(self._allocated_map(), over={unit: level})
-            if inst.kind == kind)
+            or self._limit(inst, vnic=vnic) is not None
+            for inst in _own(unit, self._project(self._allocated_map(), over={unit: level})))
 
     def apply_scaling_policies(self) -> list[ScalingEvent]:
         """Evaluate the threshold policy per scaling unit and apply the

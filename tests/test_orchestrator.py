@@ -497,6 +497,27 @@ def test_scale_down_violating_isolation_is_suppressed(ds_two_slices):
     assert len(orch.subnets[embb].admitted_drbs) == 1
 
 
+def test_scale_down_checks_only_the_units_own_instances():
+    # s1: eMBB's dedicated CU runs far over its 2 vCPUs (admission caps
+    # no dedicated instance), which must not keep the idle uRLLC CU
+    # from scaling down.
+    ds = build_descriptor_set(n_slices=2, du_vcpus=16)
+    orch = make_orch(ds, scenario=Scenario.S1_DEDICATED, params=ResourceModelParams(k=0.004),
+                     thresholds=ScalingThresholds(window=1, cooldown=0))
+    embb, urllc = ds.snssais()
+    for s in (embb, urllc):
+        orch.scale(ScaleTarget.CU, Direction.UP, s)
+    orch.subnets[embb].admitted_drbs.append(_raw_drb(embb, 273, m=8, cr=0.9))
+    orch.allocate_prbs(273)
+    cu_embb = next(i for i in orch.observe_utilization() if i.instance_id == "cu-eMBB")
+    assert cu_embb.consumption > 2 * cu_embb.capacity
+    events = [str(e) for e in orch.apply_scaling_policies()]
+    assert "cu(uRLLC):cu-sl-2->cu-sl-1" in events
+    assert "du(eMBB):du-sl-1->du-sl-2" in events
+    assert orch.subnets[urllc].cu_sl == "cu-sl-1"
+    assert orch.subnets[embb].cu_sl == "cu-sl-2"
+
+
 def test_event_log_determinism(ds_three_slices):
     def drive(orch, ds):
         for s in ds.snssais():
