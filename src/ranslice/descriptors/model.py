@@ -41,6 +41,19 @@ class Snssai:
     service_type: ServiceType
     subtype: str | None = None
 
+    # Slices key most of the orchestrator's dicts, so the hash the
+    # dataclass would compute on every lookup is computed once here.
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.service_type, self.subtype)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild from the fields, so the hash is recomputed in a process
+        # with another hash seed instead of being unpickled stale.
+        return Snssai, (self.service_type, self.subtype)
+
     def key(self) -> str:
         if self.subtype:
             return f"{self.service_type.value}.{self.subtype}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 from .descriptors import DescriptorSet, GnbNsd, Snssai, validate
 from .descriptors.validate import ValidationReport
@@ -219,6 +219,9 @@ class InstanceUtil:
         return self.consumption / self.capacity
 
 
+InstT = TypeVar("InstT", Instance, InstanceUtil)
+
+
 def evaluate_scaling_policy(history: Sequence[float], thresholds: ScalingThresholds,
                             can_up: bool = True, can_down: bool = True,
                             last_event: tuple[int, Direction] | None = None,
@@ -258,8 +261,9 @@ def _snap_modulation(value: float) -> int:
     return min(MODULATION_ORDERS, key=lambda m: (abs(m - value), m))
 
 
-def _own(unit: Unit, insts: Sequence[InstanceUtil]) -> list[InstanceUtil]:
-    """The unit's own instances: a CU unit's CU, a DU pool's DUs."""
+def _own(unit: Unit, insts: Sequence[InstT]) -> list[InstT]:
+    """The unit's own instances (live or projected): a CU unit's CU, a DU
+    pool's DUs."""
     target, snssai = unit
     kind = "cu" if target is ScaleTarget.CU else "du"
     return [i for i in insts if i.kind == kind and (snssai is None or snssai in i.owners)]
@@ -289,6 +293,8 @@ class Orchestrator:
         self.findings: list[str] = []
         self._hist: dict[Unit, deque[float]] = {}
         self._last_scale: dict[Unit, tuple[int, Direction]] = {}
+        self._instances: tuple[Instance, ...] = ()
+        self._instances_key: list | None = None
 
     # -- descriptor lookups -------------------------------------------------
 
@@ -365,16 +371,30 @@ class Orchestrator:
         mean_cr = sum(w * cr for w, _, cr in entries) / total
         return _snap_modulation(mean_m), mean_cr
 
-    def instances(self, over: Mapping[Unit, str] | None = None) -> list[Instance]:
+    def instances(self, over: Mapping[Unit, str] | None = None) -> tuple[Instance, ...]:
         """The live VNF instances: the shared DU pool or each subnet's
         dedicated DU pool, then the shared CU or each subnet's CU. The
         one place where ids, owners and capacities come from the scale
         levels and the auxiliary IL. ``over`` puts units at hypothetical
-        levels without touching state."""
-        over = over or {}
+        levels without touching state.
+
+        The live view is rebuilt only when a level changes: the key,
+        every subnet's (cu_sl, du_sl) and the auxiliary IL, is read on
+        each call, so state changed from outside is seen as well."""
+        if over:
+            return self._build_instances(over)
+        key = [(s, sub.cu_sl, sub.du_sl) for s, sub in self.subnets.items()]
+        if self.aux is not None:
+            key.append((self.aux.aux_nsd_ref, self.aux.current_il))
+        if key != self._instances_key:
+            self._instances = self._build_instances({})
+            self._instances_key = key
+        return self._instances
+
+    def _build_instances(self, over: Mapping[Unit, str]) -> tuple[Instance, ...]:
         slices = self._sorted_slices()
         if not slices:
-            return []
+            return ()
         # With a single owning subnet a "shared" instance degenerates to a
         # dedicated one: there is no other slice for the cap to protect.
         multi = len(slices) > 1
@@ -408,24 +428,32 @@ class Orchestrator:
         else:
             insts += [Instance(self._nsd(s).cu_id, "cu", (s,), False, cu_vcpus[s])
                       for s in slices]
-        return insts
+        return tuple(insts)
 
     def _project(self, prbs_by_slice: Mapping[Snssai, int],
                  extra: tuple[Snssai, int, int, float] | None = None,
-                 over: Mapping[Unit, str] | None = None) -> list[InstanceUtil]:
-        """Per-instance consumption/PRB projection of ``instances(over)``
-        for a given PRB split: a slice's PRBs spread evenly over the DU
-        pool serving it, and its CU carries the full slice load."""
+                 insts: Sequence[Instance] | None = None) -> list[InstanceUtil]:
+        """Per-instance consumption/PRB projection of ``insts`` (default:
+        the live instances) for a given PRB split: a slice's PRBs spread
+        evenly over the DU pool serving it, and its CU carries the full
+        slice load. A slice's MCS and each (kind, slice, share) load are
+        computed once per projection, and only for the slices met."""
         params = self.params
-        mcs = {s: self._slice_mcs(s, extra) for s in self.subnets}
+        mcs: dict[Snssai, tuple[int, float]] = {}
+        loads: dict[tuple[str, Snssai, int], float] = {}
         projected = []
-        for inst in self.instances(over):
-            consumption = du_vcpu_consumption if inst.kind == "du" else cu_vcpu_consumption
+        for inst in self.instances() if insts is None else insts:
             per_slice = {}
             prbs = 0
             for s in inst.owners:
                 share = _share(prbs_by_slice.get(s, 0), inst.pool, inst.index)
-                per_slice[s] = consumption(SliceLoad(s, share, *mcs[s]), params)
+                key = (inst.kind, s, share)
+                if key not in loads:
+                    if s not in mcs:
+                        mcs[s] = self._slice_mcs(s, extra)
+                    consumption = du_vcpu_consumption if inst.kind == "du" else cu_vcpu_consumption
+                    loads[key] = consumption(SliceLoad(s, share, *mcs[s]), params)
+                per_slice[s] = loads[key]
                 prbs += share
             projected.append(InstanceUtil(inst.instance_id, inst.kind, inst.shared,
                                           inst.owners, per_slice, prbs, inst.capacity))
@@ -453,11 +481,11 @@ class Orchestrator:
         demand = self._demand_map()
         demand[snssai] = demand[snssai] + est
         extra = (snssai, est, modulation_order, code_rate)
-        for inst in self._project(demand, extra=extra):
-            if snssai in inst.owners:
-                reject = self._limit(inst)
-                if reject is not None:
-                    return reject
+        touched = [i for i in self.instances() if snssai in i.owners]
+        for inst in self._project(demand, extra, touched):
+            reject = self._limit(inst)
+            if reject is not None:
+                return reject
         self.subnets[snssai].admitted_drbs.append(
             AdmittedDrb(drb=drb, est_prbs=est,
                         modulation_order=modulation_order, code_rate=code_rate))
@@ -690,7 +718,8 @@ class Orchestrator:
         return not any(
             (not inst.shared and inst.consumption > inst.capacity)
             or self._limit(inst, vnic=vnic) is not None
-            for inst in _own(unit, self._project(self._allocated_map(), over={unit: level})))
+            for inst in self._project(self._allocated_map(),
+                                      insts=_own(unit, self.instances({unit: level}))))
 
     def apply_scaling_policies(self) -> list[ScalingEvent]:
         """Evaluate the threshold policy per scaling unit and apply the

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import yaml
 
 from helpers import build_descriptor_set, build_documents
 
+import ranslice
 from ranslice.descriptors import (
     DescriptorSyntaxError,
     DuplicateIdError,
@@ -203,6 +211,38 @@ def test_serialize_roundtrip_through_yaml_text(ds_two_slices):
 def test_snssai_key_formatting():
     assert Snssai(ServiceType.EMBB).key() == "eMBB"
     assert Snssai(ServiceType.MMTC, "meters").key() == "mMTC.meters"
+
+
+def test_snssai_hash_is_the_field_tuple_hash():
+    for s in (Snssai(ServiceType.EMBB), Snssai(ServiceType.MMTC, "meters")):
+        assert hash(s) == hash((s.service_type, s.subtype))
+    assert hash(Snssai(ServiceType.URLLC, "a")) == hash(Snssai(ServiceType.URLLC, "a"))
+
+
+def test_snssai_equality_and_hash_survive_deepcopy():
+    s = Snssai(ServiceType.URLLC, "robots")
+    clone = copy.deepcopy(s)
+    assert clone == s and hash(clone) == hash(s)
+    assert copy.deepcopy({s: 1})[s] == 1
+
+
+def test_snssai_pickled_under_another_hash_seed_is_found_as_a_dict_key():
+    # Enum and str hashes depend on PYTHONHASHSEED, so a hash pickled
+    # along with the object would be stale in this process.
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    code = ("import pickle, sys\n"
+            "from ranslice.descriptors import ServiceType, Snssai\n"
+            "s = Snssai(ServiceType.URLLC, 'robots')\n"
+            "sys.stdout.write(pickle.dumps((hash(s), s)).hex())\n")
+    env = dict(os.environ, PYTHONHASHSEED=seed,
+               PYTHONPATH=str(Path(ranslice.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    child_hash, s = pickle.loads(bytes.fromhex(proc.stdout))
+    here = Snssai(ServiceType.URLLC, "robots")
+    assert child_hash != hash(here)
+    assert s == here and hash(s) == hash(here)
+    assert {here: "found"}[s] == "found"
 
 
 def test_validation_report_string_lists_findings():

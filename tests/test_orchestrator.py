@@ -591,6 +591,46 @@ def test_fuzz_all_scenarios_hold_invariants():
                 assert (il.cu_sl, il.du_sl) == (sub.cu_sl, sub.du_sl)
 
 
+def test_admission_evaluates_only_the_arriving_slices_instances(monkeypatch):
+    # s1, 4 slices, all with admitted load: admitting to one slice
+    # evaluates that slice's CU and DUs only, once per distinct share.
+    import ranslice.orchestrator as orch_mod
+
+    ds = build_descriptor_set(n_slices=4, du_counts=(1, 2), du_vcpus=4)
+    orch = make_orch(ds, scenario=Scenario.S1_DEDICATED)
+    slices = ds.snssais()
+    for s in slices:
+        orch.scale(ScaleTarget.DU, Direction.UP, s)
+        assert admit_prbs(orch, ds, s, 20).admitted
+    calls = []
+    for name, kind in (("du_vcpu_consumption", "du"), ("cu_vcpu_consumption", "cu")):
+        def counted(load, params, fn=getattr(orch_mod, name), kind=kind):
+            calls.append((kind, load.snssai, load.prbs))
+            return fn(load, params)
+        monkeypatch.setattr(orch_mod, name, counted)
+
+    arriving = slices[2]
+    assert admit_prbs(orch, ds, arriving, 5, drb_id="arrival").admitted
+    assert {s for _, s, _ in calls} == {arriving}
+    # 25 PRBs split over a pool of 2 DUs: shares 13 and 12.
+    assert sorted(calls) == [("cu", arriving, 25), ("du", arriving, 12), ("du", arriving, 13)]
+
+
+def test_instances_are_memoised_on_live_levels(ds_two_slices):
+    orch = make_orch(ds_two_slices, scenario=Scenario.S1_DEDICATED)
+    embb = ds_two_slices.snssais()[0]
+    first = orch.instances()
+    assert isinstance(first, tuple)
+    assert orch.instances() is first
+    # A hypothetical level neither uses nor replaces the live view.
+    assert len(orch.instances({(ScaleTarget.DU, embb): "du-sl-2"})) == len(first) + 1
+    assert orch.instances() is first
+    # Levels changed from outside the orchestrator's methods are seen.
+    orch.subnets[embb].cu_sl = "cu-sl-2"
+    cu = next(i for i in orch.instances() if i.instance_id == "cu-eMBB")
+    assert cu.capacity == 2.0
+
+
 def test_live_vm_count(ds_two_slices):
     orch = make_orch(ds_two_slices)               # S4: 2 CUs + 1 shared DU
     assert orch.live_vm_count() == 3

@@ -1,5 +1,6 @@
-"""Property tests of the scaling-unit model: random sequences of scale,
-admit, depart and tick operations, under every sharing scenario."""
+"""Property tests of the scaling-unit model and of the scoped admission
+check: random sequences of scale, admit, depart and tick operations,
+under every sharing scenario."""
 
 from __future__ import annotations
 
@@ -11,13 +12,24 @@ from hypothesis import strategies as st
 from helpers import build_descriptor_set
 
 from ranslice.orchestrator import (
+    Decision,
     Direction,
+    InstanceUtil,
     OrchestrationError,
     Orchestrator,
     ScaleTarget,
     ScalingThresholds,
+    _share,
 )
-from ranslice.resources import CapacityBudget, ResourceModelParams, check_isolation
+from ranslice.resources import (
+    CapacityBudget,
+    ResourceModelParams,
+    SliceLoad,
+    check_isolation,
+    cu_vcpu_consumption,
+    du_vcpu_consumption,
+    estimate_prbs,
+)
 from ranslice.topology import Drb, DrbQos, Scenario
 
 PARAMS = ResourceModelParams(c0=0.002, k=0.004, beta=0.35)
@@ -26,20 +38,27 @@ BUDGET = CapacityBudget(vcpu_capacity=1.0, per_slice_cap=0.9)
 THRESHOLDS = ScalingThresholds(hi=0.6, lo=0.3, window=2, cooldown=1)
 MCS = ((2, 0.3), (4, 0.5), (6, 0.75), (8, 0.9))
 
-OPS = st.lists(st.one_of(
-    st.tuples(st.just("scale"),
-              st.sampled_from((ScaleTarget.CU, ScaleTarget.DU, ScaleTarget.SHARED_DU)),
-              st.sampled_from(Direction), st.integers(0, 2)),
-    st.tuples(st.just("admit"), st.integers(0, 2), st.floats(0.5, 60.0),
-              st.sampled_from(MCS)),
-    st.tuples(st.just("depart"), st.integers(0, 1000)),
-    st.just(("tick",)),
-), max_size=30)
+
+def op_lists(max_mbps: float):
+    """Random operation sequences, admitting DRBs of up to ``max_mbps``."""
+    return st.lists(st.one_of(
+        st.tuples(st.just("scale"),
+                  st.sampled_from((ScaleTarget.CU, ScaleTarget.DU, ScaleTarget.SHARED_DU)),
+                  st.sampled_from(Direction), st.integers(0, 2)),
+        st.tuples(st.just("admit"), st.integers(0, 2), st.floats(0.5, max_mbps),
+                  st.sampled_from(MCS)),
+        st.tuples(st.just("depart"), st.integers(0, 1000)),
+        st.just(("tick",)),
+    ), max_size=30)
+
+
+OPS = op_lists(60.0)
 
 
 @lru_cache(maxsize=None)
-def descriptor_set(n_slices: int):
-    return build_descriptor_set(n_slices=n_slices, du_counts=(1, 2, 3), cu_vcpus=(1, 2, 4))
+def descriptor_set(n_slices: int, du_vcpus: int = 1):
+    return build_descriptor_set(n_slices=n_slices, du_counts=(1, 2, 3), cu_vcpus=(1, 2, 4),
+                                du_vcpus=du_vcpus)
 
 
 def assert_units_consistent(orch: Orchestrator, shared_scalings: int) -> None:
@@ -103,3 +122,69 @@ def test_scaling_units_keep_their_invariants(n_slices, scenario, ops):
             assert_shared_instances_isolated(orch)
             orch.advance_clock()
         assert_units_consistent(orch, shared_scalings)
+
+
+def reference_admission(orch: Orchestrator, snssai, drb, m: int, cr: float) -> Decision:
+    """The admission check before it was scoped to the arriving slice:
+    project every live instance, rebuilt from state, with every slice's
+    MCS, then check the instances the slice owns. Mutates nothing."""
+    profile = orch.ds.nssts[orch.subnets[snssai].nsst_ref].slice_profile
+    est = estimate_prbs(drb.qos.throughput_mbps, m, cr,
+                        profile.numerology_index, profile.dl_ul_symbol_ratio)
+    demand = {s: orch.subnets[s].demand_prbs() for s in orch._sorted_slices()}
+    demand[snssai] += est
+    extra = (snssai, est, m, cr)
+    mcs = {s: orch._slice_mcs(s, extra) for s in orch.subnets}
+    for inst in orch._build_instances({}):
+        consumption = du_vcpu_consumption if inst.kind == "du" else cu_vcpu_consumption
+        per_slice = {}
+        prbs = 0
+        for s in inst.owners:
+            share = _share(demand.get(s, 0), inst.pool, inst.index)
+            per_slice[s] = consumption(SliceLoad(s, share, *mcs[s]), orch.params)
+            prbs += share
+        util = InstanceUtil(inst.instance_id, inst.kind, inst.shared, inst.owners,
+                            per_slice, prbs, inst.capacity)
+        if snssai in inst.owners:
+            reject = orch._limit(util)
+            if reject is not None:
+                return reject
+    return Decision(True, est_prbs=est)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# Large DRBs, and 4-vCPU DUs, so that the CU (a shared CU's isolation
+# or a CU's vNIC, which carries the slice's whole load) rejects too.
+@given(n_slices=st.integers(1, 3), du_vcpus=st.sampled_from((1, 4)),
+       scenario=st.sampled_from(Scenario), ops=op_lists(200.0))
+def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, du_vcpus,
+                                                                     scenario, ops):
+    ds = descriptor_set(n_slices, du_vcpus)
+    slices = ds.snssais()
+    orch = Orchestrator(ds, scenario, PARAMS, BUDGET, THRESHOLDS, vnic_delay_cap_s=5e-3)
+    for s in slices:
+        orch.instantiate_subnet(s)
+    live: list[tuple] = []
+    for step, op in enumerate(ops):
+        if op[0] == "scale":
+            _, target, direction, i = op
+            try:
+                orch.scale(target, direction, slices[i % n_slices])
+            except OrchestrationError:
+                pass
+        elif op[0] == "admit":
+            _, i, mbps, (m, cr) = op
+            s = slices[i % n_slices]
+            drb = Drb(f"d{step}", s, DrbQos(mbps, 20.0, 0.99))
+            expected = reference_admission(orch, s, drb, m, cr)
+            assert orch.admit_drb(s, drb, m, cr) == expected
+            if expected.admitted:
+                live.append((s, drb.drb_id))
+        elif op[0] == "depart" and live:
+            orch.depart_drb(*live.pop(op[1] % len(live)))
+        elif op[0] == "tick":
+            orch.allocate_prbs(273)
+            orch.observe_utilization()
+            orch.apply_scaling_policies()
+            orch.advance_clock()
+        assert orch.instances() == orch._build_instances({})
