@@ -6,7 +6,7 @@ allocates PRBs at coarse time scale, and scales instances. A slice's CU
 scales independently per subnet; a shared DU scales exactly once through
 the auxiliary service, after which every referencing subnet's
 instantiation level is updated to the new DU level (its CU level
-re-selected from its own demand).
+re-selected from the demand its CU carries).
 
 All mutating operations run on one logical thread (single-writer);
 read-only snapshots are safe to take concurrently.
@@ -658,7 +658,8 @@ class Orchestrator:
 
     def _follow_aux(self, s: Snssai, cause: ScalingCause) -> ScalingEvent | None:
         """Point subnet ``s`` at an IL whose DU level equals the auxiliary
-        IL, its CU level re-selected from its own demand. A subnet with no
+        IL, its CU level re-selected to cover the demand its CU carries:
+        its own, or every subnet's under a shared CU. A subnet with no
         usable IL keeps its previous view and an InconsistentIl finding is
         recorded."""
         subnet = self.subnets[s]
@@ -668,8 +669,10 @@ class Orchestrator:
             self.findings.append(
                 f"InconsistentIl: {s}: sa_du has no scale level {new_du_sl!r}")
             return None
-        need = cu_vcpu_consumption(SliceLoad(s, subnet.demand_prbs(), *self._slice_mcs(s)),
-                                   self.params)
+        loaded = self._sorted_slices() if self.scenario.cu_shared else [s]
+        need = sum(cu_vcpu_consumption(
+            SliceLoad(t, self.subnets[t].demand_prbs(), *self._slice_mcs(t)), self.params)
+            for t in loaded)
         covering = [sl.id for sl in nsd.sa_cu.sls if self._cu_capacity_of(nsd, sl.id) >= need]
         chosen = nsd.find_il(covering[0] if covering else nsd.sa_cu.sls[-1].id, new_du_sl)
         if chosen is None:

@@ -24,7 +24,7 @@ from ranslice.orchestrator import (
     UnknownSnssaiError,
     evaluate_scaling_policy,
 )
-from ranslice.resources import CapacityBudget, ResourceModelParams
+from ranslice.resources import CapacityBudget, ResourceModelParams, check_isolation
 from ranslice.topology import Drb, DrbQos, Scenario
 
 # k chosen so one PRB at (m=6, cr=0.75) consumes exactly 0.01 vCPU;
@@ -335,6 +335,31 @@ def test_scale_shared_du_reselects_cu_from_demand(ds_two_slices):
     assert orch.subnets[embb].cu_sl == "cu-sl-2"
     assert orch.subnets[embb].current_il == "il-2-2"
     assert orch.subnets[urllc].cu_sl == "cu-sl-1"
+
+
+def test_scale_shared_du_keeps_a_shared_cu_covering_every_subnets_load():
+    # s2: the shared CU carries both slices, so each subnet's CU level is
+    # re-selected from the summed load, not from the subnet's own share.
+    ds = build_descriptor_set(n_slices=2, du_counts=(1, 2, 3), cu_vcpus=(1, 2, 4), du_vcpus=4)
+    orch = make_orch(ds, scenario=Scenario.S2_ALL_SHARED,
+                     params=ResourceModelParams(c0=0.002, k=0.004))
+    embb, urllc = ds.snssais()
+    orch.scale(ScaleTarget.CU, Direction.UP, embb)
+    for s, n in ((embb, 12), (urllc, 7)):
+        for i in range(n):
+            drb = Drb(f"{s.key()}-{i}", s, DrbQos(10.0, 20.0, 0.99))
+            assert orch.admit_drb(s, drb, 6, 0.75).admitted
+    orch.allocate_prbs(273)
+
+    def shared_cu():
+        return next(i for i in orch._project(orch._allocated_map()) if i.kind == "cu")
+
+    assert shared_cu().capacity == 2.0 and 1.0 < shared_cu().consumption < 2.0
+    orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
+    assert [orch.subnets[s].current_il for s in (embb, urllc)] == ["il-2-2", "il-2-2"]
+    cu = shared_cu()
+    assert cu.capacity == 2.0
+    assert check_isolation(cu.per_slice, CapacityBudget(cu.capacity, BUDGET.per_slice_cap)).ok
 
 
 def test_scale_shared_du_rolls_back_subnet_without_usable_il():
