@@ -125,9 +125,9 @@ def test_scaling_units_keep_their_invariants(n_slices, scenario, ops):
 
 
 def reference_admission(orch: Orchestrator, snssai, drb, m: int, cr: float) -> Decision:
-    """The admission check before it was scoped to the arriving slice:
-    project every live instance, rebuilt from state, with every slice's
-    MCS, then check the instances the slice owns. Mutates nothing."""
+    """Unscoped admission check: project every live instance, rebuilt
+    from state, with every slice's MCS, then check the instances the
+    slice owns. Mutates nothing."""
     profile = orch.ds.nssts[orch.subnets[snssai].nsst_ref].slice_profile
     est = estimate_prbs(drb.qos.throughput_mbps, m, cr,
                         profile.numerology_index, profile.dl_ul_symbol_ratio)
