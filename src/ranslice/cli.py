@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .config import load_sim_config, resource_params_to_dict
+from .config import load_sim_config, read_yaml_file, resource_params_to_dict
 from .descriptors import (
     DescriptorSet,
     DescriptorSyntaxError,
@@ -49,7 +49,12 @@ def _load_descriptors(directory: str) -> DescriptorSet:
         raise OSError(f"{directory}: not a directory")
     files = sorted(p for p in root.iterdir()
                    if p.is_file() and p.suffix in DESCRIPTOR_SUFFIXES)
-    texts = [p.read_text(encoding="utf-8") for p in files]
+    texts = []
+    for p in files:
+        try:
+            texts.append(p.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise DescriptorSyntaxError(str(p), f"not UTF-8 text: {exc}") from exc
     return parse_descriptor_set(texts, names=[str(p) for p in files])
 
 
@@ -142,8 +147,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _load_anchors(path: str) -> list[tuple[SliceLoad, float]]:
-    with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    raw = read_yaml_file(path)
     if not isinstance(raw, list) or not raw:
         raise ConfigError(path, "expected a non-empty YAML list of anchors")
     anchors = []

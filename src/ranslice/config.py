@@ -30,7 +30,7 @@ from typing import Any, Mapping
 
 import yaml
 
-from .descriptors import ServiceType, Snssai
+from .descriptors import ServiceType, Snssai, load_yaml
 from .orchestrator import ScalingThresholds
 from .resources import CapacityBudget, ResourceModelParams
 from .sim import ConfigError, DemandProfile, McsAtom, SimConfig
@@ -188,12 +188,20 @@ def sim_config_from_dict(raw: Mapping[str, Any]) -> SimConfig:
     )
 
 
-def load_sim_config(path: str) -> SimConfig:
+def read_yaml_file(path: str) -> Any:
+    """The YAML document in the file at ``path``. A file that is not
+    UTF-8 text or not valid YAML is a ConfigError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            return load_yaml(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(path, f"not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(path, f"invalid YAML: {exc}") from exc
+
+
+def load_sim_config(path: str) -> SimConfig:
+    raw = read_yaml_file(path)
     if raw is None:
         raise ConfigError(path, "empty configuration file")
     return sim_config_from_dict(raw)

@@ -12,7 +12,7 @@ RLC mode, HARQ target), whose membership is part of the schema.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import IO, Any, Iterable, Mapping, Sequence
 
 import yaml
 
@@ -39,6 +39,18 @@ from .model import (
 )
 
 KINDS = ("ran_nsst", "gnb_nsd", "vnfd", "pnfd", "aux_nsd")
+
+# libyaml's C scanner and parser when PyYAML was built with it; either way
+# the objects come from PyYAML's SafeConstructor, so tags, resolvers and
+# the loaded values are the same. Only the wording of syntax errors, and
+# the line of an error at the end of the stream, differ.
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def load_yaml(source: str | IO[str]) -> Any:
+    """Load one YAML document from text or a text stream with the safe
+    constructor. Raises yaml.YAMLError on malformed input."""
+    return yaml.load(source, Loader=YAML_LOADER)
 
 
 class DescriptorSyntaxError(RansliceError):
@@ -301,7 +313,7 @@ _PARSERS = {
 
 def _load_document(text: str, doc: str) -> Mapping[str, Any]:
     try:
-        loaded = yaml.safe_load(text)
+        loaded = load_yaml(text)
     except yaml.YAMLError as exc:
         line = None
         mark = getattr(exc, "problem_mark", None)

@@ -192,3 +192,30 @@ def test_calibrate_underdetermined_exit_two(tmp_path):
     path.write_text(yaml.safe_dump([
         {"prbs": 10, "modulation_order": 6, "code_rate": 0.75, "observed": 0.2}]))
     assert main(["calibrate", "--anchors", str(path)]) == 2
+
+
+def test_calibrate_malformed_anchors_exit_two(tmp_path, capsys):
+    path = tmp_path / "anchors.yaml"
+    path.write_text("anchors: [oops")
+    assert main(["calibrate", "--anchors", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_simulate_config_not_utf8_exit_two(tmp_path, capsys):
+    d = write_descriptors(tmp_path)
+    cfg = tmp_path / "config.yaml"
+    cfg.write_bytes(b"ticks: 15\n# \xff\n")
+    rc = main(["simulate", "--descriptors", str(d), "--config", str(cfg),
+               "--scenario", "s1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert str(cfg) in capsys.readouterr().err
+
+
+def test_descriptor_not_utf8_exit_one(tmp_path, capsys):
+    d = write_descriptors(tmp_path)
+    bad = d / "zz-latin1.yaml"
+    bad.write_bytes("vnfd: {id: caf\xe9}\n".encode("latin-1"))
+    rc = main(["simulate", "--descriptors", str(d), "--config", str(write_config(tmp_path)),
+               "--scenario", "s1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert str(bad) in capsys.readouterr().err

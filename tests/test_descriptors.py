@@ -9,10 +9,13 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import build_descriptor_set, build_documents
 
 import ranslice
+from ranslice.descriptors import parse as parse_module
 from ranslice.descriptors import (
     DescriptorSyntaxError,
     DuplicateIdError,
@@ -73,6 +76,84 @@ def test_parse_rejects_malformed_yaml():
     with pytest.raises(DescriptorSyntaxError) as excinfo:
         parse_descriptor_set(["vnfd: [unclosed"], names=["broken.yaml"])
     assert "broken.yaml" in str(excinfo.value)
+
+
+DEMO = Path(__file__).parent.parent / "demo"
+needs_libyaml = pytest.mark.skipif(not yaml.__with_libyaml__,
+                                   reason="PyYAML built without libyaml")
+LOADERS = [pytest.param(yaml.SafeLoader, id="SafeLoader"),
+           pytest.param(getattr(yaml, "CSafeLoader", None), id="CSafeLoader",
+                        marks=needs_libyaml)]
+
+
+def assert_loaders_agree(text: str) -> None:
+    expected = yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == expected
+
+
+@needs_libyaml
+def test_c_loader_loads_what_the_python_loader_loads():
+    paths = sorted((DEMO / "descriptors").iterdir()) + [DEMO / "config.yaml"]
+    for path in paths:
+        assert_loaders_agree(path.read_text(encoding="utf-8"))
+    for text in build_documents(n_slices=3):
+        assert_loaders_agree(text)
+
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.floats(allow_nan=False), st.text(max_size=12))
+nested = st.recursive(scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=20)
+
+
+@needs_libyaml
+@settings(max_examples=100, deadline=None)
+@given(doc=st.dictionaries(st.text(max_size=8), nested, max_size=5))
+def test_c_loader_loads_what_the_python_loader_loads_generated(doc):
+    assert_loaders_agree(yaml.safe_dump(doc))
+
+
+def test_parse_is_the_same_under_the_python_loader(monkeypatch):
+    texts = build_documents(n_slices=3)
+    expected = parse_descriptor_set(texts)
+    monkeypatch.setattr(parse_module, "YAML_LOADER", yaml.SafeLoader)
+    assert parse_descriptor_set(texts) == expected
+
+
+@pytest.mark.parametrize("with_libyaml", [
+    False, pytest.param(True, marks=needs_libyaml)])
+def test_loader_is_chosen_from_the_libyaml_flag(with_libyaml):
+    code = (f"import yaml\nyaml.__with_libyaml__ = {with_libyaml}\n"
+            "from ranslice.descriptors import parse\n"
+            "print(parse.YAML_LOADER.__name__)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ranslice.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert proc.stdout.strip() == ("CSafeLoader" if with_libyaml else "SafeLoader")
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_syntax_error_line_mid_document(monkeypatch, loader):
+    monkeypatch.setattr(parse_module, "YAML_LOADER", loader)
+    with pytest.raises(DescriptorSyntaxError) as excinfo:
+        parse_descriptor_set(["a: 1\n b: 2\n"], names=["indent.yaml"])
+    assert excinfo.value.line == 2
+    assert str(excinfo.value).startswith("indent.yaml:2: invalid YAML")
+
+
+# At the end of the stream libyaml marks the line after the last one and
+# quotes no source snippet; the pure-Python parser marks the last line.
+@pytest.mark.parametrize("loader, line, snippet", [
+    pytest.param(yaml.SafeLoader, 1, True, id="SafeLoader"),
+    pytest.param(getattr(yaml, "CSafeLoader", None), 2, False, id="CSafeLoader",
+                 marks=needs_libyaml)])
+def test_syntax_error_line_at_end_of_stream(monkeypatch, loader, line, snippet):
+    monkeypatch.setattr(parse_module, "YAML_LOADER", loader)
+    with pytest.raises(DescriptorSyntaxError) as excinfo:
+        parse_descriptor_set(["vnfd: [unclosed"], names=["broken.yaml"])
+    assert excinfo.value.line == line
+    assert ("vnfd: [unclosed\n" in str(excinfo.value)) is snippet
 
 
 def test_parse_rejects_unknown_kind():
