@@ -166,9 +166,37 @@ class SubnetInstance:
     du_sl: str
     admitted_drbs: list[AdmittedDrb] = field(default_factory=list)
     allocated_prbs: int = 0
+    _memo: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _memo_of(self, drbs: list[AdmittedDrb]) -> list:
+        """[shallow copy of ``drbs``, their demand PRBs, their MCS or None
+        until asked for]. The copy is compared with ``drbs`` on every call
+        (identity first, so cheaply), so DRBs appended or removed from
+        outside are seen as well."""
+        memo = self._memo
+        if memo is None or memo[0] != drbs:
+            memo = self._memo = [list(drbs), sum(a.est_prbs for a in drbs), None]
+        return memo
 
     def demand_prbs(self) -> int:
-        return sum(a.est_prbs for a in self.admitted_drbs)
+        return self._memo_of(self.admitted_drbs)[1]
+
+    def mcs(self, extra: AdmittedDrb | None = None) -> tuple[int, float]:
+        """PRB-weighted average MCS over the admitted DRBs, with ``extra``
+        appended if given, the modulation snapped to a valid order; (2, 1.0)
+        when idle. Summed afresh in list order when the list changed, so
+        once ``extra`` is admitted its sums are reused."""
+        drbs = self.admitted_drbs if extra is None else [*self.admitted_drbs, extra]
+        memo = self._memo_of(drbs)
+        if memo[2] is None:
+            total = memo[1]
+            if total == 0:
+                memo[2] = (2, 1.0)
+            else:
+                mean_m = sum(a.est_prbs * a.modulation_order for a in drbs) / total
+                mean_cr = sum(a.est_prbs * a.code_rate for a in drbs) / total
+                memo[2] = (_snap_modulation(mean_m), mean_cr)
+        return memo[2]
 
 
 @dataclass
@@ -357,19 +385,11 @@ class Orchestrator:
     # -- load projection ------------------------------------------------------
 
     def _slice_mcs(self, snssai: Snssai,
-                   extra: tuple[Snssai, int, int, float] | None = None) -> tuple[int, float]:
-        """PRB-weighted average MCS over the admitted DRBs of a slice, the
-        modulation snapped to a valid order. (2, 1.0) when idle."""
-        entries = [(a.est_prbs, a.modulation_order, a.code_rate)
-                   for a in self.subnets[snssai].admitted_drbs]
-        if extra is not None and extra[0] == snssai:
-            entries.append((extra[1], extra[2], extra[3]))
-        total = sum(w for w, _, _ in entries)
-        if total == 0:
-            return 2, 1.0
-        mean_m = sum(w * m for w, m, _ in entries) / total
-        mean_cr = sum(w * cr for w, _, cr in entries) / total
-        return _snap_modulation(mean_m), mean_cr
+                   extra: tuple[Snssai, AdmittedDrb] | None = None) -> tuple[int, float]:
+        """The slice's ``SubnetInstance.mcs``, with the arriving DRB
+        ``extra`` if it belongs to this slice."""
+        arriving = extra[1] if extra is not None and extra[0] == snssai else None
+        return self.subnets[snssai].mcs(arriving)
 
     def instances(self, over: Mapping[Unit, str] | None = None) -> tuple[Instance, ...]:
         """The live VNF instances: the shared DU pool or each subnet's
@@ -431,7 +451,7 @@ class Orchestrator:
         return tuple(insts)
 
     def _project(self, prbs_by_slice: Mapping[Snssai, int],
-                 extra: tuple[Snssai, int, int, float] | None = None,
+                 extra: tuple[Snssai, AdmittedDrb] | None = None,
                  insts: Sequence[Instance] | None = None) -> list[InstanceUtil]:
         """Per-instance consumption/PRB projection of ``insts`` (default:
         the live instances) for a given PRB split: a slice's PRBs spread
@@ -478,17 +498,16 @@ class Orchestrator:
         profile = nsst.slice_profile
         est = estimate_prbs(drb.qos.throughput_mbps, modulation_order, code_rate,
                             profile.numerology_index, profile.dl_ul_symbol_ratio)
+        entry = AdmittedDrb(drb=drb, est_prbs=est,
+                            modulation_order=modulation_order, code_rate=code_rate)
         demand = self._demand_map()
         demand[snssai] = demand[snssai] + est
-        extra = (snssai, est, modulation_order, code_rate)
         touched = [i for i in self.instances() if snssai in i.owners]
-        for inst in self._project(demand, extra, touched):
+        for inst in self._project(demand, (snssai, entry), touched):
             reject = self._limit(inst)
             if reject is not None:
                 return reject
-        self.subnets[snssai].admitted_drbs.append(
-            AdmittedDrb(drb=drb, est_prbs=est,
-                        modulation_order=modulation_order, code_rate=code_rate))
+        self.subnets[snssai].admitted_drbs.append(entry)
         return Decision(True, est_prbs=est)
 
     def _limit(self, inst: InstanceUtil, vnic: bool = True) -> Decision | None:

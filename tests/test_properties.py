@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import build_descriptor_set
 
 from ranslice.orchestrator import (
+    AdmittedDrb,
     Decision,
     Direction,
     InstanceUtil,
@@ -22,6 +23,7 @@ from ranslice.orchestrator import (
     _share,
 )
 from ranslice.resources import (
+    MODULATION_ORDERS,
     CapacityBudget,
     ResourceModelParams,
     SliceLoad,
@@ -124,6 +126,29 @@ def test_scaling_units_keep_their_invariants(n_slices, scenario, ops):
         assert_units_consistent(orch, shared_scalings)
 
 
+def reference_load(orch: Orchestrator, snssai, extra=None) -> tuple[int, int, float]:
+    """Demand PRBs and PRB-weighted (modulation order, code rate) of a
+    slice, summed afresh over its admitted DRBs and the arriving DRB
+    ``extra`` if it belongs to the slice. (0, 2, 1.0) when idle."""
+    entries = [(a.est_prbs, a.modulation_order, a.code_rate)
+               for a in orch.subnets[snssai].admitted_drbs]
+    if extra is not None and extra[0] == snssai:
+        entries.append(extra[1:])
+    total = sum(w for w, _, _ in entries)
+    if total == 0:
+        return 0, 2, 1.0
+    mean_m = sum(w * m for w, m, _ in entries) / total
+    mean_cr = sum(w * cr for w, _, cr in entries) / total
+    return total, min(MODULATION_ORDERS, key=lambda m: (abs(m - mean_m), m)), mean_cr
+
+
+def assert_loads_match_the_reference(orch: Orchestrator) -> None:
+    for s, sub in orch.subnets.items():
+        demand, m, cr = reference_load(orch, s)
+        assert sub.demand_prbs() == demand
+        assert orch._slice_mcs(s) == (m, cr)
+
+
 def reference_admission(orch: Orchestrator, snssai, drb, m: int, cr: float) -> Decision:
     """Unscoped admission check: project every live instance, rebuilt
     from state, with every slice's MCS, then check the instances the
@@ -131,10 +156,10 @@ def reference_admission(orch: Orchestrator, snssai, drb, m: int, cr: float) -> D
     profile = orch.ds.nssts[orch.subnets[snssai].nsst_ref].slice_profile
     est = estimate_prbs(drb.qos.throughput_mbps, m, cr,
                         profile.numerology_index, profile.dl_ul_symbol_ratio)
-    demand = {s: orch.subnets[s].demand_prbs() for s in orch._sorted_slices()}
+    demand = {s: reference_load(orch, s)[0] for s in orch._sorted_slices()}
     demand[snssai] += est
     extra = (snssai, est, m, cr)
-    mcs = {s: orch._slice_mcs(s, extra) for s in orch.subnets}
+    mcs = {s: reference_load(orch, s, extra)[1:] for s in orch.subnets}
     for inst in orch._build_instances({}):
         consumption = du_vcpu_consumption if inst.kind == "du" else cu_vcpu_consumption
         per_slice = {}
@@ -188,3 +213,25 @@ def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, d
             orch.apply_scaling_policies()
             orch.advance_clock()
         assert orch.instances() == orch._build_instances({})
+        assert_loads_match_the_reference(orch)
+
+
+def test_load_memo_sees_changes_made_to_the_drb_list_directly(ds_two_slices):
+    orch = Orchestrator(ds_two_slices, Scenario.S1_DEDICATED, PARAMS, BUDGET)
+    s = ds_two_slices.snssais()[0]
+    sub = orch.instantiate_subnet(s)
+
+    def drb(i: int, prbs: int, m: int, cr: float) -> AdmittedDrb:
+        return AdmittedDrb(Drb(f"d{i}", s, DrbQos(10.0, 20.0, 0.99)), prbs, m, cr)
+
+    def load():
+        return (sub.demand_prbs(), *orch._slice_mcs(s))
+
+    assert load() == (0, 2, 1.0)
+    sub.admitted_drbs.append(drb(0, 30, 8, 0.9))
+    sub.admitted_drbs.append(drb(1, 10, 2, 0.3))
+    assert load() == reference_load(orch, s) == (40, 6, (30 * 0.9 + 10 * 0.3) / 40)
+    sub.admitted_drbs[1] = drb(2, 50, 4, 0.5)      # same length, another DRB
+    assert load() == reference_load(orch, s)
+    sub.admitted_drbs.clear()
+    assert sub.demand_prbs() == 0 and orch._slice_mcs(s) == (2, 1.0)
