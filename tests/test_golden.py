@@ -5,7 +5,9 @@
   JSON;
 * a synthetic deployment hit by a burst of DRBs at tick 0 that then
   drains, so every scaling unit (each CU, each dedicated DU pool, the
-  shared DU pool) scales up and back down.
+  shared DU pool) scales up and back down;
+* the same burst on eight slices under s2 and s4, so shared instances
+  carry many owners and most of the burst is rejected on them.
 
 A refactor or optimisation must leave these files untouched. After an
 intended output change, regenerate them with
@@ -41,8 +43,8 @@ def _cli(command: str, fmt: str, *extra: str, out: Path) -> None:
     assert status == 0
 
 
-def synthetic_trace(scenario: str):
-    ds = build_descriptor_set(n_slices=2, du_counts=(1, 2, 4), cu_vcpus=(1, 2, 4),
+def synthetic_trace(scenario: str, n_slices: int = 2):
+    ds = build_descriptor_set(n_slices=n_slices, du_counts=(1, 2, 4), cu_vcpus=(1, 2, 4),
                               du_vcpus=4)
     config = make_config(ds, ticks=60, params=ResourceModelParams(c0=0.02, k=0.004),
                          budget=CapacityBudget(4.0, 0.9),
@@ -52,8 +54,8 @@ def synthetic_trace(scenario: str):
     return run(config, ds)
 
 
-def _synthetic(scenario: str, out: Path) -> None:
-    export(synthetic_trace(scenario), "json", str(out))
+def _synthetic(scenario: str, out: Path, n_slices: int = 2) -> None:
+    export(synthetic_trace(scenario, n_slices), "json", str(out))
 
 
 def _cases() -> dict:
@@ -63,6 +65,8 @@ def _cases() -> dict:
             cases[f"demo-{scenario}.{fmt}"] = partial(
                 _cli, "simulate", fmt, "--scenario", scenario)
         cases[f"synthetic-{scenario}.json"] = partial(_synthetic, scenario)
+    for scenario in ("s2", "s4"):
+        cases[f"synthetic8-{scenario}.json"] = partial(_synthetic, scenario, n_slices=8)
     for fmt in ("csv", "json"):
         cases[f"compare.{fmt}"] = partial(_cli, "compare", fmt)
     return cases
