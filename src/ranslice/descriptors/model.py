@@ -41,10 +41,12 @@ class Snssai:
     service_type: ServiceType
     subtype: str | None = None
 
-    # Slices key most of the orchestrator's dicts, so the hash the
-    # dataclass would compute on every lookup is computed once here.
+    # Slices key most of the orchestrator's dicts and set its sort order,
+    # so the hash and the sort key are computed once here.
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.service_type, self.subtype)))
+        object.__setattr__(self, "_key", f"{self.service_type.value}.{self.subtype}"
+                           if self.subtype else self.service_type.value)
 
     def __hash__(self) -> int:
         return self._hash
@@ -55,9 +57,7 @@ class Snssai:
         return Snssai, (self.service_type, self.subtype)
 
     def key(self) -> str:
-        if self.subtype:
-            return f"{self.service_type.value}.{self.subtype}"
-        return self.service_type.value
+        return self._key
 
     def __str__(self) -> str:
         return self.key()
@@ -124,12 +124,6 @@ class ScalingAspect:
             if sl.id == sl_id:
                 return sl
         return None
-
-    def index_of(self, sl_id: str) -> int:
-        for i, sl in enumerate(self.sls):
-            if sl.id == sl_id:
-                return i
-        raise KeyError(sl_id)
 
 
 @dataclass(frozen=True)

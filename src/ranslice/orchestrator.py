@@ -323,6 +323,14 @@ class Orchestrator:
         self._last_scale: dict[Unit, tuple[int, Direction]] = {}
         self._instances: tuple[Instance, ...] = ()
         self._instances_key: list | None = None
+        # Projection memos. Each is checked against live state where it is
+        # read, with no invalidation hooks, so state changed from outside
+        # is seen as well.
+        self._slices: tuple[tuple[Snssai, ...], tuple[Snssai, ...]] = ((), ())
+        self._loads: dict[Snssai, tuple[tuple[int, float], ResourceModelParams,
+                                        dict[tuple[str, int], float]]] = {}
+        self._owned: tuple[tuple[Instance, ...], dict[Snssai, list[Instance]]] = ((), {})
+        self._handoff: tuple | None = None
 
     # -- descriptor lookups -------------------------------------------------
 
@@ -379,17 +387,36 @@ class Orchestrator:
         self.subnets[snssai] = subnet
         return subnet
 
-    def _sorted_slices(self) -> list[Snssai]:
-        return sorted(self.subnets, key=lambda s: s.key())
+    def _sorted_slices(self) -> tuple[Snssai, ...]:
+        """The subnets' slices by key, re-sorted only when the subnet
+        set changes."""
+        slices = tuple(self.subnets)
+        if slices != self._slices[0]:
+            self._slices = (slices, tuple(sorted(slices, key=Snssai.key)))
+        return self._slices[1]
 
     # -- load projection ------------------------------------------------------
 
     def _slice_mcs(self, snssai: Snssai,
                    extra: tuple[Snssai, AdmittedDrb] | None = None) -> tuple[int, float]:
         """The slice's ``SubnetInstance.mcs``, with the arriving DRB
-        ``extra`` if it belongs to this slice."""
-        arriving = extra[1] if extra is not None and extra[0] == snssai else None
+        ``extra`` if it belongs to this slice. ``extra`` names its slice by
+        the subnet's own Snssai object (admit_drb passes that one)."""
+        arriving = extra[1] if extra is not None and extra[0] is snssai else None
         return self.subnets[snssai].mcs(arriving)
+
+    def _slice_loads(self, snssai: Snssai, extra: tuple[Snssai, AdmittedDrb] | None = None,
+                     ) -> tuple[tuple[int, float], ResourceModelParams,
+                                dict[tuple[str, int], float]]:
+        """The slice's load memo entry: its MCS (see _slice_mcs), the
+        model parameters and the vCPU use computed so far per (instance
+        kind, PRB share) at those two. The entry is replaced when the MCS
+        or ``self.params`` changes, so each slice keeps one."""
+        mcs = self._slice_mcs(snssai, extra)
+        entry = self._loads.get(snssai)
+        if entry is None or entry[1] is not self.params or entry[0] != mcs:
+            entry = self._loads[snssai] = (mcs, self.params, {})
+        return entry
 
     def instances(self, over: Mapping[Unit, str] | None = None) -> tuple[Instance, ...]:
         """The live VNF instances: the shared DU pool or each subnet's
@@ -456,23 +483,25 @@ class Orchestrator:
         """Per-instance consumption/PRB projection of ``insts`` (default:
         the live instances) for a given PRB split: a slice's PRBs spread
         evenly over the DU pool serving it, and its CU carries the full
-        slice load. A slice's MCS and each (kind, slice, share) load are
-        computed once per projection, and only for the slices met."""
+        slice load. Loads are read from each met slice's load memo entry
+        (_slice_loads, looked up once per projection); a consumption model
+        runs only for a (kind, share) the entry has not met yet."""
         params = self.params
-        mcs: dict[Snssai, tuple[int, float]] = {}
-        loads: dict[tuple[str, Snssai, int], float] = {}
+        entries: dict[Snssai, tuple] = {}
         projected = []
         for inst in self.instances() if insts is None else insts:
             per_slice = {}
             prbs = 0
             for s in inst.owners:
                 share = _share(prbs_by_slice.get(s, 0), inst.pool, inst.index)
-                key = (inst.kind, s, share)
+                entry = entries.get(s)
+                if entry is None:
+                    entry = entries[s] = self._slice_loads(s, extra)
+                loads = entry[2]
+                key = (inst.kind, share)
                 if key not in loads:
-                    if s not in mcs:
-                        mcs[s] = self._slice_mcs(s, extra)
                     consumption = du_vcpu_consumption if inst.kind == "du" else cu_vcpu_consumption
-                    loads[key] = consumption(SliceLoad(s, share, *mcs[s]), params)
+                    loads[key] = consumption(SliceLoad(s, share, *entry[0]), params)
                 per_slice[s] = loads[key]
                 prbs += share
             projected.append(InstanceUtil(inst.instance_id, inst.kind, inst.shared,
@@ -494,6 +523,9 @@ class Orchestrator:
         and no touched vNIC saturates or exceeds the delay cap."""
         if snssai not in self.subnets:
             raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
+        # The subnet's own Snssai object: dict lookups and owner scans
+        # below then match on identity, without Snssai.__eq__.
+        snssai = self.subnets[snssai].snssai
         nsst = self.ds.nssts[self.subnets[snssai].nsst_ref]
         profile = nsst.slice_profile
         est = estimate_prbs(drb.qos.throughput_mbps, modulation_order, code_rate,
@@ -502,13 +534,23 @@ class Orchestrator:
                             modulation_order=modulation_order, code_rate=code_rate)
         demand = self._demand_map()
         demand[snssai] = demand[snssai] + est
-        touched = [i for i in self.instances() if snssai in i.owners]
-        for inst in self._project(demand, (snssai, entry), touched):
+        for inst in self._project(demand, (snssai, entry), self._owned_by(snssai)):
             reject = self._limit(inst)
             if reject is not None:
                 return reject
         self.subnets[snssai].admitted_drbs.append(entry)
         return Decision(True, est_prbs=est)
+
+    def _owned_by(self, snssai: Snssai) -> list[Instance]:
+        """The live instances ``snssai`` owns, memoised per slice on the
+        live instance tuple."""
+        insts = self.instances()
+        if self._owned[0] is not insts:
+            self._owned = (insts, {})
+        owned = self._owned[1]
+        if snssai not in owned:
+            owned[snssai] = [i for i in insts if snssai in i.owners]
+        return owned[snssai]
 
     def _limit(self, inst: InstanceUtil, vnic: bool = True) -> Decision | None:
         """The first limit ``inst`` breaks, or None: isolation if the
@@ -542,9 +584,21 @@ class Orchestrator:
 
     # -- PRB allocation ---------------------------------------------------------
 
-    def _isolation_feasible(self, prbs_by_slice: Mapping[Snssai, int]) -> bool:
-        return all(self._limit(inst, vnic=False) is None
-                   for inst in self._project(prbs_by_slice))
+    def _feasible(self, prbs_by_slice: Mapping[Snssai, int]) -> list[InstanceUtil] | None:
+        """The full projection at ``prbs_by_slice`` if isolation holds on
+        every instance, else None."""
+        projected = self._project(prbs_by_slice)
+        if all(self._limit(inst, vnic=False) is None for inst in projected):
+            return projected
+        return None
+
+    def _handoff_key(self, alloc: Mapping[Snssai, int]) -> tuple:
+        """What a full projection at ``alloc`` depends on: the live
+        instance tuple, the split, every slice's MCS and the model
+        parameters. Keys compare with ``==``, which matches the instance
+        tuple and the parameters on identity before comparing values."""
+        return (self.instances(), dict(alloc),
+                [self.subnets[s].mcs() for s in self._sorted_slices()], self.params)
 
     def allocate_prbs(self, total_prbs: int) -> dict[Snssai, int]:
         """Split the PRB budget across subnets proportionally to their
@@ -552,7 +606,11 @@ class Orchestrator:
         largest allocations one PRB at a time until isolation holds on
         every shared instance, and finally round-robin any slack back.
         Deterministic; allocations never exceed a slice's demand. Raises
-        BaselineOverloadError when isolation fails even at zero PRBs."""
+        BaselineOverloadError when isolation fails even at zero PRBs.
+
+        The projection at the final split is handed to the next
+        observe_utilization, which uses it only if nothing it depends on
+        (see _handoff_key) changed in between."""
         if total_prbs < 0:
             raise ValueError("total_prbs must be >= 0")
         slices = self._sorted_slices()
@@ -569,7 +627,7 @@ class Orchestrator:
             for s in by_remainder[:leftover]:
                 alloc[s] += 1
 
-        while not self._isolation_feasible(alloc):
+        while (projected := self._feasible(alloc)) is None:
             reducible = [s for s in slices if alloc[s] > 0]
             if not reducible:
                 inst = next(i for i in self._project(alloc)
@@ -589,12 +647,14 @@ class Orchestrator:
                     continue
                 trial = dict(alloc)
                 trial[s] += 1
-                if self._isolation_feasible(trial):
-                    alloc = trial
+                feasible = self._feasible(trial)
+                if feasible is not None:
+                    alloc, projected = trial, feasible
                     changed = True
 
         for s in slices:
             self.subnets[s].allocated_prbs = alloc[s]
+        self._handoff = (self._handoff_key(alloc), projected)
         return alloc
 
     # -- scaling ------------------------------------------------------------------
@@ -714,8 +774,15 @@ class Orchestrator:
         """Project utilization at the current allocations, append one
         sample per scaling unit to its history, and return the snapshot.
         A CU's sample is its slice's consumption over the subnet's own CU
-        level; a DU pool's is the pool's consumption over its capacity."""
-        insts = self._project(self._allocated_map())
+        level; a DU pool's is the pool's consumption over its capacity.
+        Reuses the projection allocate_prbs handed over when nothing it
+        depends on changed since; the hand-off is used at most once."""
+        alloc = self._allocated_map()
+        handoff, self._handoff = self._handoff, None
+        if handoff is not None and handoff[0] == self._handoff_key(alloc):
+            insts = handoff[1]
+        else:
+            insts = self._project(alloc)
         for unit in self._units():
             target, s = unit
             mine = _own(unit, insts)

@@ -31,7 +31,7 @@ from .resources import (
     CapacityBudget,
     MODULATION_ORDERS,
     ResourceModelParams,
-    check_isolation,
+    check_isolation,  # unused here; perfbench/tracing.py patches this name
     vnic_mean_wait,
     VnicSaturatedError,
 )
@@ -384,14 +384,7 @@ def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
         snapshot = orch.observe_utilization()
         events = orch.apply_scaling_policies()
 
-        violations = 0
-        for inst in snapshot:
-            if inst.shared:
-                result = check_isolation(
-                    inst.per_slice,
-                    CapacityBudget(inst.capacity, config.budget.per_slice_cap))
-                if not result.ok:
-                    violations += 1
+        violations = sum(orch._limit(inst, vnic=False) is not None for inst in snapshot)
 
         slice_rows = []
         for s in slices:
