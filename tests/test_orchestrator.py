@@ -641,6 +641,61 @@ def test_admission_evaluates_only_the_arriving_slices_instances(monkeypatch):
     assert sorted(calls) == [("cu", arriving, 25), ("du", arriving, 12), ("du", arriving, 13)]
 
 
+def test_admission_sees_a_scaling_since_the_last_admission(ds_two_slices):
+    # s4, one shared 1-vCPU DU: 120 PRBs (1.2 vCPU) break the slice cap of
+    # 0.9. After the pool grows to two DUs the same DRB is split 60/60, so
+    # the instances a slice owns must not be remembered across scalings.
+    orch = make_orch(ds_two_slices)
+    embb = ds_two_slices.snssais()[0]
+    assert admit_prbs(orch, ds_two_slices, embb, 120).reason == REJECT_VCPU_CAP
+    orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
+    assert admit_prbs(orch, ds_two_slices, embb, 120).admitted
+
+
+def test_observation_reuses_the_allocation_projection(monkeypatch):
+    # s2, 3 loaded slices: with nothing changed between allocate_prbs and
+    # observe_utilization, observation projects nothing and calls no
+    # consumption model, and its snapshot is the projection at the split.
+    import ranslice.orchestrator as orch_mod
+
+    ds = build_descriptor_set(n_slices=3, du_counts=(1, 2), du_vcpus=4)
+    orch = make_orch(ds, scenario=Scenario.S2_ALL_SHARED)
+    orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
+    for s in ds.snssais():
+        assert admit_prbs(orch, ds, s, 20).admitted
+    orch.allocate_prbs(273)
+    calls = []
+    for name in ("du_vcpu_consumption", "cu_vcpu_consumption"):
+        def counted(load, params, fn=getattr(orch_mod, name)):
+            calls.append(load)
+            return fn(load, params)
+        monkeypatch.setattr(orch_mod, name, counted)
+    project = orch._project
+    projections = []
+
+    def counted_project(*args, **kwargs):
+        projections.append(args)
+        return project(*args, **kwargs)
+
+    monkeypatch.setattr(orch, "_project", counted_project)
+    snapshot = orch.observe_utilization()
+    assert calls == [] and projections == []
+    assert snapshot == project(orch._allocated_map())
+    # The hand-off is used once: the next observation projects afresh.
+    assert orch.observe_utilization() == snapshot
+    assert len(projections) == 1
+
+
+def test_instances_follow_subnets_instantiated_one_by_one(ds_three_slices):
+    # The memoised slice order is re-sorted when a subnet is added.
+    orch = make_orch(ds_three_slices, scenario=Scenario.S1_DEDICATED, instantiate=False)
+    for s in reversed(ds_three_slices.snssais()):
+        orch.instantiate_subnet(s)
+        by_key = sorted(orch.subnets, key=lambda t: t.key())
+        assert [i.instance_id for i in orch.instances() if i.kind == "cu"] == [
+            orch.ds.gnb_nsds[orch.subnets[t].nsd_ref].cu_id for t in by_key]
+
+
 def test_instances_are_memoised_on_live_levels(ds_two_slices):
     orch = make_orch(ds_two_slices, scenario=Scenario.S1_DEDICATED)
     embb = ds_two_slices.snssais()[0]

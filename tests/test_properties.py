@@ -1,9 +1,11 @@
-"""Property tests of the scaling-unit model and of the scoped admission
-check: random sequences of scale, admit, depart and tick operations,
-under every sharing scenario."""
+"""Property tests of the scaling-unit model, of the scoped admission
+check and of the projection memos: random sequences of scale, admit,
+depart and tick operations, under every sharing scenario, some of them
+also editing state by hand between allocation and observation."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import build_descriptor_set
 
+from ranslice.descriptors import Snssai
 from ranslice.orchestrator import (
     AdmittedDrb,
     Decision,
@@ -41,8 +44,9 @@ THRESHOLDS = ScalingThresholds(hi=0.6, lo=0.3, window=2, cooldown=1)
 MCS = ((2, 0.3), (4, 0.5), (6, 0.75), (8, 0.9))
 
 
-def op_lists(max_mbps: float):
-    """Random operation sequences, admitting DRBs of up to ``max_mbps``."""
+def op_lists(max_mbps: float, *more, min_size: int = 0):
+    """Random operation sequences, admitting DRBs of up to ``max_mbps``,
+    drawn from the four orchestrator operations plus the ``more`` ones."""
     return st.lists(st.one_of(
         st.tuples(st.just("scale"),
                   st.sampled_from((ScaleTarget.CU, ScaleTarget.DU, ScaleTarget.SHARED_DU)),
@@ -51,10 +55,37 @@ def op_lists(max_mbps: float):
                   st.sampled_from(MCS)),
         st.tuples(st.just("depart"), st.integers(0, 1000)),
         st.just(("tick",)),
-    ), max_size=30)
+        *more,
+    ), min_size=min_size, max_size=30)
 
 
 OPS = op_lists(60.0)
+
+# Every parameter change moves some consumption; the last is equal to
+# PARAMS but another object.
+PARAM_EDITS = (replace(PARAMS, k=0.002), replace(PARAMS, beta=0.3),
+               replace(PARAMS, cu_scale=0.5), replace(PARAMS, c0=0.01), replace(PARAMS))
+
+# State edited by hand: a DRB appended to a subnet's list, a scale level
+# (or the auxiliary IL) or a subnet's allocated PRBs set directly, the
+# model parameters replaced.
+EDITS = st.one_of(
+    st.tuples(st.just("append"), st.integers(0, 2), st.integers(1, 120),
+              st.sampled_from(MCS)),
+    st.tuples(st.just("level"), st.sampled_from(("cu", "du")), st.integers(0, 2),
+              st.integers(0, 2)),
+    st.tuples(st.just("prbs"), st.integers(0, 2), st.integers(0, 273)),
+    st.tuples(st.just("params"), st.sampled_from(PARAM_EDITS)),
+)
+# Allocation and observation as separate steps, with one edit in between
+# ("handoff": allocate, the edit, observe), so that an edit the hand-off
+# key misses is not masked by another edit, or with edits anywhere.
+STATE_EDITS = (
+    st.tuples(st.just("handoff"), EDITS),
+    st.just(("allocate",)),
+    st.just(("observe",)),
+    EDITS,
+)
 
 
 @lru_cache(maxsize=None)
@@ -149,39 +180,102 @@ def assert_loads_match_the_reference(orch: Orchestrator) -> None:
         assert orch._slice_mcs(s) == (m, cr)
 
 
-def reference_admission(orch: Orchestrator, snssai, drb, m: int, cr: float) -> Decision:
-    """Unscoped admission check: project every live instance, rebuilt
-    from state, with every slice's MCS, then check the instances the
-    slice owns. Mutates nothing."""
-    profile = orch.ds.nssts[orch.subnets[snssai].nsst_ref].slice_profile
-    est = estimate_prbs(drb.qos.throughput_mbps, m, cr,
-                        profile.numerology_index, profile.dl_ul_symbol_ratio)
-    demand = {s: reference_load(orch, s)[0] for s in orch._sorted_slices()}
-    demand[snssai] += est
-    extra = (snssai, est, m, cr)
+def reference_projection(orch: Orchestrator, prbs_by_slice, extra=None) -> list[InstanceUtil]:
+    """Every live instance, rebuilt from state, projected at
+    ``prbs_by_slice`` with every slice's MCS from ``reference_load``
+    (``extra`` as there) and the consumption models called afresh.
+    Mutates nothing and reads no memo."""
     mcs = {s: reference_load(orch, s, extra)[1:] for s in orch.subnets}
+    projected = []
     for inst in orch._build_instances({}):
         consumption = du_vcpu_consumption if inst.kind == "du" else cu_vcpu_consumption
         per_slice = {}
         prbs = 0
         for s in inst.owners:
-            share = _share(demand.get(s, 0), inst.pool, inst.index)
+            share = _share(prbs_by_slice.get(s, 0), inst.pool, inst.index)
             per_slice[s] = consumption(SliceLoad(s, share, *mcs[s]), orch.params)
             prbs += share
-        util = InstanceUtil(inst.instance_id, inst.kind, inst.shared, inst.owners,
-                            per_slice, prbs, inst.capacity)
-        if snssai in inst.owners:
+        projected.append(InstanceUtil(inst.instance_id, inst.kind, inst.shared, inst.owners,
+                                      per_slice, prbs, inst.capacity))
+    return projected
+
+
+def reference_admission(orch: Orchestrator, snssai, drb, m: int, cr: float) -> Decision:
+    """Unscoped admission check: project every live instance with the
+    slice at its post-admission demand, then check the instances the
+    slice owns. Mutates nothing."""
+    profile = orch.ds.nssts[orch.subnets[snssai].nsst_ref].slice_profile
+    est = estimate_prbs(drb.qos.throughput_mbps, m, cr,
+                        profile.numerology_index, profile.dl_ul_symbol_ratio)
+    demand = {s: reference_load(orch, s)[0] for s in orch.subnets}
+    demand[snssai] += est
+    for util in reference_projection(orch, demand, (snssai, est, m, cr)):
+        if snssai in util.owners:
             reject = orch._limit(util)
             if reject is not None:
                 return reject
     return Decision(True, est_prbs=est)
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def as_rows(projected: list[InstanceUtil]) -> list[tuple]:
+    """A projection with each per-slice mapping in insertion order, which
+    sets the order its consumption is summed in."""
+    return [(u.instance_id, u.kind, u.shared, u.owners, list(u.per_slice.items()),
+             u.prbs, u.capacity) for u in projected]
+
+
+def edit_by_hand(orch: Orchestrator, edit: tuple, step: int, live: list) -> None:
+    """Apply one of EDITS to the orchestrator's state directly."""
+    slices = orch.ds.snssais()
+    if edit[0] == "append":
+        _, i, prbs, (m, cr) = edit
+        s = slices[i % len(slices)]
+        drb_id = f"d{step}-{len(live)}"
+        orch.subnets[s].admitted_drbs.append(
+            AdmittedDrb(Drb(drb_id, s, DrbQos(1.0, 20.0, 0.99)), prbs, m, cr))
+        live.append((s, drb_id))
+    elif edit[0] == "level":
+        _, kind, i, j = edit
+        s = slices[i % len(slices)]
+        nsd = orch.ds.gnb_nsds[orch.subnets[s].nsd_ref]
+        if kind == "cu":
+            levels = nsd.sa_cu.sl_ids()
+            orch.subnets[s].cu_sl = levels[j % len(levels)]
+        elif orch.aux is not None:
+            levels = [il.id for il in orch.ds.aux_nsds[orch.aux.aux_nsd_ref].ils]
+            orch.aux.current_il = level = levels[j % len(levels)]
+            # Every subnet follows, so that a later shared-DU scaling
+            # starts from subnet ILs at the auxiliary level.
+            for sub in orch.subnets.values():
+                il = next(il for il in orch.ds.gnb_nsds[sub.nsd_ref].ils if il.du_sl == level)
+                sub.cu_sl, sub.du_sl, sub.current_il = il.cu_sl, il.du_sl, il.id
+        else:
+            levels = nsd.sa_du.sl_ids()
+            orch.subnets[s].du_sl = levels[j % len(levels)]
+    elif edit[0] == "prbs":
+        orch.subnets[slices[edit[1] % len(slices)]].allocated_prbs = edit[2]
+    else:
+        orch.params = edit[1]
+
+
+def observe_and_check(orch: Orchestrator) -> None:
+    """observe_utilization equals the reference projection at the live
+    allocations. The snapshot is then scribbled over, as a caller may
+    do, so a later observation that returned it again would differ."""
+    alloc = {s: sub.allocated_prbs for s, sub in orch.subnets.items()}
+    expected = reference_projection(orch, alloc)
+    snapshot = orch.observe_utilization()
+    assert as_rows(snapshot) == as_rows(expected)
+    for util in snapshot:
+        for s in util.per_slice:
+            util.per_slice[s] = -1.0
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 # Large DRBs, and 4-vCPU DUs, so that the CU (a shared CU's isolation
 # or a CU's vNIC, which carries the slice's whole load) rejects too.
 @given(n_slices=st.integers(1, 3), du_vcpus=st.sampled_from((1, 4)),
-       scenario=st.sampled_from(Scenario), ops=op_lists(200.0))
+       scenario=st.sampled_from(Scenario), ops=op_lists(200.0, *STATE_EDITS, min_size=4))
 def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, du_vcpus,
                                                                      scenario, ops):
     ds = descriptor_set(n_slices, du_vcpus)
@@ -202,16 +296,29 @@ def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, d
             s = slices[i % n_slices]
             drb = Drb(f"d{step}", s, DrbQos(mbps, 20.0, 0.99))
             expected = reference_admission(orch, s, drb, m, cr)
-            assert orch.admit_drb(s, drb, m, cr) == expected
+            # Every other arrival names its slice by an equal Snssai that
+            # is not the subnet's own object.
+            caller_s = Snssai(s.service_type, s.subtype) if step % 2 else s
+            assert orch.admit_drb(caller_s, drb, m, cr) == expected
             if expected.admitted:
                 live.append((s, drb.drb_id))
         elif op[0] == "depart" and live:
             orch.depart_drb(*live.pop(op[1] % len(live)))
         elif op[0] == "tick":
             orch.allocate_prbs(273)
-            orch.observe_utilization()
+            observe_and_check(orch)
             orch.apply_scaling_policies()
             orch.advance_clock()
+        elif op[0] == "handoff":
+            orch.allocate_prbs(273)
+            edit_by_hand(orch, op[1], step, live)
+            observe_and_check(orch)
+        elif op[0] == "allocate":
+            orch.allocate_prbs(273)
+        elif op[0] == "observe":
+            observe_and_check(orch)
+        elif op[0] in ("append", "level", "prbs", "params"):
+            edit_by_hand(orch, op, step, live)
         assert orch.instances() == orch._build_instances({})
         assert_loads_match_the_reference(orch)
 
