@@ -327,8 +327,7 @@ class Orchestrator:
         # read, with no invalidation hooks, so state changed from outside
         # is seen as well.
         self._slices: tuple[tuple[Snssai, ...], tuple[Snssai, ...]] = ((), ())
-        self._loads: dict[Snssai, tuple[tuple[int, float], ResourceModelParams,
-                                        dict[tuple[str, int], float]]] = {}
+        self._loads: dict[Snssai, tuple] = {}
         self._owned: tuple[tuple[Instance, ...], dict[Snssai, list[Instance]]] = ((), {})
         self._handoff: tuple | None = None
 
@@ -405,13 +404,12 @@ class Orchestrator:
         arriving = extra[1] if extra is not None and extra[0] is snssai else None
         return self.subnets[snssai].mcs(arriving)
 
-    def _slice_loads(self, snssai: Snssai, extra: tuple[Snssai, AdmittedDrb] | None = None,
-                     ) -> tuple[tuple[int, float], ResourceModelParams,
-                                dict[tuple[str, int], float]]:
-        """The slice's load memo entry: its MCS (see _slice_mcs), the
-        model parameters and the vCPU use computed so far per (instance
-        kind, PRB share) at those two. The entry is replaced when the MCS
-        or ``self.params`` changes, so each slice keeps one."""
+    def _slice_loads(self, snssai: Snssai,
+                     extra: tuple[Snssai, AdmittedDrb] | None = None) -> tuple:
+        """The slice's load memo entry: (its MCS (see _slice_mcs), the
+        model parameters, {(instance kind, PRB share): vCPU use} computed
+        so far at those two). The entry is replaced when the MCS or
+        ``self.params`` changes, so each slice keeps one."""
         mcs = self._slice_mcs(snssai, extra)
         entry = self._loads.get(snssai)
         if entry is None or entry[1] is not self.params or entry[0] != mcs:
