@@ -738,7 +738,7 @@ class Orchestrator:
         IL, its CU level re-selected to cover the demand its CU carries:
         its own, or every subnet's under a shared CU. A subnet with no
         usable IL keeps its previous view and an InconsistentIl finding is
-        recorded."""
+        recorded. A subnet already at the chosen IL gets no event."""
         subnet = self.subnets[s]
         nsd = self._nsd(s)
         new_du_sl = self.aux.current_il
@@ -761,10 +761,12 @@ class Orchestrator:
                     f"InconsistentIl: {s}: no declared IL matches du_sl {new_du_sl!r}")
                 return None
             chosen = min(candidates, key=lambda il: self._cu_capacity_of(nsd, il.cu_sl))
-        event = ScalingEvent(time=self.clock, target=ScaleTarget.SUBNET_IL, snssai=s,
-                             from_level=subnet.current_il, to_level=chosen.id, cause=cause)
+        previous = subnet.current_il
         subnet.cu_sl, subnet.du_sl, subnet.current_il = chosen.cu_sl, chosen.du_sl, chosen.id
-        return event
+        if chosen.id == previous:
+            return None
+        return ScalingEvent(time=self.clock, target=ScaleTarget.SUBNET_IL, snssai=s,
+                            from_level=previous, to_level=chosen.id, cause=cause)
 
     # -- policy-driven scaling ----------------------------------------------------
 

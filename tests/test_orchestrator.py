@@ -362,6 +362,22 @@ def test_scale_shared_du_keeps_a_shared_cu_covering_every_subnets_load():
     assert check_isolation(cu.per_slice, CapacityBudget(cu.capacity, BUDGET.per_slice_cap)).ok
 
 
+def test_shared_du_scaling_gives_no_event_to_a_subnet_already_at_its_il():
+    # The auxiliary IL is set by hand above the subnets' ILs; the policy
+    # scales the idle pool back down to where both subnets already sit.
+    ds = build_descriptor_set(n_slices=2, du_counts=(1, 2, 4), cu_vcpus=(1, 2, 4), du_vcpus=4)
+    orch = make_orch(ds, scenario=Scenario.S2_ALL_SHARED,
+                     thresholds=ScalingThresholds(window=1, cooldown=0))
+    orch.aux.current_il = "du-sl-2"
+    orch.allocate_prbs(100)
+    orch.observe_utilization()
+    events = orch.apply_scaling_policies()
+    assert [str(e) for e in events] == ["shared_du:du-sl-2->du-sl-1"]
+    assert orch.aux.current_il == "du-sl-1"
+    for sub in orch.subnets.values():
+        assert (sub.current_il, sub.cu_sl, sub.du_sl) == ("il-1-1", "cu-sl-1", "du-sl-1")
+
+
 def test_scale_shared_du_rolls_back_subnet_without_usable_il():
     import yaml
     # slice B declares no IL at the upper DU level: the auxiliary level

@@ -243,12 +243,7 @@ def edit_by_hand(orch: Orchestrator, edit: tuple, step: int, live: list) -> None
             orch.subnets[s].cu_sl = levels[j % len(levels)]
         elif orch.aux is not None:
             levels = [il.id for il in orch.ds.aux_nsds[orch.aux.aux_nsd_ref].ils]
-            orch.aux.current_il = level = levels[j % len(levels)]
-            # Every subnet follows, so that a later shared-DU scaling
-            # starts from subnet ILs at the auxiliary level.
-            for sub in orch.subnets.values():
-                il = next(il for il in orch.ds.gnb_nsds[sub.nsd_ref].ils if il.du_sl == level)
-                sub.cu_sl, sub.du_sl, sub.current_il = il.cu_sl, il.du_sl, il.id
+            orch.aux.current_il = levels[j % len(levels)]
         else:
             levels = nsd.sa_du.sl_ids()
             orch.subnets[s].du_sl = levels[j % len(levels)]
