@@ -17,6 +17,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Any, Sequence
 
 from .descriptors import DescriptorSet, Snssai, validate
@@ -158,6 +159,36 @@ class TickRow:
     isolation_violations: int
 
 
+# Pieces of SimTrace.to_json: the indentation of a tick's fields and of
+# an instance's or a slice's fields, the JSON text of a string and of one
+# value, and a tick's instance or slice mapping.
+_TICK_PAD = " " * 6
+_ENTRY_PAD = " " * 10
+_str = encode_basestring_ascii
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _block(value: Any, pad: str) -> str:
+    """``value`` as indented, key-sorted JSON for a line indented by ``pad``."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _value(value: Any, pad: str) -> str:
+    t = type(value)
+    if t is float:
+        text = repr(value)
+        return _NONFINITE.get(text, text)
+    if t is int:
+        return repr(value)
+    if t is str:
+        return _str(value)
+    return _block(value, pad)
+
+
+def _object(members: list[str]) -> str:
+    return "{" + ",".join(members) + "\n      }" if members else "{}"
+
+
 @dataclass
 class SimTrace:
     scenario: Scenario
@@ -202,6 +233,53 @@ class SimTrace:
                 for row in self.rows
             ],
         }
+
+    def to_json(self) -> str:
+        """The trace as ``json.dumps(self.to_json_obj(), indent=2,
+        sort_keys=True)`` would write it, byte for byte, but written
+        straight from ``rows``: the fixed keys of a tick, an instance and
+        a slice are literals in sorted order. Instance ids and slice keys
+        are strings, sorted per tick; as in ``to_json_obj``, a duplicate
+        keeps its last entry."""
+        out = ['{\n  "findings": ', _block(list(self.findings), "  "),
+               ',\n  "scenario": ', _value(self.scenario.value, "  "),
+               ',\n  "ticks": ']
+        ticks = []
+        for row in self.rows:
+            events = ("[" + ",".join("\n        " + _str(str(e)) for e in row.events)
+                      + "\n      ]") if row.events else "[]"
+            by_id = {i.instance_id: i for i in row.instances}
+            insts = [
+                f'\n        {_str(k)}: {{'
+                f'\n          "capacity": {_value(i.capacity, _ENTRY_PAD)},'
+                f'\n          "consumption": {_value(i.consumption, _ENTRY_PAD)},'
+                f'\n          "kind": {_value(i.kind, _ENTRY_PAD)}'
+                '\n        }'
+                for k, i in sorted(by_id.items())]
+            by_key = {sr.snssai.key(): sr for sr in row.slices}
+            slices = [
+                f'\n        {_str(k)}: {{'
+                f'\n          "admitted": {_value(sr.admitted, _ENTRY_PAD)},'
+                f'\n          "arrived": {_value(sr.arrived, _ENTRY_PAD)},'
+                f'\n          "cu_util": {_value(sr.cu_util, _ENTRY_PAD)},'
+                f'\n          "du_util": {_value(sr.du_util, _ENTRY_PAD)},'
+                f'\n          "prbs": {_value(sr.prbs, _ENTRY_PAD)},'
+                f'\n          "rejected": {_value(sr.rejected, _ENTRY_PAD)},'
+                f'\n          "vnic_wait_ms": {_value(sr.vnic_wait_s * 1e3, _ENTRY_PAD)}'
+                '\n        }'
+                for k, sr in sorted(by_key.items())]
+            ticks.append(
+                f'\n    {{\n      "events": {events},'
+                f'\n      "instances": {_object(insts)},'
+                f'\n      "isolation_violations": {_value(row.isolation_violations, _TICK_PAD)},'
+                f'\n      "slices": {_object(slices)},'
+                f'\n      "tick": {_value(row.tick, _TICK_PAD)},'
+                f'\n      "vm_count": {_value(row.vm_count, _TICK_PAD)}'
+                '\n    }')
+        out += ["[" + ",".join(ticks) + "\n  ]" if ticks else "[]",
+                ',\n  "topology": ', _block(self.topology, "  "),
+                ',\n  "total_prbs": ', _value(self.total_prbs, "  "), "\n}"]
+        return "".join(out)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -255,6 +333,9 @@ class SummaryTable:
 
     def to_json_obj(self) -> list[dict[str, Any]]:
         return [s.to_json_obj() for s in self.summaries]
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -456,7 +537,7 @@ def export(obj: SimTrace | SummaryTable, format: str, path: str) -> None:
     if format == "csv":
         text = obj.to_csv()
     elif format == "json":
-        text = json.dumps(obj.to_json_obj(), indent=2, sort_keys=True) + "\n"
+        text = obj.to_json() + "\n"
     else:
         raise ConfigError("format", f"unknown export format {format!r}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
