@@ -17,7 +17,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _str
 from typing import Any, Sequence
 
 from .descriptors import DescriptorSet, Snssai, validate
@@ -159,12 +159,10 @@ class TickRow:
     isolation_violations: int
 
 
-# Pieces of SimTrace.to_json: the indentation of a tick's fields and of
-# an instance's or a slice's fields, the JSON text of a string and of one
-# value, and a tick's instance or slice mapping.
+# SimTrace.to_json indents a tick's fields by _TICK_PAD and an instance's
+# or a slice's fields by _ENTRY_PAD.
 _TICK_PAD = " " * 6
 _ENTRY_PAD = " " * 10
-_str = encode_basestring_ascii
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -193,6 +191,7 @@ def _value(value: Any, floats: dict[float, str], pad: str = _ENTRY_PAD) -> str:
 
 
 def _object(members: list[str]) -> str:
+    """A tick's instance or slice mapping, from its members' texts."""
     return "{" + ",".join(members) + "\n      }" if members else "{}"
 
 
