@@ -171,18 +171,12 @@ def _block(value: Any, pad: str) -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
-def _value(value: Any, floats: dict[float, str], pad: str = _ENTRY_PAD) -> str:
-    """The JSON text of ``value`` for a line indented by ``pad``. Float
-    texts are memoised in ``floats``, except zeros: -0.0 == 0.0."""
+def _value(value: Any, pad: str = _ENTRY_PAD) -> str:
+    """The JSON text of ``value`` for a line indented by ``pad``."""
     t = type(value)
     if t is float:
-        text = floats.get(value)
-        if text is None:
-            text = repr(value)
-            text = _NONFINITE.get(text, text)
-            if value:
-                floats[value] = text
-        return text
+        text = repr(value)
+        return _NONFINITE.get(text, text)
     if t is int:
         return repr(value)
     if t is str:
@@ -247,9 +241,8 @@ class SimTrace:
         a slice are literals in sorted order. Instance ids and slice keys
         are strings, sorted per tick; as in ``to_json_obj``, a duplicate
         keeps its last entry."""
-        floats: dict[float, str] = {}
         out = ['{\n  "findings": ', _block(list(self.findings), "  "),
-               ',\n  "scenario": ', _value(self.scenario.value, floats, "  "),
+               ',\n  "scenario": ', _value(self.scenario.value, "  "),
                ',\n  "ticks": ']
         ticks = []
         for row in self.rows:
@@ -258,35 +251,35 @@ class SimTrace:
             by_id = {i.instance_id: i for i in row.instances}
             insts = [
                 f'\n        {_str(k)}: {{'
-                f'\n          "capacity": {_value(i.capacity, floats)},'
-                f'\n          "consumption": {_value(i.consumption, floats)},'
-                f'\n          "kind": {_value(i.kind, floats)}'
+                f'\n          "capacity": {_value(i.capacity)},'
+                f'\n          "consumption": {_value(i.consumption)},'
+                f'\n          "kind": {_value(i.kind)}'
                 '\n        }'
                 for k, i in sorted(by_id.items())]
             by_key = {sr.snssai.key(): sr for sr in row.slices}
             slices = [
                 f'\n        {_str(k)}: {{'
-                f'\n          "admitted": {_value(sr.admitted, floats)},'
-                f'\n          "arrived": {_value(sr.arrived, floats)},'
-                f'\n          "cu_util": {_value(sr.cu_util, floats)},'
-                f'\n          "du_util": {_value(sr.du_util, floats)},'
-                f'\n          "prbs": {_value(sr.prbs, floats)},'
-                f'\n          "rejected": {_value(sr.rejected, floats)},'
-                f'\n          "vnic_wait_ms": {_value(sr.vnic_wait_s * 1e3, floats)}'
+                f'\n          "admitted": {_value(sr.admitted)},'
+                f'\n          "arrived": {_value(sr.arrived)},'
+                f'\n          "cu_util": {_value(sr.cu_util)},'
+                f'\n          "du_util": {_value(sr.du_util)},'
+                f'\n          "prbs": {_value(sr.prbs)},'
+                f'\n          "rejected": {_value(sr.rejected)},'
+                f'\n          "vnic_wait_ms": {_value(sr.vnic_wait_s * 1e3)}'
                 '\n        }'
                 for k, sr in sorted(by_key.items())]
             ticks.append(
                 f'\n    {{\n      "events": {events},'
                 f'\n      "instances": {_object(insts)},'
                 '\n      "isolation_violations": '
-                f'{_value(row.isolation_violations, floats, _TICK_PAD)},'
+                f'{_value(row.isolation_violations, _TICK_PAD)},'
                 f'\n      "slices": {_object(slices)},'
-                f'\n      "tick": {_value(row.tick, floats, _TICK_PAD)},'
-                f'\n      "vm_count": {_value(row.vm_count, floats, _TICK_PAD)}'
+                f'\n      "tick": {_value(row.tick, _TICK_PAD)},'
+                f'\n      "vm_count": {_value(row.vm_count, _TICK_PAD)}'
                 '\n    }')
         out += ["[" + ",".join(ticks) + "\n  ]" if ticks else "[]",
                 ',\n  "topology": ', _block(self.topology, "  "),
-                ',\n  "total_prbs": ', _value(self.total_prbs, floats, "  "), "\n}"]
+                ',\n  "total_prbs": ', _value(self.total_prbs, "  "), "\n}"]
         return "".join(out)
 
     def to_csv(self) -> str:
