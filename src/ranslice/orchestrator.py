@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
 from .descriptors import DescriptorSet, GnbNsd, Snssai, validate
 from .descriptors.validate import ValidationReport
@@ -209,12 +209,13 @@ class AuxServiceInstance:
     current_il: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
-    """One live VNF instance: its kind, the slices it serves, whether it
-    is shared between several of them, its flavour capacity (vCPUs) and
-    its position ``index`` in a pool of ``pool`` instances that split
-    each owner's PRBs evenly (a CU is a pool of one)."""
+    """One VNF instance: its kind, the slices it serves, whether it is
+    shared between several of them, its flavour capacity (vCPUs) and its
+    position ``index`` in a pool of ``pool`` instances that split each
+    owner's PRBs evenly (a CU is a pool of one). A projection fills in
+    its load: each owner's vCPU use and the PRBs through its vNIC."""
 
     instance_id: str
     kind: str                    # "cu" | "du"
@@ -223,20 +224,8 @@ class Instance:
     capacity: float
     index: int = 0
     pool: int = 1
-
-
-@dataclass(frozen=True)
-class InstanceUtil:
-    """Projected state of one live VNF instance: per-slice vCPU use,
-    PRBs flowing through its vNIC, and the flavour capacity."""
-
-    instance_id: str
-    kind: str                    # "cu" | "du"
-    shared: bool
-    owners: tuple[Snssai, ...]
-    per_slice: Mapping[Snssai, float]
-    prbs: int
-    capacity: float
+    per_slice: Mapping[Snssai, float] = field(default_factory=dict)
+    prbs: int = 0
 
     @property
     def consumption(self) -> float:
@@ -247,27 +236,22 @@ class InstanceUtil:
         return self.consumption / self.capacity
 
 
-InstT = TypeVar("InstT", Instance, InstanceUtil)
-
-
 def evaluate_scaling_policy(history: Sequence[float], thresholds: ScalingThresholds,
-                            can_up: bool = True, can_down: bool = True,
                             last_event: tuple[int, Direction] | None = None,
                             now: int = 0) -> Direction | None:
     """Threshold policy with hysteresis over a utilization history.
 
     The mean is taken over the last ``window`` samples (fewer if the
-    history is shorter). Returns None between thresholds, at a level
-    boundary, or when the opposite of the last decision falls inside the
-    cooldown.
+    history is shorter). Returns None between thresholds, or when the
+    opposite of the last decision falls inside the cooldown.
     """
     if not history:
         raise ValueError("history must be non-empty")
     recent = list(history)[-thresholds.window:]
     mean = sum(recent) / len(recent)
-    if mean > thresholds.hi and can_up:
+    if mean > thresholds.hi:
         decision = Direction.UP
-    elif mean < thresholds.lo and can_down:
+    elif mean < thresholds.lo:
         decision = Direction.DOWN
     else:
         return None
@@ -289,7 +273,7 @@ def _snap_modulation(value: float) -> int:
     return min(MODULATION_ORDERS, key=lambda m: (abs(m - value), m))
 
 
-def _own(unit: Unit, insts: Sequence[InstT]) -> list[InstT]:
+def _own(unit: Unit, insts: Sequence[Instance]) -> list[Instance]:
     """The unit's own instances (live or projected): a CU unit's CU, a DU
     pool's DUs."""
     target, snssai = unit
@@ -477,9 +461,9 @@ class Orchestrator:
 
     def _project(self, prbs_by_slice: Mapping[Snssai, int],
                  extra: tuple[Snssai, AdmittedDrb] | None = None,
-                 insts: Sequence[Instance] | None = None) -> list[InstanceUtil]:
-        """Per-instance consumption/PRB projection of ``insts`` (default:
-        the live instances) for a given PRB split: a slice's PRBs spread
+                 insts: Sequence[Instance] | None = None) -> list[Instance]:
+        """Copies of ``insts`` (default: the live instances) with their
+        load filled in for a given PRB split: a slice's PRBs spread
         evenly over the DU pool serving it, and its CU carries the full
         slice load. Loads are read from each met slice's load memo entry
         (_slice_loads, looked up once per projection); a consumption model
@@ -502,8 +486,8 @@ class Orchestrator:
                     loads[key] = consumption(SliceLoad(s, share, *entry[0]), params)
                 per_slice[s] = loads[key]
                 prbs += share
-            projected.append(InstanceUtil(inst.instance_id, inst.kind, inst.shared,
-                                          inst.owners, per_slice, prbs, inst.capacity))
+            projected.append(Instance(inst.instance_id, inst.kind, inst.owners, inst.shared,
+                                      inst.capacity, inst.index, inst.pool, per_slice, prbs))
         return projected
 
     def _demand_map(self) -> dict[Snssai, int]:
@@ -550,7 +534,7 @@ class Orchestrator:
             owned[snssai] = [i for i in insts if snssai in i.owners]
         return owned[snssai]
 
-    def _limit(self, inst: InstanceUtil, vnic: bool = True) -> Decision | None:
+    def _limit(self, inst: Instance, vnic: bool = True) -> Decision | None:
         """The first limit ``inst`` breaks, or None: isolation if the
         instance is shared, then (with ``vnic``) vNIC saturation and the
         vNIC delay cap."""
@@ -582,7 +566,7 @@ class Orchestrator:
 
     # -- PRB allocation ---------------------------------------------------------
 
-    def _feasible(self, prbs_by_slice: Mapping[Snssai, int]) -> list[InstanceUtil] | None:
+    def _feasible(self, prbs_by_slice: Mapping[Snssai, int]) -> list[Instance] | None:
         """The full projection at ``prbs_by_slice`` if isolation holds on
         every instance, else None."""
         projected = self._project(prbs_by_slice)
@@ -770,7 +754,7 @@ class Orchestrator:
 
     # -- policy-driven scaling ----------------------------------------------------
 
-    def observe_utilization(self) -> list[InstanceUtil]:
+    def observe_utilization(self) -> list[Instance]:
         """Project utilization at the current allocations, append one
         sample per scaling unit to its history, and return the snapshot.
         A CU's sample is its slice's consumption over the subnet's own CU
@@ -820,14 +804,14 @@ class Orchestrator:
             hist = self._history(unit)
             if not hist:
                 continue
-            up, down = (self._step(unit, d)[1] for d in (Direction.UP, Direction.DOWN))
-            decision = evaluate_scaling_policy(
-                hist, self.thresholds,
-                can_up=up is not None and self._target_il(unit, up) is not None,
-                can_down=down is not None and self._target_il(unit, down) is not None,
-                last_event=self._last_scale.get(unit), now=self.clock)
-            if decision is None or (decision is Direction.DOWN
-                                    and not self._down_feasible(unit, down)):
+            decision = evaluate_scaling_policy(hist, self.thresholds,
+                                               last_event=self._last_scale.get(unit),
+                                               now=self.clock)
+            if decision is None:
+                continue
+            level = self._step(unit, decision)[1]
+            if (level is None or self._target_il(unit, level) is None
+                    or (decision is Direction.DOWN and not self._down_feasible(unit, level))):
                 continue
             cause = (ScalingCause.LOAD_INCREASE if decision is Direction.UP
                      else ScalingCause.LOAD_DECREASE)

@@ -11,7 +11,7 @@ term satisfies all three at once:
 There is no published CU model, so the CU uses the same family scaled by
 ``cu_scale`` (< 1: the CU processes fewer cycles per bit). The vNIC
 buffer is an M/M/1 queue whose arrival rate grows linearly with the PRBs
-routed through the VM; the queue model is pluggable.
+routed through the VM.
 
 Default coefficients are placeholders and should be overridden from the
 configuration file or fitted with ``calibrate_params``.
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -121,25 +121,19 @@ def mm1_wait(arrival_rate: float, service_rate: float) -> float:
     return 1.0 / (service_rate - arrival_rate) - 1.0 / service_rate
 
 
-def vnic_mean_wait(total_prbs: int, p: ResourceModelParams,
-                   queue_wait: Callable[[float, float], float] = mm1_wait) -> float:
+def vnic_mean_wait(total_prbs: int, p: ResourceModelParams) -> float:
     """Mean waiting time (s) of packets in a vNIC buffer fed by
     ``total_prbs`` allocated PRBs. Raises VnicSaturatedError when the
     implied arrival rate reaches the service rate."""
     if total_prbs < 0:
         raise ValueError("total_prbs must be >= 0")
-    return queue_wait(p.pkt_per_prb * total_prbs, p.vnic_service_rate)
+    return mm1_wait(p.pkt_per_prb * total_prbs, p.vnic_service_rate)
 
 
 @dataclass(frozen=True)
 class IsolationResult:
     ok: bool
-    capacity_headroom: float
-    slice_headroom: Mapping[Snssai, float]
     violations: tuple[str, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_isolation(consumptions: Mapping[Snssai, float],
@@ -153,19 +147,11 @@ def check_isolation(consumptions: Mapping[Snssai, float],
     if total > budget.vcpu_capacity:
         violations.append(
             f"total consumption {total:.4f} exceeds capacity {budget.vcpu_capacity:.4f}")
-    headroom = {}
-    for snssai in sorted(consumptions, key=lambda s: s.key()):
-        used = consumptions[snssai]
-        headroom[snssai] = slice_limit - used
-        if used > slice_limit:
-            violations.append(
-                f"slice {snssai} consumption {used:.4f} exceeds cap {slice_limit:.4f}")
-    return IsolationResult(
-        ok=not violations,
-        capacity_headroom=budget.vcpu_capacity - total,
-        slice_headroom=headroom,
-        violations=tuple(violations),
-    )
+    over = [s for s, used in consumptions.items() if used > slice_limit]
+    for snssai in sorted(over, key=Snssai.key):
+        violations.append(f"slice {snssai} consumption {consumptions[snssai]:.4f} "
+                          f"exceeds cap {slice_limit:.4f}")
+    return IsolationResult(ok=not violations, violations=tuple(violations))
 
 
 def estimate_prbs(throughput_mbps: float, modulation_order: int, code_rate: float,

@@ -24,6 +24,7 @@ from .descriptors import DescriptorSet, Snssai, validate
 from .errors import RansliceError
 from .orchestrator import (
     DescriptorInvalidError,
+    Instance,
     Orchestrator,
     ScalingEvent,
     ScalingThresholds,
@@ -126,18 +127,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class InstanceStat:
-    instance_id: str
-    kind: str
-    consumption: float
-    capacity: float
-
-    @property
-    def utilization(self) -> float:
-        return self.consumption / self.capacity
-
-
-@dataclass(frozen=True)
 class SliceRow:
     snssai: Snssai
     prbs: int
@@ -153,7 +142,7 @@ class SliceRow:
 class TickRow:
     tick: int
     slices: tuple[SliceRow, ...]
-    instances: tuple[InstanceStat, ...]
+    instances: tuple[Instance, ...]
     events: tuple[ScalingEvent, ...]
     vm_count: int
     isolation_violations: int
@@ -486,8 +475,7 @@ def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
         trace.rows.append(TickRow(
             tick=tick,
             slices=tuple(slice_rows),
-            instances=tuple(InstanceStat(i.instance_id, i.kind, i.consumption, i.capacity)
-                            for i in snapshot),
+            instances=tuple(snapshot),
             events=tuple(events),
             vm_count=orch.live_vm_count(),
             isolation_violations=violations,

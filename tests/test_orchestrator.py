@@ -489,9 +489,8 @@ def test_policy_none_between_thresholds():
     assert evaluate_scaling_policy([0.5] * 5, TH, now=10) is None
 
 
-def test_policy_down_requires_lower_level():
-    assert evaluate_scaling_policy([0.1] * 5, TH, can_down=False, now=10) is None
-    assert evaluate_scaling_policy([0.1] * 5, TH, can_down=True, now=10) is Direction.DOWN
+def test_policy_scale_down_on_low_mean():
+    assert evaluate_scaling_policy([0.1] * 5, TH, now=10) is Direction.DOWN
 
 
 def test_policy_hysteresis_suppresses_opposite_within_cooldown():
@@ -517,6 +516,17 @@ def test_policy_driven_cu_scale_up(ds_two_slices):
     events = orch.apply_scaling_policies()
     cu_events = [e for e in events if e.target is ScaleTarget.CU and e.snssai == embb]
     assert len(cu_events) == 1
+    assert orch.subnets[embb].cu_sl == "cu-sl-2"
+
+
+def test_policy_at_the_top_level_gives_no_event(ds_two_slices):
+    orch = make_orch(ds_two_slices)
+    embb = ds_two_slices.snssais()[0]
+    orch.scale(ScaleTarget.CU, Direction.UP, embb)
+    with pytest.raises(AtBoundaryError):
+        orch.scale(ScaleTarget.CU, Direction.UP, embb)
+    orch._history((ScaleTarget.CU, embb)).extend([0.95] * 5)
+    assert orch.apply_scaling_policies() == []
     assert orch.subnets[embb].cu_sl == "cu-sl-2"
 
 

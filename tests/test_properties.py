@@ -18,7 +18,7 @@ from ranslice.orchestrator import (
     AdmittedDrb,
     Decision,
     Direction,
-    InstanceUtil,
+    Instance,
     OrchestrationError,
     Orchestrator,
     ScaleTarget,
@@ -180,7 +180,7 @@ def assert_loads_match_the_reference(orch: Orchestrator) -> None:
         assert orch._slice_mcs(s) == (m, cr)
 
 
-def reference_projection(orch: Orchestrator, prbs_by_slice, extra=None) -> list[InstanceUtil]:
+def reference_projection(orch: Orchestrator, prbs_by_slice, extra=None) -> list[Instance]:
     """Every live instance, rebuilt from state, projected at
     ``prbs_by_slice`` with every slice's MCS from ``reference_load``
     (``extra`` as there) and the consumption models called afresh.
@@ -195,8 +195,8 @@ def reference_projection(orch: Orchestrator, prbs_by_slice, extra=None) -> list[
             share = _share(prbs_by_slice.get(s, 0), inst.pool, inst.index)
             per_slice[s] = consumption(SliceLoad(s, share, *mcs[s]), orch.params)
             prbs += share
-        projected.append(InstanceUtil(inst.instance_id, inst.kind, inst.shared, inst.owners,
-                                      per_slice, prbs, inst.capacity))
+        projected.append(Instance(inst.instance_id, inst.kind, inst.owners, inst.shared,
+                                  inst.capacity, inst.index, inst.pool, per_slice, prbs))
     return projected
 
 
@@ -217,7 +217,7 @@ def reference_admission(orch: Orchestrator, snssai, drb, m: int, cr: float) -> D
     return Decision(True, est_prbs=est)
 
 
-def as_rows(projected: list[InstanceUtil]) -> list[tuple]:
+def as_rows(projected: list[Instance]) -> list[tuple]:
     """A projection with each per-slice mapping in insertion order, which
     sets the order its consumption is summed in."""
     return [(u.instance_id, u.kind, u.shared, u.owners, list(u.per_slice.items()),

@@ -121,7 +121,7 @@ def test_isolation_worked_example():
     result = check_isolation({EMBB: 0.65, URLLC: 0.15},
                              CapacityBudget(vcpu_capacity=1.0, per_slice_cap=0.9))
     assert result.ok
-    assert result.capacity_headroom == pytest.approx(0.2)
+    assert result.violations == ()
 
 
 def test_isolation_sum_exceeds_capacity():
@@ -129,6 +129,17 @@ def test_isolation_sum_exceeds_capacity():
                              CapacityBudget(vcpu_capacity=1.0, per_slice_cap=0.9))
     assert not result.ok
     assert any("capacity" in v for v in result.violations)
+
+
+def test_isolation_violations_name_the_capacity_then_the_slices_by_key():
+    mmtc = Snssai(ServiceType.MMTC)
+    result = check_isolation({URLLC: 0.95, mmtc: 0.1, EMBB: 0.92},
+                             CapacityBudget(vcpu_capacity=1.5, per_slice_cap=0.6))
+    assert result.violations == (
+        "total consumption 1.9700 exceeds capacity 1.5000",
+        f"slice {EMBB} consumption 0.9200 exceeds cap 0.9000",
+        f"slice {URLLC} consumption 0.9500 exceeds cap 0.9000",
+    )
 
 
 def test_isolation_boundary_inclusive():

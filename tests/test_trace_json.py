@@ -18,10 +18,15 @@ from hypothesis import strategies as st
 from helpers import build_descriptor_set, make_config
 
 from ranslice.descriptors import ServiceType, Snssai
-from ranslice.orchestrator import Orchestrator, ScaleTarget, ScalingCause, ScalingEvent
+from ranslice.orchestrator import (
+    Instance,
+    Orchestrator,
+    ScaleTarget,
+    ScalingCause,
+    ScalingEvent,
+)
 from ranslice.resources import CapacityBudget, ResourceModelParams
 from ranslice.sim import (
-    InstanceStat,
     SimTrace,
     SliceRow,
     TickRow,
@@ -73,8 +78,12 @@ def events(draw) -> ScalingEvent:
 
 SLICE_ROWS = st.builds(SliceRow, snssai=SNSSAIS, prbs=INTS, du_util=REALS, cu_util=REALS,
                        vnic_wait_s=FLOATS, arrived=INTS, admitted=INTS, rejected=INTS)
-INSTANCES = st.builds(InstanceStat, instance_id=NAMES, kind=st.one_of(NAMES, OTHER),
-                      consumption=REALS, capacity=REALS)
+# An instance's consumption is the sum of its per-slice loads, so -0.0
+# and values that are not numbers reach the writer through its capacity
+# and the slice rows instead.
+INSTANCES = st.builds(Instance, instance_id=NAMES, kind=st.one_of(NAMES, OTHER),
+                      owners=st.just(()), shared=st.booleans(), capacity=REALS,
+                      per_slice=st.dictionaries(SNSSAIS, FLOATS, max_size=2))
 TICK_ROWS = st.builds(TickRow, tick=INTS,
                       slices=st.lists(SLICE_ROWS, max_size=4).map(tuple),
                       instances=st.lists(INSTANCES, max_size=5).map(tuple),
