@@ -278,11 +278,6 @@ class DescriptorSet:
             return None
         return self.vnfds.get(nsd.du_vnfd_ref)
 
-    def aux_nsd(self, nsd: GnbNsd) -> AuxiliaryNsd | None:
-        if nsd.aux_nsd_ref is None:
-            return None
-        return self.aux_nsds.get(nsd.aux_nsd_ref)
-
     def sl_total_vcpus(self, nsd: GnbNsd, sl: ScaleLevel, vnfd: Vnfd | None) -> int | None:
         """Total vCPUs a scale level provisions; None if a flavour is
         unresolved (the validator reports that separately)."""

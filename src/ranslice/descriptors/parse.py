@@ -83,56 +83,27 @@ def _as_list(obj: Any, doc: str, path: str) -> list[Any]:
     return list(obj)
 
 
-def _get_str(m: Mapping[str, Any], key: str, doc: str, path: str,
-             required: bool = False) -> str | None:
-    v = m.get(key)
-    if v is None:
-        if required:
-            raise DescriptorSyntaxError(doc, f"{path}.{key}: missing required field")
-        return None
-    if not isinstance(v, str):
-        raise DescriptorSyntaxError(doc, f"{path}.{key}: expected a string")
-    return v
+_EXPECTED = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
 
 
-def _get_int(m: Mapping[str, Any], key: str, doc: str, path: str,
-             required: bool = False) -> int | None:
-    v = m.get(key)
-    if v is None:
-        if required:
-            raise DescriptorSyntaxError(doc, f"{path}.{key}: missing required field")
-        return None
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise DescriptorSyntaxError(doc, f"{path}.{key}: expected an integer")
-    return v
-
-
-def _get_num(m: Mapping[str, Any], key: str, doc: str, path: str,
-             required: bool = False) -> float | None:
-    v = m.get(key)
-    if v is None:
-        if required:
-            raise DescriptorSyntaxError(doc, f"{path}.{key}: missing required field")
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise DescriptorSyntaxError(doc, f"{path}.{key}: expected a number")
-    return float(v)
-
-
-def _get_bool(m: Mapping[str, Any], key: str, doc: str, path: str,
-              required: bool = False, default: bool | None = None) -> bool | None:
+def _get(m: Mapping[str, Any], key: str, kind: type, doc: str, path: str,
+         required: bool = False, default: Any = None) -> Any:
+    """Field ``key`` of ``m``, checked to be a ``kind`` (str, int, float or
+    bool), or ``default`` when absent. A bool is neither an int nor a
+    float here, and an int read as a float comes back as a float."""
     v = m.get(key)
     if v is None:
         if required:
             raise DescriptorSyntaxError(doc, f"{path}.{key}: missing required field")
         return default
-    if not isinstance(v, bool):
-        raise DescriptorSyntaxError(doc, f"{path}.{key}: expected a boolean")
-    return v
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
+        raise DescriptorSyntaxError(doc, f"{path}.{key}: expected {_EXPECTED[kind]}")
+    return float(v) if kind is float else v
 
 
 def _get_enum(m: Mapping[str, Any], key: str, enum_cls, doc: str, path: str):
-    raw = _get_str(m, key, doc, path, required=True)
+    raw = _get(m, key, str, doc, path, required=True)
     for member in enum_cls:
         if member.value == raw:
             return member
@@ -143,7 +114,7 @@ def _get_enum(m: Mapping[str, Any], key: str, enum_cls, doc: str, path: str):
 def parse_snssai(obj: Any, doc: str, path: str) -> Snssai:
     m = _as_map(obj, doc, path)
     service_type = _get_enum(m, "service_type", ServiceType, doc, path)
-    subtype = _get_str(m, "subtype", doc, path)
+    subtype = _get(m, "subtype", str, doc, path)
     return Snssai(service_type=service_type, subtype=subtype)
 
 
@@ -153,13 +124,13 @@ def _parse_slice_profile(obj: Any, snssai: Snssai | None, doc: str, path: str) -
         raise DescriptorSyntaxError(doc, f"{path}: slice_profile requires a snssai on the NSST")
     return SliceProfile(
         snssai=snssai,
-        pdcp_duplication=_get_bool(m, "pdcp_duplication", doc, path, required=True),
-        pdcp_ciphering=_get_bool(m, "pdcp_ciphering", doc, path, required=True),
+        pdcp_duplication=_get(m, "pdcp_duplication", bool, doc, path, required=True),
+        pdcp_ciphering=_get(m, "pdcp_ciphering", bool, doc, path, required=True),
         rlc_mode=_get_enum(m, "rlc_mode", RlcMode, doc, path),
-        rlc_segmentation=_get_bool(m, "rlc_segmentation", doc, path, required=True),
-        numerology_index=_get_int(m, "numerology_index", doc, path, required=True),
+        rlc_segmentation=_get(m, "rlc_segmentation", bool, doc, path, required=True),
+        numerology_index=_get(m, "numerology_index", int, doc, path, required=True),
         harq_target=_get_enum(m, "harq_target", HarqTarget, doc, path),
-        dl_ul_symbol_ratio=_get_num(m, "dl_ul_symbol_ratio", doc, path, required=True),
+        dl_ul_symbol_ratio=_get(m, "dl_ul_symbol_ratio", float, doc, path, required=True),
     )
 
 
@@ -178,7 +149,7 @@ def _parse_fcaps(obj: Any, doc: str, path: str) -> dict[str, Any]:
 
 
 def _parse_nsst(m: Mapping[str, Any], doc: str) -> RanNsst:
-    nsst_id = _get_str(m, "id", doc, "ran_nsst", required=True)
+    nsst_id = _get(m, "id", str, doc, "ran_nsst", required=True)
     path = f"ran_nsst[{nsst_id}]"
     snssai = None
     if m.get("snssai") is not None:
@@ -191,34 +162,35 @@ def _parse_nsst(m: Mapping[str, Any], doc: str) -> RanNsst:
         snssai=snssai,
         slice_profile=profile,
         fcaps=_parse_fcaps(m.get("fcaps"), doc, f"{path}.fcaps"),
-        gnb_nsd_ref=_get_str(m, "gnb_nsd_ref", doc, path),
+        gnb_nsd_ref=_get(m, "gnb_nsd_ref", str, doc, path),
     )
 
 
 def _parse_scale_level(obj: Any, doc: str, path: str) -> ScaleLevel:
     m = _as_map(obj, doc, path)
-    sl_id = _get_str(m, "id", doc, path, required=True)
+    sl_id = _get(m, "id", str, doc, path, required=True)
     constituents = []
     for i, c in enumerate(_as_list(m.get("constituents", []), doc, f"{path}.constituents")):
-        cm = _as_map(c, doc, f"{path}.constituents[{i}]")
+        cpath = f"{path}.constituents[{i}]"
+        cm = _as_map(c, doc, cpath)
         constituents.append(ConstituentSpec(
-            constituent_ref=_get_str(cm, "constituent_ref", doc, f"{path}.constituents[{i}]", required=True),
-            instance_count=_get_int(cm, "instance_count", doc, f"{path}.constituents[{i}]", required=True),
-            flavour_ref=_get_str(cm, "flavour_ref", doc, f"{path}.constituents[{i}]", required=True),
+            constituent_ref=_get(cm, "constituent_ref", str, doc, cpath, required=True),
+            instance_count=_get(cm, "instance_count", int, doc, cpath, required=True),
+            flavour_ref=_get(cm, "flavour_ref", str, doc, cpath, required=True),
         ))
     return ScaleLevel(id=sl_id, constituents=tuple(constituents))
 
 
 def _parse_scaling_aspect(obj: Any, doc: str, path: str) -> ScalingAspect:
     m = _as_map(obj, doc, path)
-    sa_id = _get_str(m, "id", doc, path, required=True)
+    sa_id = _get(m, "id", str, doc, path, required=True)
     sls = tuple(_parse_scale_level(sl, doc, f"{path}.sls[{i}]")
                 for i, sl in enumerate(_as_list(m.get("sls", []), doc, f"{path}.sls")))
     return ScalingAspect(id=sa_id, sls=sls)
 
 
 def _parse_gnb_nsd(m: Mapping[str, Any], doc: str) -> GnbNsd:
-    nsd_id = _get_str(m, "id", doc, "gnb_nsd", required=True)
+    nsd_id = _get(m, "id", str, doc, "gnb_nsd", required=True)
     path = f"gnb_nsd[{nsd_id}]"
     sa_cu = None
     if m.get("sa_cu") is not None:
@@ -230,25 +202,25 @@ def _parse_gnb_nsd(m: Mapping[str, Any], doc: str) -> GnbNsd:
     for i, il in enumerate(_as_list(m.get("ils", []), doc, f"{path}.ils")):
         ilm = _as_map(il, doc, f"{path}.ils[{i}]")
         ils.append(InstantiationLevel(
-            id=_get_str(ilm, "id", doc, f"{path}.ils[{i}]", required=True),
-            cu_sl=_get_str(ilm, "cu_sl", doc, f"{path}.ils[{i}]"),
-            du_sl=_get_str(ilm, "du_sl", doc, f"{path}.ils[{i}]"),
+            id=_get(ilm, "id", str, doc, f"{path}.ils[{i}]", required=True),
+            cu_sl=_get(ilm, "cu_sl", str, doc, f"{path}.ils[{i}]"),
+            du_sl=_get(ilm, "du_sl", str, doc, f"{path}.ils[{i}]"),
         ))
     ru_refs = tuple(
         r if isinstance(r, str) else _bad_ref(doc, f"{path}.ru_pnfd_refs")
         for r in _as_list(m.get("ru_pnfd_refs", []), doc, f"{path}.ru_pnfd_refs")
     )
-    cu_id = _get_str(m, "cu_id", doc, path) or f"{nsd_id}-cu"
+    cu_id = _get(m, "cu_id", str, doc, path) or f"{nsd_id}-cu"
     return GnbNsd(
         id=nsd_id,
         cu_id=cu_id,
         sa_cu=sa_cu,
         sa_du=sa_du,
         ils=tuple(ils),
-        cu_vnfd_ref=_get_str(m, "cu_vnfd_ref", doc, path),
-        du_vnfd_ref=_get_str(m, "du_vnfd_ref", doc, path),
+        cu_vnfd_ref=_get(m, "cu_vnfd_ref", str, doc, path),
+        du_vnfd_ref=_get(m, "du_vnfd_ref", str, doc, path),
         ru_pnfd_refs=ru_refs,
-        aux_nsd_ref=_get_str(m, "aux_nsd_ref", doc, path),
+        aux_nsd_ref=_get(m, "aux_nsd_ref", str, doc, path),
     )
 
 
@@ -257,47 +229,47 @@ def _bad_ref(doc: str, path: str):
 
 
 def _parse_vnfd(m: Mapping[str, Any], doc: str) -> Vnfd:
-    vnfd_id = _get_str(m, "id", doc, "vnfd", required=True)
+    vnfd_id = _get(m, "id", str, doc, "vnfd", required=True)
     path = f"vnfd[{vnfd_id}]"
     flavours = []
     for i, fl in enumerate(_as_list(m.get("ils", []), doc, f"{path}.ils")):
         flm = _as_map(fl, doc, f"{path}.ils[{i}]")
         flavours.append(VmFlavour(
-            id=_get_str(flm, "id", doc, f"{path}.ils[{i}]", required=True),
-            vcpus=_get_int(flm, "vcpus", doc, f"{path}.ils[{i}]", required=True),
-            cpu_ghz=_get_num(flm, "cpu_ghz", doc, f"{path}.ils[{i}]", required=True),
-            mem_gb=_get_num(flm, "mem_gb", doc, f"{path}.ils[{i}]", required=True),
+            id=_get(flm, "id", str, doc, f"{path}.ils[{i}]", required=True),
+            vcpus=_get(flm, "vcpus", int, doc, f"{path}.ils[{i}]", required=True),
+            cpu_ghz=_get(flm, "cpu_ghz", float, doc, f"{path}.ils[{i}]", required=True),
+            mem_gb=_get(flm, "mem_gb", float, doc, f"{path}.ils[{i}]", required=True),
         ))
     return Vnfd(
         id=vnfd_id,
-        shared=_get_bool(m, "shared", doc, path, default=False),
+        shared=_get(m, "shared", bool, doc, path, default=False),
         ils=tuple(flavours),
     )
 
 
 def _parse_pnfd(m: Mapping[str, Any], doc: str) -> Pnfd:
-    pnfd_id = _get_str(m, "id", doc, "pnfd", required=True)
+    pnfd_id = _get(m, "id", str, doc, "pnfd", required=True)
     path = f"pnfd[{pnfd_id}]"
     cps = []
     for i, cp in enumerate(_as_list(m.get("cps", []), doc, f"{path}.cps")):
         cpm = _as_map(cp, doc, f"{path}.cps[{i}]")
         cps.append(ConnectivityPoint(
-            name=_get_str(cpm, "name", doc, f"{path}.cps[{i}]", required=True),
-            gbps=_get_num(cpm, "gbps", doc, f"{path}.cps[{i}]", required=True),
+            name=_get(cpm, "name", str, doc, f"{path}.cps[{i}]", required=True),
+            gbps=_get(cpm, "gbps", float, doc, f"{path}.cps[{i}]", required=True),
         ))
     return Pnfd(id=pnfd_id, cps=tuple(cps))
 
 
 def _parse_aux_nsd(m: Mapping[str, Any], doc: str) -> AuxiliaryNsd:
-    aux_id = _get_str(m, "id", doc, "aux_nsd", required=True)
+    aux_id = _get(m, "id", str, doc, "aux_nsd", required=True)
     path = f"aux_nsd[{aux_id}]"
     ils = []
     for i, il in enumerate(_as_list(m.get("ils", []), doc, f"{path}.ils")):
         ilm = _as_map(il, doc, f"{path}.ils[{i}]")
         ils.append(AuxIl(
-            id=_get_str(ilm, "id", doc, f"{path}.ils[{i}]", required=True),
-            du_count=_get_int(ilm, "du_count", doc, f"{path}.ils[{i}]", required=True),
-            du_il_ref=_get_str(ilm, "du_il_ref", doc, f"{path}.ils[{i}]", required=True),
+            id=_get(ilm, "id", str, doc, f"{path}.ils[{i}]", required=True),
+            du_count=_get(ilm, "du_count", int, doc, f"{path}.ils[{i}]", required=True),
+            du_il_ref=_get(ilm, "du_il_ref", str, doc, f"{path}.ils[{i}]", required=True),
         ))
     return AuxiliaryNsd(id=aux_id, ils=tuple(ils))
 

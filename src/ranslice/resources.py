@@ -20,10 +20,9 @@ configuration file or fitted with ``calibrate_params``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .descriptors import Snssai
 from .errors import RansliceError
@@ -58,11 +57,11 @@ class ResourceModelParams:
     pkt_per_prb: float = 125.0         # packets/s generated per allocated PRB
 
     def __post_init__(self):
-        if self.c0 < 0:
-            raise ValueError("c0 must be >= 0")
+        if not 0 <= self.c0 < math.inf:
+            raise ValueError("c0 must be finite and >= 0")
         for name in ("k", "beta", "vnic_service_rate", "pkt_per_prb"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if not 0 < self.cu_scale < 1:
             raise ValueError("cu_scale must be in (0, 1)")
 
@@ -95,8 +94,8 @@ class CapacityBudget:
     per_slice_cap: float = 0.9
 
     def __post_init__(self):
-        if self.vcpu_capacity <= 0:
-            raise ValueError("vcpu_capacity must be > 0")
+        if not 0 < self.vcpu_capacity < math.inf:
+            raise ValueError("vcpu_capacity must be finite and > 0")
         if not 0 < self.per_slice_cap <= 1:
             raise ValueError("per_slice_cap must be in (0, 1]")
 
@@ -192,28 +191,43 @@ def calibrate_params(anchors: Sequence[tuple[SliceLoad, float]],
     """Least-squares fit of (c0, k) to observed (load, vCPU-fraction)
     anchors, with beta fixed (from ``base`` unless overridden).
 
-    With two distinct anchors the system is exactly determined and the
-    fitted model reproduces them to numerical precision. Raises
-    UnderdeterminedError with fewer than two independent anchors and
-    CalibrationError when the fit leaves the admissible region (k <= 0).
-    A slightly negative fitted c0 is clamped by refitting with c0 = 0.
+    The fit is the closed-form straight line through the centred
+    anchors, on traffic terms divided by their largest value so that no
+    square or sum under- or overflows. With two distinct anchors the
+    system is exactly determined and the fitted model reproduces them to
+    numerical precision. Raises UnderdeterminedError with fewer than two
+    distinct anchor loads and CalibrationError on a non-finite anchor or
+    when the fit leaves the admissible region (k <= 0). A slightly
+    negative fitted c0 is clamped by refitting with c0 = 0.
     """
-    if len(anchors) < 2:
+    n = len(anchors)
+    if n < 2:
         raise UnderdeterminedError("need at least two anchor points to fit (c0, k)")
     beta_fixed = base.beta if beta is None else beta
-    x = np.array([_traffic_term(load, beta_fixed) for load, _ in anchors])
-    y = np.array([observed for _, observed in anchors])
-    design = np.column_stack([np.ones_like(x), x])
-    if np.linalg.matrix_rank(design) < 2:
+    try:
+        x = [_traffic_term(load, beta_fixed) for load, _ in anchors]
+    except OverflowError as exc:
+        raise CalibrationError(f"traffic term overflows with beta={beta_fixed}") from exc
+    y = [observed for _, observed in anchors]
+    if not all(map(math.isfinite, x + y)):
+        raise CalibrationError("anchor observations and traffic terms must be finite")
+    scale = max(map(abs, x))
+    if max(x) - min(x) <= n * sys.float_info.epsilon * scale:
         raise UnderdeterminedError("anchor loads are not distinct enough to fit (c0, k)")
-    coeffs, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    c0, k = float(coeffs[0]), float(coeffs[1])
+    u = [v / scale for v in x]
+    u_mean = sum(u) / n
+    y_mean = sum(y) / n
+    slope = (sum((ui - u_mean) * (yi - y_mean) for ui, yi in zip(u, y))
+             / sum((ui - u_mean) ** 2 for ui in u))
+    c0 = y_mean - slope * u_mean
     if c0 < 0:
         c0 = 0.0
-        k = float(np.dot(x, y) / np.dot(x, x))
-    if k <= 0:
+        slope = sum(ui * yi for ui, yi in zip(u, y)) / sum(ui * ui for ui in u)
+    if not slope > 0:
         raise CalibrationError("anchors imply consumption non-increasing in traffic")
-    params = replace(base, c0=c0, k=k, beta=beta_fixed)
-    fitted = c0 + k * x
-    residuals = tuple(float(r) for r in (y - fitted))
+    try:
+        params = replace(base, c0=c0, k=slope / scale, beta=beta_fixed)
+    except ValueError as exc:
+        raise CalibrationError(f"fitted coefficients are not admissible: {exc}") from exc
+    residuals = tuple(yi - (c0 + slope * ui) for ui, yi in zip(u, y))
     return CalibrationResult(params=params, residuals=residuals)

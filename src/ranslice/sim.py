@@ -65,7 +65,7 @@ class McsAtom:
             raise ValueError(f"modulation_order must be one of {MODULATION_ORDERS}")
         if not 0 < self.code_rate <= 1:
             raise ValueError("code_rate must be in (0, 1]")
-        if self.p < 0:
+        if not self.p >= 0:  # NaN fails too
             raise ValueError("probability must be >= 0")
 
 
@@ -116,7 +116,7 @@ class SimConfig:
             raise ConfigError("ticks", f"must be >= 1, got {self.ticks}")
         if self.total_prbs < 0:
             raise ConfigError("total_prbs", f"must be >= 0, got {self.total_prbs}")
-        if self.vnic_delay_cap_ms <= 0:
+        if not self.vnic_delay_cap_ms > 0:  # NaN fails too
             raise ConfigError("vnic_delay_cap_ms", "must be > 0")
         seen: set[Snssai] = set()
         for i, profile in enumerate(self.profiles):

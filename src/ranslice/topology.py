@@ -16,6 +16,7 @@ RUs are physical and shared in every scenario.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -62,8 +63,8 @@ class DrbQos:
     reliability: float
 
     def __post_init__(self):
-        if self.throughput_mbps <= 0 or self.latency_ms <= 0:
-            raise ValueError("throughput and latency must be positive")
+        if not (0 < self.throughput_mbps < math.inf and 0 < self.latency_ms < math.inf):
+            raise ValueError("throughput and latency must be finite and positive")
         if not 0 < self.reliability <= 1:
             raise ValueError("reliability must be in (0, 1]")
 

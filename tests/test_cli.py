@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -157,6 +158,33 @@ def test_simulate_baseline_overload_exit_two(tmp_path, flags):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("field, value", [
+    (("profiles", 0, "qos", "throughput_mbps"), math.nan),
+    (("profiles", 0, "qos", "throughput_mbps"), math.inf),
+    (("profiles", 1, "qos", "latency_ms"), math.nan),
+    (("profiles", 0, "mcs", 0, "p"), math.nan),
+    (("resource", "k"), math.nan),
+    (("budget", "vcpu_capacity"), math.nan),
+    (("admission", "vnic_delay_cap_ms"), math.nan),
+], ids=["throughput-nan", "throughput-inf", "latency-nan", "mcs-p-nan", "k-nan",
+        "vcpu-capacity-nan", "delay-cap-nan"])
+def test_simulate_non_finite_config_exit_two(tmp_path, capsys, field, value):
+    d = write_descriptors(tmp_path)
+    cfg = write_config(tmp_path)
+    raw = yaml.safe_load(cfg.read_text())
+    target = raw
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    cfg.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "x.json"
+    rc = main(["simulate", "--descriptors", str(d), "--config", str(cfg),
+               "--scenario", "s2", "--out", str(out), "--format", "json"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_compare_writes_summary(tmp_path):
     d = write_descriptors(tmp_path)
     cfg = write_config(tmp_path)
@@ -192,6 +220,20 @@ def test_calibrate_underdetermined_exit_two(tmp_path):
     path.write_text(yaml.safe_dump([
         {"prbs": 10, "modulation_order": 6, "code_rate": 0.75, "observed": 0.2}]))
     assert main(["calibrate", "--anchors", str(path)]) == 2
+
+
+@pytest.mark.parametrize("observed, flags", [
+    (math.nan, []), (math.inf, []), (0.15, ["--beta", "nan"]), (0.15, ["--beta", "1000"]),
+], ids=["nan", "inf", "beta-nan", "beta-overflow"])
+def test_calibrate_non_finite_anchor_exit_two(tmp_path, capsys, observed, flags):
+    path = tmp_path / "anchors.yaml"
+    path.write_text(yaml.safe_dump([
+        {"prbs": 80, "modulation_order": 6, "code_rate": 0.8, "observed": 0.65},
+        {"prbs": 30, "modulation_order": 4, "code_rate": 0.5, "observed": observed}]))
+    out = tmp_path / "resource.yaml"
+    assert main(["calibrate", "--anchors", str(path), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_calibrate_malformed_anchors_exit_two(tmp_path, capsys):

@@ -175,6 +175,45 @@ def test_parse_rejects_wrong_field_type():
         parse_descriptor_set([doc])
 
 
+def _vnfd_doc(**overrides):
+    vnfd = {"id": "v", "shared": False,
+            "ils": [{"id": "fl", "vcpus": 2, "cpu_ghz": 2.0, "mem_gb": 4.0}]}
+    flavour = vnfd["ils"][0]
+    for key, value in overrides.items():
+        target = vnfd if key in vnfd else flavour
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+    return yaml.safe_dump({"vnfd": vnfd})
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"id": 5}, "doc-0: vnfd.id: expected a string"),
+    ({"vcpus": "two"}, "doc-0: vnfd[v].ils[0].vcpus: expected an integer"),
+    ({"vcpus": True}, "doc-0: vnfd[v].ils[0].vcpus: expected an integer"),
+    ({"vcpus": 2.0}, "doc-0: vnfd[v].ils[0].vcpus: expected an integer"),
+    ({"cpu_ghz": "fast"}, "doc-0: vnfd[v].ils[0].cpu_ghz: expected a number"),
+    ({"cpu_ghz": False}, "doc-0: vnfd[v].ils[0].cpu_ghz: expected a number"),
+    ({"shared": "yes"}, "doc-0: vnfd[v].shared: expected a boolean"),
+    ({"shared": 1}, "doc-0: vnfd[v].shared: expected a boolean"),
+    ({"mem_gb": None}, "doc-0: vnfd[v].ils[0].mem_gb: missing required field"),
+], ids=["str", "int", "int-bool", "int-float", "num", "num-bool", "bool", "bool-int",
+        "missing"])
+def test_parse_field_type_error_text(overrides, message):
+    with pytest.raises(DescriptorSyntaxError) as excinfo:
+        parse_descriptor_set([_vnfd_doc(**overrides)])
+    assert str(excinfo.value) == message
+
+
+def test_parse_reads_numbers_as_float_and_defaults_absent_bools():
+    ds = parse_descriptor_set([_vnfd_doc(cpu_ghz=3, shared=None)])
+    flavour = ds.vnfds["v"].ils[0]
+    assert type(flavour.cpu_ghz) is float and flavour.cpu_ghz == 3.0
+    assert type(flavour.vcpus) is int
+    assert ds.vnfds["v"].shared is False
+
+
 def test_parse_keeps_unresolved_refs_symbolic():
     doc = yaml.safe_dump({"ran_nsst": {
         "id": "n1", "snssai": {"service_type": "eMBB"}, "gnb_nsd_ref": "nowhere"}})

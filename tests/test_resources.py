@@ -1,10 +1,19 @@
 from __future__ import annotations
 
+import ast
 import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import ranslice
 from ranslice.descriptors import ServiceType, Snssai
 from ranslice.resources import (
     CalibrationError,
@@ -214,6 +223,108 @@ def test_calibrate_decreasing_anchors_rejected():
         calibrate_params([(load(10), 0.9), (load(200), 0.1), (load(400), 0.05)])
 
 
+def test_calibrate_three_identical_anchors_underdetermined():
+    with pytest.raises(UnderdeterminedError):
+        calibrate_params([(load(40, m=4, cr=0.5), 0.2)] * 3)
+
+
+def test_calibrate_zero_traffic_anchors_underdetermined():
+    with pytest.raises(UnderdeterminedError):
+        calibrate_params([(load(0, m=2, cr=0.3), 0.05), (load(0, m=8, cr=0.9), 0.07)])
+
+
+def test_calibrate_anchors_one_prb_apart_fit():
+    truth = ResourceModelParams(c0=0.05, k=0.001)
+    anchors = [(load(p), du_vcpu_consumption(load(p), truth)) for p in (100, 101)]
+    result = calibrate_params(anchors)
+    assert result.params.c0 == pytest.approx(truth.c0, rel=1e-9)
+    assert result.params.k == pytest.approx(truth.k, rel=1e-9)
+
+
+def test_calibrate_tiny_traffic_terms_fit():
+    # The squared deviations of these terms underflow to zero unless the
+    # fit works on terms divided by their largest value.
+    anchors = [(load(10, cr=1e-300), 0.1), (load(20, cr=1e-300), 0.2)]
+    result = calibrate_params(anchors)
+    assert result.params.k == pytest.approx(0.01 / (1e-300 * math.exp(0.35 * 6)), rel=1e-9)
+    assert result.max_abs_residual < 1e-12
+
+
+@pytest.mark.parametrize("observed, beta", [
+    (math.nan, None), (math.inf, None), (-math.inf, None),
+    (0.15, math.nan), (0.15, math.inf), (0.15, 1000.0), (0.15, 0.0),
+], ids=["nan", "inf", "-inf", "beta-nan", "beta-inf", "beta-overflow", "beta-zero"])
+def test_calibrate_bad_input_is_a_calibration_error(observed, beta):
+    anchors = [(load(80, m=6, cr=0.8), 0.65), (load(30, m=4, cr=0.5), observed)]
+    with pytest.raises(CalibrationError):
+        calibrate_params(anchors, beta=beta)
+
+
+def exact_fit(points):
+    """Reference least squares in exact rational arithmetic: the centred
+    fit, then the through-origin refit when the offset comes out negative.
+    Returns (c0, k, unclamped c0)."""
+    xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    n = len(xs)
+    x_mean, y_mean = sum(xs) / n, sum(ys) / n
+    k = (sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+         / sum((x - x_mean) ** 2 for x in xs))
+    c0 = raw_c0 = y_mean - k * x_mean
+    if c0 < 0:
+        c0 = Fraction(0)
+        k = sum(x * y for x, y in zip(xs, ys)) / sum(x * x for x in xs)
+    return c0, k, raw_c0
+
+
+ANCHOR_LOADS = st.lists(
+    st.tuples(st.integers(0, 273), st.sampled_from((2, 4, 6, 8)),
+              st.floats(0.05, 1.0)),
+    min_size=2, max_size=8, unique_by=lambda t: t[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(loads=ANCHOR_LOADS, c0=st.floats(-0.2, 0.5), k=st.floats(1e-5, 3e-3),
+       noise=st.lists(st.floats(-0.05, 0.05), min_size=8, max_size=8))
+def test_calibrate_matches_exact_least_squares(loads, c0, k, noise):
+    anchors = []
+    for (prbs, m, cr), e in zip(loads, noise):
+        l = load(prbs, m=m, cr=cr)
+        anchors.append((l, c0 + k * prbs * cr * math.exp(0.35 * m) + e))
+    points = [(l.prbs * l.code_rate * math.exp(0.35 * l.modulation_order), y)
+              for l, y in anchors]
+    xs = [x for x, _ in points]
+    # Distinct PRB counts can still meet at one traffic term; floats cannot
+    # decide a sign far below their rounding error, so keep the c0 < 0 and
+    # k <= 0 decisions clear of it.
+    assume(max(xs) - min(xs) > 1e-6 * max(xs))
+    ref_c0, ref_k, raw_c0 = exact_fit(points)
+    scale = max(abs(y) for _, y in points) + abs(ref_k) * max(xs)
+    assume(abs(raw_c0) > 1e-6 * scale and abs(ref_k) * max(xs) > 1e-6 * scale)
+    if ref_k <= 0:
+        with pytest.raises(CalibrationError):
+            calibrate_params(anchors)
+        return
+    result = calibrate_params(anchors)
+    assert result.params.c0 == pytest.approx(float(ref_c0), rel=1e-9)
+    assert result.params.k == pytest.approx(float(ref_k), rel=1e-9)
+    assert all(type(r) is float for r in result.residuals)
+    assert len(result.residuals) == len(anchors)
+
+
+def test_import_loads_only_yaml_beyond_the_standard_library():
+    # PyYAML is the one runtime dependency: with it loaded, importing the
+    # CLI adds only the package itself and standard-library modules.
+    code = ("import sys, yaml; before = set(sys.modules); import ranslice.cli; "
+            "print(sorted({name.partition('.')[0] for name in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(ranslice.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert ast.literal_eval(proc.stdout) == ["ranslice"]
+
+
 def test_params_invariants():
     with pytest.raises(ValueError):
         ResourceModelParams(c0=-0.1)
@@ -225,6 +336,19 @@ def test_params_invariants():
         CapacityBudget(vcpu_capacity=0.0)
     with pytest.raises(ValueError):
         CapacityBudget(vcpu_capacity=1.0, per_slice_cap=1.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["c0", "k", "beta", "vnic_service_rate", "pkt_per_prb"])
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError):
+        ResourceModelParams(**{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_budget_rejects_non_finite_capacity(value):
+    with pytest.raises(ValueError):
+        CapacityBudget(vcpu_capacity=value)
 
 
 def test_estimate_prbs_monotone_and_positive():
