@@ -270,7 +270,13 @@ def _share(total: int, pool: int, index: int) -> int:
 
 
 def _snap_modulation(value: float) -> int:
-    return min(MODULATION_ORDERS, key=lambda m: (abs(m - value), m))
+    """The modulation order nearest ``value``, the lower one on a tie."""
+    best, gap = MODULATION_ORDERS[0], abs(MODULATION_ORDERS[0] - value)
+    for m in MODULATION_ORDERS[1:]:
+        d = abs(m - value)
+        if d < gap:
+            best, gap = m, d
+    return best
 
 
 def _own(unit: Unit, insts: Sequence[Instance]) -> list[Instance]:
@@ -313,6 +319,7 @@ class Orchestrator:
         self._slices: tuple[tuple[Snssai, ...], tuple[Snssai, ...]] = ((), ())
         self._loads: dict[Snssai, tuple] = {}
         self._owned: tuple[tuple[Instance, ...], dict[Snssai, list[Instance]]] = ((), {})
+        self._budgets: dict[tuple[float, float], CapacityBudget] = {}
         self._handoff: tuple | None = None
 
     # -- descriptor lookups -------------------------------------------------
@@ -502,7 +509,8 @@ class Orchestrator:
                   modulation_order: int, code_rate: float) -> Decision:
         """Admit the DRB iff, with every slice at its post-admission
         demand, isolation holds on each shared instance the DRB touches
-        and no touched vNIC saturates or exceeds the delay cap."""
+        and no touched vNIC saturates or exceeds the delay cap (checked on
+        the pool heads that decide it, see _owned_by)."""
         if snssai not in self.subnets:
             raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
         # The subnet's own Snssai object: dict lookups and owner scans
@@ -524,14 +532,25 @@ class Orchestrator:
         return Decision(True, est_prbs=est)
 
     def _owned_by(self, snssai: Snssai) -> list[Instance]:
-        """The live instances ``snssai`` owns, memoised per slice on the
-        live instance tuple."""
+        """The heads (``index == 0``) of the pools ``snssai`` owns: the
+        first instance of its DU pool and its CU. Memoised per slice on
+        the live instance tuple.
+
+        Checking the heads alone gives the same Decision as checking every
+        owned instance. _share gives the remainder of a split to the
+        lowest indices, so a head carries at least the PRBs of every other
+        instance of its pool, per owner and through its vNIC. Every limit
+        is non-decreasing in PRBs, float rounding included: the
+        consumption models (k > 0), their sum, the per-slice cap, vNIC
+        saturation and the delay cap. So any instance of a pool that
+        breaks a limit has a head that breaks one too, and the head comes
+        first in the pool."""
         insts = self.instances()
         if self._owned[0] is not insts:
             self._owned = (insts, {})
         owned = self._owned[1]
         if snssai not in owned:
-            owned[snssai] = [i for i in insts if snssai in i.owners]
+            owned[snssai] = [i for i in insts if i.index == 0 and snssai in i.owners]
         return owned[snssai]
 
     def _limit(self, inst: Instance, vnic: bool = True) -> Decision | None:
@@ -539,8 +558,11 @@ class Orchestrator:
         instance is shared, then (with ``vnic``) vNIC saturation and the
         vNIC delay cap."""
         if inst.shared:
-            result = check_isolation(
-                inst.per_slice, CapacityBudget(inst.capacity, self.budget.per_slice_cap))
+            key = (inst.capacity, self.budget.per_slice_cap)
+            budget = self._budgets.get(key)
+            if budget is None:
+                budget = self._budgets[key] = CapacityBudget(*key)
+            result = check_isolation(inst.per_slice, budget)
             if not result.ok:
                 return Decision(False, reason=REJECT_VCPU_CAP,
                                 detail=f"{inst.instance_id}: {'; '.join(result.violations)}")

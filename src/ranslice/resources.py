@@ -135,6 +135,9 @@ class IsolationResult:
     violations: tuple[str, ...] = ()
 
 
+_ISOLATED = IsolationResult(ok=True)
+
+
 def check_isolation(consumptions: Mapping[Snssai, float],
                     budget: CapacityBudget) -> IsolationResult:
     """Isolation predicate on one shared instance, from per-slice vCPU
@@ -142,6 +145,10 @@ def check_isolation(consumptions: Mapping[Snssai, float],
     slice may exceed its cap. Boundaries are inclusive."""
     total = sum(consumptions.values())
     slice_limit = budget.per_slice_cap * budget.vcpu_capacity
+    # A NaN makes the total NaN and fails both tests: it takes the
+    # long path.
+    if total <= budget.vcpu_capacity and max(consumptions.values(), default=0.0) <= slice_limit:
+        return _ISOLATED
     violations: list[str] = []
     if total > budget.vcpu_capacity:
         violations.append(

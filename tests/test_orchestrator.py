@@ -644,7 +644,7 @@ def test_fuzz_all_scenarios_hold_invariants():
 
 def test_admission_evaluates_only_the_arriving_slices_instances(monkeypatch):
     # s1, 4 slices, all with admitted load: admitting to one slice
-    # evaluates that slice's CU and DUs only, once per distinct share.
+    # evaluates only that slice's CU and the head of its DU pool.
     import ranslice.orchestrator as orch_mod
 
     ds = build_descriptor_set(n_slices=4, du_counts=(1, 2), du_vcpus=4)
@@ -663,8 +663,9 @@ def test_admission_evaluates_only_the_arriving_slices_instances(monkeypatch):
     arriving = slices[2]
     assert admit_prbs(orch, ds, arriving, 5, drb_id="arrival").admitted
     assert {s for _, s, _ in calls} == {arriving}
-    # 25 PRBs split over a pool of 2 DUs: shares 13 and 12.
-    assert sorted(calls) == [("cu", arriving, 25), ("du", arriving, 12), ("du", arriving, 13)]
+    # 25 PRBs split over a pool of 2 DUs: shares 13 and 12; the head
+    # carries the larger one and decides for the pool.
+    assert sorted(calls) == [("cu", arriving, 25), ("du", arriving, 13)]
 
 
 def test_admission_sees_a_scaling_since_the_last_admission(ds_two_slices):

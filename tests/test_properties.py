@@ -1,21 +1,28 @@
 """Property tests of the scaling-unit model, of the scoped admission
 check and of the projection memos: random sequences of scale, admit,
 depart and tick operations, under every sharing scenario, some of them
-also editing state by hand between allocation and observation."""
+also editing state by hand between allocation and observation. Then
+properties over generated deployments and loads: a pool's head decides
+admission for its pool, and allocation stays within demand, budget and
+isolation. Last, the isolation predicate and the modulation snap against
+frozen copies of their first versions."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from functools import lru_cache
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import build_descriptor_set
 
-from ranslice.descriptors import Snssai
+from ranslice.descriptors import ServiceType, Snssai
 from ranslice.orchestrator import (
     AdmittedDrb,
+    BaselineOverloadError,
     Decision,
     Direction,
     Instance,
@@ -24,10 +31,12 @@ from ranslice.orchestrator import (
     ScaleTarget,
     ScalingThresholds,
     _share,
+    _snap_modulation,
 )
 from ranslice.resources import (
     MODULATION_ORDERS,
     CapacityBudget,
+    IsolationResult,
     ResourceModelParams,
     SliceLoad,
     check_isolation,
@@ -170,7 +179,12 @@ def reference_load(orch: Orchestrator, snssai, extra=None) -> tuple[int, int, fl
         return 0, 2, 1.0
     mean_m = sum(w * m for w, m, _ in entries) / total
     mean_cr = sum(w * cr for w, _, cr in entries) / total
-    return total, min(MODULATION_ORDERS, key=lambda m: (abs(m - mean_m), m)), mean_cr
+    return total, reference_snap(mean_m), mean_cr
+
+
+def reference_snap(value: float) -> int:
+    """The modulation order nearest ``value``, the lower one on a tie."""
+    return min(MODULATION_ORDERS, key=lambda m: (abs(m - value), m))
 
 
 def assert_loads_match_the_reference(orch: Orchestrator) -> None:
@@ -337,3 +351,164 @@ def test_load_memo_sees_changes_made_to_the_drb_list_directly(ds_two_slices):
     assert load() == reference_load(orch, s)
     sub.admitted_drbs.clear()
     assert sub.demand_prbs() == 0 and orch._slice_mcs(s) == (2, 1.0)
+
+
+@lru_cache(maxsize=None)
+def pool_descriptor_set(n_slices: int, du_vcpus: int):
+    return build_descriptor_set(n_slices=n_slices, du_counts=(1, 2, 3, 4),
+                                cu_vcpus=(1, 2, 4), du_vcpus=du_vcpus)
+
+
+@st.composite
+def deployments(draw, max_c0: float = 0.6) -> Orchestrator:
+    """An orchestrator over 1-4 slices in any scenario, with DU pools of
+    1-4 instances, random model parameters (baselines up to ``max_c0``),
+    capacities, per-slice cap and vNIC delay cap, and 0-3 DRBs appended
+    to each slice by hand (so the loads need not be admissible)."""
+    n_slices = draw(st.integers(1, 4))
+    ds = pool_descriptor_set(n_slices, draw(st.sampled_from((1, 2, 4, 8))))
+    params = ResourceModelParams(
+        c0=draw(st.floats(0.0, max_c0)), k=draw(st.floats(1e-5, 0.05)),
+        beta=draw(st.floats(0.01, 1.0)), cu_scale=draw(st.floats(0.01, 0.99)),
+        vnic_service_rate=draw(st.floats(1e2, 1e6)), pkt_per_prb=draw(st.floats(1.0, 500.0)))
+    budget = CapacityBudget(1.0, draw(st.floats(0.3, 1.0)))
+    orch = Orchestrator(ds, draw(st.sampled_from(Scenario)), params, budget, THRESHOLDS,
+                        vnic_delay_cap_s=draw(st.floats(1e-5, 1e-2)))
+    for i, s in enumerate(ds.snssais()):
+        sub = orch.instantiate_subnet(s)
+        nsd = ds.gnb_nsds[sub.nsd_ref]
+        sub.cu_sl = draw(st.sampled_from(nsd.sa_cu.sl_ids()))
+        sub.du_sl = draw(st.sampled_from(nsd.sa_du.sl_ids()))
+        for j in range(draw(st.integers(0, 3))):
+            m = draw(st.sampled_from(MODULATION_ORDERS))
+            sub.admitted_drbs.append(AdmittedDrb(
+                Drb(f"d{i}-{j}", s, DrbQos(1.0, 20.0, 0.99)), draw(st.integers(1, 200)),
+                m, draw(st.floats(0.05, 1.0))))
+    if orch.aux is not None:
+        orch.aux.current_il = draw(st.sampled_from(
+            [il.id for il in ds.aux_nsds[orch.aux.aux_nsd_ref].ils]))
+    return orch
+
+
+def first_limit(orch: Orchestrator, insts) -> Decision | None:
+    return next(filter(None, map(orch._limit, insts)), None)
+
+
+def breaking_point(orch: Orchestrator, split: dict, s, hi: int = 4000) -> int:
+    """The fewest PRBs for slice ``s``, the other slices' held, at which
+    a DU ``s`` owns breaks a limit (bisected; ``hi`` if none breaks
+    there). Where the pool's split has a remainder, only its head carries
+    the extra PRB, so there the head alone may break."""
+    def breaks(prbs: int) -> bool:
+        projected = orch._project({**split, s: prbs})
+        return first_limit(orch, [i for i in projected
+                                   if i.kind == "du" and s in i.owners]) is not None
+
+    if not breaks(hi):
+        return hi
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if breaks(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(orch=deployments(), prbs=st.lists(st.integers(0, 1500), min_size=4, max_size=4),
+       edge=st.integers(0, 5))
+def test_a_pool_head_decides_admission_for_its_pool(orch, prbs, edge):
+    # ``edge`` names a slice moved to its breaking point, if there is one.
+    slices = orch._sorted_slices()
+    split = dict(zip(slices, prbs))
+    if edge < len(slices):
+        split[slices[edge]] = breaking_point(orch, split, slices[edge])
+    projected = orch._project(split)
+    pools: dict[tuple, list[Instance]] = {}
+    for inst in projected:
+        pools.setdefault((inst.kind, inst.owners), []).append(inst)
+    for pool in pools.values():
+        assert [i.index for i in pool] == list(range(pool[0].pool))
+        if first_limit(orch, pool) is not None:
+            assert orch._limit(pool[0]) is not None
+    # So the pruned check gives the full check's Decision, detail included.
+    for s in split:
+        full = first_limit(orch, [i for i in projected if s in i.owners])
+        assert first_limit(orch, orch._project(split, insts=orch._owned_by(s))) == full
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# Baselines up to 1.5 vCPU, so that some deployments overload at zero PRBs.
+@given(orch=deployments(max_c0=1.5), total_prbs=st.integers(0, 300))
+def test_allocation_stays_within_demand_budget_and_isolation(orch, total_prbs):
+    demand = {s: reference_load(orch, s)[0] for s in orch.subnets}
+    per_slice_cap = orch.budget.per_slice_cap
+
+    def isolated(alloc) -> bool:
+        return all(check_isolation(i.per_slice, CapacityBudget(i.capacity, per_slice_cap)).ok
+                   for i in reference_projection(orch, alloc) if i.shared)
+
+    if not isolated({}):
+        with pytest.raises(BaselineOverloadError):
+            orch.allocate_prbs(total_prbs)
+        return
+    alloc = orch.allocate_prbs(total_prbs)
+    assert alloc.keys() == demand.keys()
+    assert all(0 <= alloc[s] <= demand[s] for s in alloc)
+    assert sum(alloc.values()) <= total_prbs
+    assert isolated(alloc)
+
+
+def reference_check_isolation(consumptions, budget: CapacityBudget) -> IsolationResult:
+    """check_isolation as first written, with no early return."""
+    total = sum(consumptions.values())
+    slice_limit = budget.per_slice_cap * budget.vcpu_capacity
+    violations: list[str] = []
+    if total > budget.vcpu_capacity:
+        violations.append(
+            f"total consumption {total:.4f} exceeds capacity {budget.vcpu_capacity:.4f}")
+    over = [s for s, used in consumptions.items() if used > slice_limit]
+    for snssai in sorted(over, key=Snssai.key):
+        violations.append(f"slice {snssai} consumption {consumptions[snssai]:.4f} "
+                          f"exceeds cap {slice_limit:.4f}")
+    return IsolationResult(ok=not violations, violations=tuple(violations))
+
+
+SLICES = (Snssai(ServiceType.EMBB), Snssai(ServiceType.URLLC), Snssai(ServiceType.MMTC),
+          Snssai(ServiceType.EMBB, "v2"), Snssai(ServiceType.URLLC, "v2"))
+
+
+@st.composite
+def isolation_cases(draw) -> tuple[dict, CapacityBudget]:
+    """0-5 slices in any order, each consuming 0, a value at or next to
+    the slice cap or the capacity (or a part of the capacity that may sum
+    to it exactly), +-inf, NaN or any value up to a little over capacity."""
+    capacity = draw(st.sampled_from((1.0, 2.0, 4.0)) | st.floats(1e-3, 64.0))
+    budget = CapacityBudget(capacity, draw(st.sampled_from((0.5, 0.9, 1.0))
+                                           | st.floats(0.01, 1.0, exclude_min=True)))
+    limit = budget.per_slice_cap * capacity
+    edges = [0.0, math.inf, -math.inf, math.nan]
+    for v in (limit, capacity):
+        edges += [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
+    edges += [capacity / n for n in range(2, 6)]
+    value = st.sampled_from(edges) | st.floats(0.0, 1.2 * capacity)
+    slices = draw(st.permutations(SLICES))[:draw(st.integers(0, 5))]
+    return {s: draw(value) for s in slices}, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=isolation_cases())
+def test_check_isolation_matches_the_reference(case):
+    consumptions, budget = case
+    result = check_isolation(consumptions, budget)
+    expected = reference_check_isolation(consumptions, budget)
+    assert (result.ok, result.violations) == (expected.ok, expected.violations)
+
+
+@given(st.floats(1.0, 9.0) | st.sampled_from(
+    (3.0, 5.0, 7.0, math.nan, *(math.nextafter(v, d) for v in (3.0, 5.0, 7.0)
+                                for d in (math.inf, -math.inf)))))
+def test_snap_modulation_matches_the_reference(value):
+    assert _snap_modulation(value) == reference_snap(value)
