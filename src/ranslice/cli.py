@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .config import load_sim_config, read_yaml_file, resource_params_to_dict
+from .config import _int, _num, load_sim_config, read_yaml_file, resource_params_to_dict
 from .descriptors import (
     DescriptorSet,
     DescriptorSyntaxError,
@@ -162,17 +162,17 @@ def _load_anchors(path: str) -> list[tuple[SliceLoad, float]]:
                 snssai = Snssai(service_type=ServiceType.EMBB)
         except DescriptorSyntaxError as exc:
             raise ConfigError(f"{path}[{i}].snssai", str(exc)) from exc
+        where = f"{path}[{i}]"
         try:
             load = SliceLoad(
                 snssai=snssai,
-                prbs=int(entry["prbs"]),
-                modulation_order=int(entry["modulation_order"]),
-                code_rate=float(entry["code_rate"]),
+                prbs=_int(entry, "prbs", where),
+                modulation_order=_int(entry, "modulation_order", where),
+                code_rate=_num(entry, "code_rate", where),
             )
-            observed = float(entry["observed"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}[{i}]", f"bad anchor: {exc}") from exc
-        anchors.append((load, observed))
+        except ValueError as exc:
+            raise ConfigError(where, f"bad anchor: {exc}") from exc
+        anchors.append((load, _num(entry, "observed", where)))
     return anchors
 
 

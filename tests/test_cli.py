@@ -243,6 +243,23 @@ def test_calibrate_malformed_anchors_exit_two(tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("prbs", 80.9), ("prbs", "30"), ("modulation_order", 4.7), ("observed", True),
+], ids=["prbs-float", "prbs-string", "modulation-float", "observed-bool"])
+def test_calibrate_mistyped_anchor_field_exit_two(tmp_path, capsys, field, value):
+    # Each value used to be coerced (80, 30, 4, 1.0) and fitted with exit 0.
+    anchors = [
+        {"prbs": 80, "modulation_order": 6, "code_rate": 0.8, "observed": 0.65},
+        {"prbs": 30, "modulation_order": 4, "code_rate": 0.5, "observed": 0.15}]
+    anchors[0][field] = value
+    path = tmp_path / "anchors.yaml"
+    path.write_text(yaml.safe_dump(anchors))
+    out = tmp_path / "resource.yaml"
+    assert main(["calibrate", "--anchors", str(path), "--out", str(out)]) == 2
+    assert f"{path}[0].{field}: expected a" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_config_not_utf8_exit_two(tmp_path, capsys):
     d = write_descriptors(tmp_path)
     cfg = tmp_path / "config.yaml"
