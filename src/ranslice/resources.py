@@ -145,8 +145,8 @@ def check_isolation(consumptions: Mapping[Snssai, float],
     slice may exceed its cap. Boundaries are inclusive."""
     total = sum(consumptions.values())
     slice_limit = budget.per_slice_cap * budget.vcpu_capacity
-    # A NaN makes the total NaN and fails both tests: it takes the
-    # long path.
+    # Any NaN makes the total NaN, which fails the first comparison, so
+    # NaN inputs take the full path below.
     if total <= budget.vcpu_capacity and max(consumptions.values(), default=0.0) <= slice_limit:
         return _ISOLATED
     violations: list[str] = []
