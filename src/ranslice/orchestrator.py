@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Mapping, Sequence
 
 from .descriptors import DescriptorSet, GnbNsd, Snssai, validate
@@ -247,8 +248,8 @@ def evaluate_scaling_policy(history: Sequence[float], thresholds: ScalingThresho
     """
     if not history:
         raise ValueError("history must be non-empty")
-    recent = list(history)[-thresholds.window:]
-    mean = sum(recent) / len(recent)
+    n = min(len(history), thresholds.window)
+    mean = sum(islice(history, len(history) - n, None)) / n
     if mean > thresholds.hi:
         decision = Direction.UP
     elif mean < thresholds.lo:
@@ -279,12 +280,34 @@ def _snap_modulation(value: float) -> int:
     return best
 
 
-def _own(unit: Unit, insts: Sequence[Instance]) -> list[Instance]:
-    """The unit's own instances (live or projected): a CU unit's CU, a DU
-    pool's DUs."""
-    target, snssai = unit
-    kind = "cu" if target is ScaleTarget.CU else "du"
-    return [i for i in insts if i.kind == kind and (snssai is None or snssai in i.owners)]
+@dataclass(eq=False, slots=True)
+class _UnitRecord:
+    """One scaling unit: ``holder.attr`` is its live level (a subnet's
+    cu_sl or du_sl, or the auxiliary IL), one of ``levels`` in order, and
+    ``caps`` a CU's vCPUs per level; then its utilization history, last
+    policy decision, and own instances' positions in the tuple ``layout``."""
+
+    target: ScaleTarget
+    snssai: Snssai | None
+    holder: SubnetInstance | AuxServiceInstance
+    attr: str
+    levels: list[str]
+    caps: dict[str, int]
+    hist: deque[float]
+    last: tuple[int, Direction] | None = None
+    layout: tuple[Instance, ...] | None = None
+    own: list[int] | None = None
+
+    def positions(self, layout: tuple[Instance, ...]) -> list[int]:
+        """Where the unit's own instances (a CU unit's CU, a DU pool's DUs)
+        sit in ``layout``, recomputed only when ``layout`` is another tuple
+        than last time."""
+        if layout is not self.layout:
+            kind = "cu" if self.target is ScaleTarget.CU else "du"
+            self.own = [j for j, i in enumerate(layout)
+                        if i.kind == kind and (self.snssai is None or self.snssai in i.owners)]
+            self.layout = layout
+        return self.own
 
 
 class Orchestrator:
@@ -309,8 +332,9 @@ class Orchestrator:
         self.aux: AuxServiceInstance | None = None
         self.events: list[ScalingEvent] = []
         self.findings: list[str] = []
-        self._hist: dict[Unit, deque[float]] = {}
-        self._last_scale: dict[Unit, tuple[int, Direction]] = {}
+        # Every scaling unit met so far, and the unit set in policy order.
+        self._unit_recs: dict[Unit, _UnitRecord] = {}
+        self._policy_order: tuple[tuple, list[_UnitRecord]] = ((), [])
         self._instances: tuple[Instance, ...] = ()
         self._instances_key: list | None = None
         # Projection memos. Each is checked against live state where it is
@@ -321,6 +345,7 @@ class Orchestrator:
         self._owned: tuple[tuple[Instance, ...], dict[Snssai, list[Instance]]] = ((), {})
         self._budgets: dict[tuple[float, float], CapacityBudget] = {}
         self._handoff: tuple | None = None
+        self._checked: list[Instance] | None = None
 
     # -- descriptor lookups -------------------------------------------------
 
@@ -579,7 +604,9 @@ class Orchestrator:
         return None
 
     def depart_drb(self, snssai: Snssai, drb_id: str) -> bool:
-        subnet = self.subnets[snssai]
+        subnet = self.subnets.get(snssai)
+        if subnet is None:
+            raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
         for i, entry in enumerate(subnet.admitted_drbs):
             if entry.drb.drb_id == drb_id:
                 del subnet.admitted_drbs[i]
@@ -663,39 +690,57 @@ class Orchestrator:
 
     # -- scaling ------------------------------------------------------------------
 
-    def _units(self) -> list[Unit]:
-        """Every scaling unit, in policy order: each subnet's CU, then the
-        shared DU pool or each subnet's dedicated DU pool."""
-        slices = self._sorted_slices()
-        units: list[Unit] = [(ScaleTarget.CU, s) for s in slices]
-        if self.aux is not None:
-            return units + [(ScaleTarget.SHARED_DU, None)]
-        return units + [(ScaleTarget.DU, s) for s in slices]
+    def _unit(self, target: ScaleTarget, snssai: Snssai | None) -> _UnitRecord:
+        """The record of the unit ``(target, snssai)``, made when first met
+        and kept for the orchestrator's life."""
+        rec = self._unit_recs.get((target, snssai))
+        if rec is None:
+            caps: dict[str, int] = {}
+            if target is ScaleTarget.SHARED_DU:
+                holder, attr = self.aux, "current_il"
+                levels = [il.id for il in self.ds.aux_nsds[self.aux.aux_nsd_ref].ils]
+            elif target is ScaleTarget.DU:
+                holder, attr = self.subnets[snssai], "du_sl"
+                levels = self._nsd(snssai).sa_du.sl_ids()
+            else:
+                holder, attr, nsd = self.subnets[snssai], "cu_sl", self._nsd(snssai)
+                levels = nsd.sa_cu.sl_ids()
+                caps = {sl: self._cu_capacity_of(nsd, sl) for sl in levels}
+            snssai = getattr(holder, "snssai", None)   # the subnet's own object
+            rec = self._unit_recs[(target, snssai)] = _UnitRecord(
+                target, snssai, holder, attr, levels, caps,
+                deque(maxlen=max(self.thresholds.window, 1)))
+        return rec
 
-    def _step(self, unit: Unit, direction: Direction) -> tuple[str, str | None]:
+    def _units(self) -> list[_UnitRecord]:
+        """Every scaling unit, in policy order: each subnet's CU, then the
+        shared DU pool or each subnet's dedicated DU pool. Rebuilt only
+        when the subnet set or the auxiliary service changes."""
+        slices = self._sorted_slices()
+        key = (slices, self.aux is None)
+        if key != self._policy_order[0]:
+            pools = ([(ScaleTarget.SHARED_DU, None)] if self.aux is not None
+                     else [(ScaleTarget.DU, s) for s in slices])
+            units = [(ScaleTarget.CU, s) for s in slices] + pools
+            self._policy_order = (key, [self._unit(*unit) for unit in units])
+        return self._policy_order[1]
+
+    def _step(self, rec: _UnitRecord, direction: Direction) -> tuple[str, str | None]:
         """The unit's current level and the adjacent one in ``direction``
         (None at a boundary)."""
-        target, snssai = unit
-        if target is ScaleTarget.SHARED_DU:
-            levels = [il.id for il in self.ds.aux_nsds[self.aux.aux_nsd_ref].ils]
-            current = self.aux.current_il
-        elif target is ScaleTarget.CU:
-            levels, current = self._nsd(snssai).sa_cu.sl_ids(), self.subnets[snssai].cu_sl
-        else:
-            levels, current = self._nsd(snssai).sa_du.sl_ids(), self.subnets[snssai].du_sl
-        j = levels.index(current) + (1 if direction is Direction.UP else -1)
-        return current, (levels[j] if 0 <= j < len(levels) else None)
+        current = getattr(rec.holder, rec.attr)
+        j = rec.levels.index(current) + (1 if direction is Direction.UP else -1)
+        return current, (rec.levels[j] if 0 <= j < len(rec.levels) else None)
 
-    def _target_il(self, unit: Unit, level: str):
-        """The IL that puts ``unit`` at ``level``: the auxiliary IL for the
+    def _target_il(self, rec: _UnitRecord, level: str):
+        """The IL that puts the unit at ``level``: the auxiliary IL for the
         shared pool, else the subnet's declared IL for its new (cu_sl,
         du_sl) pair, None if it declares none."""
-        target, snssai = unit
-        if target is ScaleTarget.SHARED_DU:
+        if rec.target is ScaleTarget.SHARED_DU:
             return self.ds.aux_nsds[self.aux.aux_nsd_ref].il(level)
-        subnet = self.subnets[snssai]
-        pair = (level, subnet.du_sl) if target is ScaleTarget.CU else (subnet.cu_sl, level)
-        return self._nsd(snssai).find_il(*pair)
+        subnet = rec.holder
+        pair = (level, subnet.du_sl) if rec.target is ScaleTarget.CU else (subnet.cu_sl, level)
+        return self._nsd(rec.snssai).find_il(*pair)
 
     def scale(self, target: ScaleTarget, direction: Direction,
               snssai: Snssai | None = None,
@@ -718,12 +763,12 @@ class Orchestrator:
             raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
         elif target is ScaleTarget.DU and self.aux is not None:
             raise OrchestrationError("shared DUs scale through the auxiliary service")
-        unit = (target, snssai)
-        current, level = self._step(unit, direction)
+        rec = self._unit(target, snssai)
+        current, level = self._step(rec, direction)
         who = "auxiliary service" if snssai is None else f"{target.value} of {snssai}"
         if level is None:
             raise AtBoundaryError(f"{who} has no level {direction.value} from {current!r}")
-        il = self._target_il(unit, level)
+        il = self._target_il(rec, level)
         if il is None:
             raise NoMatchingIlError(
                 f"gnb_nsd[{self.subnets[snssai].nsd_ref}] declares no IL putting "
@@ -786,35 +831,39 @@ class Orchestrator:
         alloc = self._allocated_map()
         handoff, self._handoff = self._handoff, None
         if handoff is not None and handoff[0] == self._handoff_key(alloc):
-            insts = handoff[1]
+            insts = self._checked = handoff[1]
         else:
             insts = self._project(alloc)
-        for unit in self._units():
-            target, s = unit
-            mine = _own(unit, insts)
-            if target is ScaleTarget.CU:
-                util = mine[0].per_slice[s] / self._cu_capacity_of(self._nsd(s),
-                                                                   self.subnets[s].cu_sl)
+            self._checked = None
+        layout = self.instances()
+        for rec in self._units():
+            own = rec.positions(layout)
+            if rec.target is ScaleTarget.CU:
+                util = insts[own[0]].per_slice[rec.snssai] / rec.caps[rec.holder.cu_sl]
             else:
-                util = sum(i.consumption for i in mine) / sum(i.capacity for i in mine)
-            self._history(unit).append(util)
+                util = (sum(insts[j].consumption for j in own)
+                        / sum(insts[j].capacity for j in own))
+            rec.hist.append(util)
         return insts
 
-    def _history(self, unit: Unit) -> deque[float]:
-        if unit not in self._hist:
-            self._hist[unit] = deque(maxlen=max(self.thresholds.window, 1))
-        return self._hist[unit]
+    def isolation_violations(self, snapshot: Sequence[Instance]) -> int:
+        """How many instances of ``snapshot`` break isolation; 0 unchecked
+        for the hand-off projection, which allocate_prbs has checked."""
+        if snapshot is self._checked:
+            return 0
+        return sum(self._limit(inst, vnic=False) is not None for inst in snapshot)
 
-    def _down_feasible(self, unit: Unit, level: str) -> bool:
+    def _down_feasible(self, rec: _UnitRecord, level: str) -> bool:
         """Whether the unit's own instances, projected at the current
         allocations with the unit at ``level``, stay within capacity,
         isolation and (DU pools only) the vNIC limits."""
-        vnic = unit[0] is not ScaleTarget.CU
+        vnic = rec.target is not ScaleTarget.CU
+        over = self.instances({(rec.target, rec.snssai): level})
         return not any(
             (not inst.shared and inst.consumption > inst.capacity)
             or self._limit(inst, vnic=vnic) is not None
             for inst in self._project(self._allocated_map(),
-                                      insts=_own(unit, self.instances({unit: level}))))
+                                      insts=[over[j] for j in rec.positions(over)]))
 
     def apply_scaling_policies(self) -> list[ScalingEvent]:
         """Evaluate the threshold policy per scaling unit and apply the
@@ -822,23 +871,21 @@ class Orchestrator:
         declared IL; a scale-down that would break a limit at the current
         allocations is suppressed, so admitted DRBs are never evicted."""
         events: list[ScalingEvent] = []
-        for unit in self._units():
-            hist = self._history(unit)
-            if not hist:
+        for rec in self._units():
+            if not rec.hist:
                 continue
-            decision = evaluate_scaling_policy(hist, self.thresholds,
-                                               last_event=self._last_scale.get(unit),
-                                               now=self.clock)
+            decision = evaluate_scaling_policy(rec.hist, self.thresholds,
+                                               last_event=rec.last, now=self.clock)
             if decision is None:
                 continue
-            level = self._step(unit, decision)[1]
-            if (level is None or self._target_il(unit, level) is None
-                    or (decision is Direction.DOWN and not self._down_feasible(unit, level))):
+            level = self._step(rec, decision)[1]
+            if (level is None or self._target_il(rec, level) is None
+                    or (decision is Direction.DOWN and not self._down_feasible(rec, level))):
                 continue
             cause = (ScalingCause.LOAD_INCREASE if decision is Direction.UP
                      else ScalingCause.LOAD_DECREASE)
-            events += self.scale(unit[0], decision, unit[1], cause)
-            self._last_scale[unit] = (self.clock, decision)
+            events += self.scale(rec.target, decision, rec.snssai, cause)
+            rec.last = (self.clock, decision)
         return events
 
     # -- accounting ----------------------------------------------------------------

@@ -424,6 +424,9 @@ def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
     rngs = {s: random.Random(f"{config.seed}:{profiles[s].seed}:{s.key()}")
             for s in slices}
     departures: dict[int, list[tuple[Snssai, str]]] = {}
+    waits: dict[int, float] = {}    # a DU's vNIC wait per PRB count
+    layout = None                   # the instance tuple ``plan`` indexes
+    plan: list[tuple[Snssai, list[int], int]] = []
 
     for tick in range(config.ticks):
         for snssai, drb_id in departures.pop(tick, []):
@@ -453,20 +456,28 @@ def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
 
         alloc = orch.allocate_prbs(config.total_prbs)
         snapshot = orch.observe_utilization()
+        # Each slice's DUs and CU in the layout the snapshot was projected
+        # from, found again only once a scaling replaces it.
+        if (live := orch.instances()) is not layout:
+            layout = live
+            plan = [(s, [j for j, i in enumerate(layout) if i.kind == "du" and s in i.owners],
+                     next(j for j, i in enumerate(layout) if i.kind == "cu" and s in i.owners))
+                    for s in slices]
         events = orch.apply_scaling_policies()
+        violations = orch.isolation_violations(snapshot)
 
-        violations = sum(orch._limit(inst, vnic=False) is not None for inst in snapshot)
-
+        utils = [i.utilization for i in snapshot]
+        for i in snapshot:
+            if i.kind == "du" and i.prbs not in waits:
+                waits[i.prbs] = _safe_wait(i.prbs, config.params)
         slice_rows = []
-        for s in slices:
-            du_insts = [i for i in snapshot if i.kind == "du" and s in i.owners]
-            cu_inst = next(i for i in snapshot if i.kind == "cu" and s in i.owners)
+        for s, dus, cu in plan:
             slice_rows.append(SliceRow(
                 snssai=s,
                 prbs=alloc[s],
-                du_util=max(i.utilization for i in du_insts),
-                cu_util=cu_inst.utilization,
-                vnic_wait_s=max(_safe_wait(i.prbs, config.params) for i in du_insts),
+                du_util=max(utils[j] for j in dus),
+                cu_util=utils[cu],
+                vnic_wait_s=max(waits[snapshot[j].prbs] for j in dus),
                 arrived=arrived_count[s],
                 admitted=admitted_count[s],
                 rejected=rejected_count[s],

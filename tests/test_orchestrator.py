@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import math
 import random
+from collections import deque
 
 import pytest
 
@@ -183,6 +184,15 @@ def test_departure_frees_capacity(ds_two_slices):
     assert orch.depart_drb(embb, "big")
     assert admit_prbs(orch, ds_two_slices, embb, 10).admitted
     assert not orch.depart_drb(embb, "big")  # already gone
+
+
+def test_departure_requires_instantiated_subnet():
+    ds = build_descriptor_set(n_slices=2)
+    orch = make_orch(ds, instantiate=False)
+    embb, urllc = ds.snssais()
+    orch.instantiate_subnet(embb)
+    with pytest.raises(UnknownSnssaiError):
+        orch.depart_drb(urllc, "x")
 
 
 # -- PRB allocation -----------------------------------------------------------
@@ -506,13 +516,25 @@ def test_policy_requires_history():
         evaluate_scaling_policy([], TH)
 
 
+def test_policy_averages_the_last_window_samples_in_order():
+    th = ScalingThresholds(hi=0.2, lo=0.1, window=3, cooldown=0)
+    # The older samples are left out; the last three, summed oldest
+    # first, average to 0.20000000000000004, just above hi (newest first
+    # they would average to 0.19999999999999998).
+    for history in ([5.0, 0.1, 0.2, 0.3], deque([0.0] * 7 + [0.1, 0.2, 0.3])):
+        assert evaluate_scaling_policy(history, th) is Direction.UP
+    assert evaluate_scaling_policy([0.3, 0.2, 0.1], th) is None
+    # A history shorter than the window is averaged whole.
+    assert evaluate_scaling_policy([0.05, 0.1], th) is Direction.DOWN
+
+
 def test_policy_driven_cu_scale_up(ds_two_slices):
     ds = build_descriptor_set(n_slices=2, du_vcpus=4)
     orch = make_orch(ds, budget=CapacityBudget(4.0, 0.9))
     embb = ds.snssais()[0]
     admit_prbs(orch, ds, embb, 90)
     orch.allocate_prbs(273)
-    orch._history((ScaleTarget.CU, embb)).extend([0.95] * 5)
+    orch._unit(ScaleTarget.CU, embb).hist.extend([0.95] * 5)
     events = orch.apply_scaling_policies()
     cu_events = [e for e in events if e.target is ScaleTarget.CU and e.snssai == embb]
     assert len(cu_events) == 1
@@ -525,7 +547,7 @@ def test_policy_at_the_top_level_gives_no_event(ds_two_slices):
     orch.scale(ScaleTarget.CU, Direction.UP, embb)
     with pytest.raises(AtBoundaryError):
         orch.scale(ScaleTarget.CU, Direction.UP, embb)
-    orch._history((ScaleTarget.CU, embb)).extend([0.95] * 5)
+    orch._unit(ScaleTarget.CU, embb).hist.extend([0.95] * 5)
     assert orch.apply_scaling_policies() == []
     assert orch.subnets[embb].cu_sl == "cu-sl-2"
 
@@ -711,6 +733,32 @@ def test_observation_reuses_the_allocation_projection(monkeypatch):
     # The hand-off is used once: the next observation projects afresh.
     assert orch.observe_utilization() == snapshot
     assert len(projections) == 1
+
+
+def recounted_violations(orch, snapshot) -> int:
+    return sum(not check_isolation(
+        i.per_slice, CapacityBudget(i.capacity, orch.budget.per_slice_cap)).ok
+        for i in snapshot if i.shared)
+
+
+def test_an_edit_before_observation_is_reprojected_and_counted(ds_two_slices):
+    # s2: the hand-off projection passed allocation's isolation check and
+    # counts no violation unchecked. Allocations raised by hand between
+    # allocate_prbs and observe_utilization miss the hand-off, so the
+    # snapshot is projected afresh and its violations are counted.
+    orch = make_orch(ds_two_slices, scenario=Scenario.S2_ALL_SHARED)
+    for s in ds_two_slices.snssais():
+        assert admit_prbs(orch, ds_two_slices, s, 40).admitted
+    orch.allocate_prbs(273)
+    snapshot = orch.observe_utilization()
+    assert orch.isolation_violations(snapshot) == 0 == recounted_violations(orch, snapshot)
+    orch.allocate_prbs(273)
+    for sub in orch.subnets.values():
+        sub.allocated_prbs = 273
+    snapshot = orch.observe_utilization()
+    assert all(i.prbs == 273 * len(i.owners) for i in snapshot)
+    assert recounted_violations(orch, snapshot) > 0
+    assert orch.isolation_violations(snapshot) == recounted_violations(orch, snapshot)
 
 
 def test_instances_follow_subnets_instantiated_one_by_one(ds_three_slices):

@@ -10,6 +10,7 @@ frozen copies of their first versions."""
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import replace
 from functools import lru_cache
 
@@ -29,8 +30,10 @@ from ranslice.orchestrator import (
     OrchestrationError,
     Orchestrator,
     ScaleTarget,
+    ScalingCause,
     ScalingThresholds,
     _share,
+    evaluate_scaling_policy,
     _snap_modulation,
 )
 from ranslice.resources import (
@@ -240,7 +243,7 @@ def as_rows(projected: list[Instance]) -> list[tuple]:
 
 def edit_by_hand(orch: Orchestrator, edit: tuple, step: int, live: list) -> None:
     """Apply one of EDITS to the orchestrator's state directly."""
-    slices = orch.ds.snssais()
+    slices = list(orch.subnets)
     if edit[0] == "append":
         _, i, prbs, (m, cr) = edit
         s = slices[i % len(slices)]
@@ -330,6 +333,166 @@ def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, d
             edit_by_hand(orch, op, step, live)
         assert orch.instances() == orch._build_instances({})
         assert_loads_match_the_reference(orch)
+
+
+class TupleKeyedPolicy(Orchestrator):
+    """The scaling policy as first written, frozen: units are
+    ``(ScaleTarget, Snssai | None)`` tuples listed afresh on every call,
+    their histories and last decisions live in dicts keyed by them, a
+    unit's instances are found by scanning, and a unit steps through its
+    levels by ``sl_ids().index``. Observation always projects afresh.
+    Projection, limits and scale() are the orchestrator's own."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ref_hist: dict[tuple, deque] = {}
+        self.ref_last: dict[tuple, tuple] = {}
+
+    def ref_units(self) -> list[tuple]:
+        slices = self._sorted_slices()
+        units = [(ScaleTarget.CU, s) for s in slices]
+        if self.aux is not None:
+            return units + [(ScaleTarget.SHARED_DU, None)]
+        return units + [(ScaleTarget.DU, s) for s in slices]
+
+    @staticmethod
+    def ref_own(unit, insts) -> list[Instance]:
+        target, snssai = unit
+        kind = "cu" if target is ScaleTarget.CU else "du"
+        return [i for i in insts if i.kind == kind and (snssai is None or snssai in i.owners)]
+
+    def ref_step(self, unit, direction):
+        target, snssai = unit
+        if target is ScaleTarget.SHARED_DU:
+            levels = [il.id for il in self.ds.aux_nsds[self.aux.aux_nsd_ref].ils]
+            current = self.aux.current_il
+        elif target is ScaleTarget.CU:
+            levels, current = self._nsd(snssai).sa_cu.sl_ids(), self.subnets[snssai].cu_sl
+        else:
+            levels, current = self._nsd(snssai).sa_du.sl_ids(), self.subnets[snssai].du_sl
+        j = levels.index(current) + (1 if direction is Direction.UP else -1)
+        return levels[j] if 0 <= j < len(levels) else None
+
+    def ref_target_il(self, unit, level):
+        target, snssai = unit
+        if target is ScaleTarget.SHARED_DU:
+            return self.ds.aux_nsds[self.aux.aux_nsd_ref].il(level)
+        subnet = self.subnets[snssai]
+        pair = (level, subnet.du_sl) if target is ScaleTarget.CU else (subnet.cu_sl, level)
+        return self._nsd(snssai).find_il(*pair)
+
+    def observe_utilization(self) -> list[Instance]:
+        insts = self._project(self._allocated_map())
+        for unit in self.ref_units():
+            target, s = unit
+            mine = self.ref_own(unit, insts)
+            if target is ScaleTarget.CU:
+                util = mine[0].per_slice[s] / self._cu_capacity_of(self._nsd(s),
+                                                                   self.subnets[s].cu_sl)
+            else:
+                util = sum(i.consumption for i in mine) / sum(i.capacity for i in mine)
+            self.ref_hist.setdefault(unit, deque(maxlen=self.thresholds.window)).append(util)
+        return insts
+
+    def apply_scaling_policies(self) -> list:
+        events = []
+        for unit in self.ref_units():
+            hist = self.ref_hist.get(unit)
+            if not hist:
+                continue
+            decision = evaluate_scaling_policy(list(hist), self.thresholds,
+                                               self.ref_last.get(unit), self.clock)
+            if decision is None:
+                continue
+            level = self.ref_step(unit, decision)
+            if level is None or self.ref_target_il(unit, level) is None:
+                continue
+            if decision is Direction.DOWN and any(
+                    (not inst.shared and inst.consumption > inst.capacity)
+                    or self._limit(inst, vnic=unit[0] is not ScaleTarget.CU) is not None
+                    for inst in self._project(
+                        self._allocated_map(),
+                        insts=self.ref_own(unit, self.instances({unit: level})))):
+                continue
+            cause = (ScalingCause.LOAD_INCREASE if decision is Direction.UP
+                     else ScalingCause.LOAD_DECREASE)
+            events += self.scale(unit[0], decision, unit[1], cause)
+            self.ref_last[unit] = (self.clock, decision)
+        return events
+
+
+def assert_histories_match(orch: Orchestrator, ref: TupleKeyedPolicy) -> None:
+    """Every unit the policy walks, in policy order, with its history."""
+    assert [((r.target, r.snssai), list(r.hist)) for r in orch._units()] == [
+        (u, list(ref.ref_hist.get(u, ()))) for u in ref.ref_units()]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n_slices=st.integers(1, 3), n_start=st.integers(1, 3), du_vcpus=st.sampled_from((1, 4)),
+       scenario=st.sampled_from(Scenario),
+       ops=op_lists(200.0, *STATE_EDITS, st.just(("instantiate",)), min_size=4))
+def test_unit_records_match_the_tuple_keyed_policy(n_slices, n_start, du_vcpus, scenario, ops):
+    # Two orchestrators in lockstep, the second running the frozen
+    # policy. Subnets after the first ``n_start`` are instantiated by an
+    # op, which rebuilds the unit set between observations.
+    ds = descriptor_set(n_slices, du_vcpus)
+    slices = ds.snssais()
+    orch, ref = (cls(ds, scenario, PARAMS, BUDGET, THRESHOLDS, vnic_delay_cap_s=5e-3)
+                 for cls in (Orchestrator, TupleKeyedPolicy))
+    both = (orch, ref)
+    waiting = list(slices)
+    live: list[tuple] = []
+    for step, op in enumerate((("instantiate",),) * n_start + tuple(ops)):
+        if op[0] == "instantiate":
+            if waiting:
+                s = waiting.pop(0)
+                for o in both:
+                    o.instantiate_subnet(s)
+            continue
+        here = list(orch.subnets)
+        if op[0] == "scale":
+            _, target, direction, i = op
+            outcomes = []
+            for o in both:
+                try:
+                    outcomes.append(o.scale(target, direction, here[i % len(here)]))
+                except OrchestrationError as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1]
+        elif op[0] == "admit":
+            _, i, mbps, (m, cr) = op
+            s = here[i % len(here)]
+            drb = Drb(f"d{step}", s, DrbQos(mbps, 20.0, 0.99))
+            decisions = [o.admit_drb(s, drb, m, cr) for o in both]
+            assert decisions[0] == decisions[1]
+            if decisions[0].admitted:
+                live.append((s, drb.drb_id))
+        elif op[0] == "depart" and live:
+            gone = live.pop(op[1] % len(live))
+            for o in both:
+                o.depart_drb(*gone)
+        elif op[0] == "tick":
+            for o in both:
+                o.allocate_prbs(273)
+                o.observe_utilization()
+            assert orch.apply_scaling_policies() == ref.apply_scaling_policies()
+            for o in both:
+                o.advance_clock()
+        elif op[0] == "handoff":
+            for o in both:
+                o.allocate_prbs(273)
+            edit_by_hand(ref, op[1], step, live.copy())
+            edit_by_hand(orch, op[1], step, live)
+            assert as_rows(orch.observe_utilization()) == as_rows(ref.observe_utilization())
+        elif op[0] == "allocate":
+            assert orch.allocate_prbs(273) == ref.allocate_prbs(273)
+        elif op[0] == "observe":
+            assert as_rows(orch.observe_utilization()) == as_rows(ref.observe_utilization())
+        elif op[0] in ("append", "level", "prbs", "params"):
+            edit_by_hand(ref, op, step, live.copy())
+            edit_by_hand(orch, op, step, live)
+        assert_histories_match(orch, ref)
+    assert orch.events == ref.events
 
 
 def test_load_memo_sees_changes_made_to_the_drb_list_directly(ds_two_slices):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +11,11 @@ import yaml
 
 from helpers import build_descriptor_set, build_documents, make_config
 
+from ranslice.cli import _load_descriptors
+from ranslice.config import load_sim_config
 from ranslice.descriptors import DescriptorSet, parse_descriptor_set
-from ranslice.orchestrator import BaselineOverloadError
-from ranslice.resources import CapacityBudget, ResourceModelParams
+from ranslice.orchestrator import BaselineOverloadError, Orchestrator, ScalingThresholds
+from ranslice.resources import CapacityBudget, ResourceModelParams, check_isolation
 from ranslice.sim import (
     ConfigError,
     DemandProfile,
@@ -26,6 +29,7 @@ from ranslice.sim import (
 from ranslice.topology import DrbQos, Scenario
 
 AMPLE_PARAMS = ResourceModelParams(c0=0.01, k=1e-4, beta=0.35)
+DEMO = Path(__file__).parent.parent / "demo"
 
 
 def test_zero_ticks_rejected_at_config_validation(ds_two_slices):
@@ -129,6 +133,50 @@ def test_shared_run_never_uses_more_vcpu_ticks(ds_two_slices):
     admitted2 = [sr.admitted for row in t2.rows for sr in row.slices]
     assert admitted1 == admitted2
     assert summarize(t2).total_vcpu_ticks <= summarize(t1).total_vcpu_ticks + 1e-9
+
+
+def _violation_cases():
+    """The demo, and a 3-slice deployment hit by a burst that scales
+    every unit up and back down."""
+    synthetic = build_descriptor_set(n_slices=3, du_counts=(1, 2, 4), cu_vcpus=(1, 2, 4),
+                                     du_vcpus=4)
+    return [
+        (_load_descriptors(str(DEMO / "descriptors")), load_sim_config(str(DEMO / "config.yaml"))),
+        (synthetic, make_config(synthetic, ticks=60, params=ResourceModelParams(c0=0.02, k=0.004),
+                                budget=CapacityBudget(4.0, 0.9),
+                                thresholds=ScalingThresholds(hi=0.8, lo=0.3, window=3, cooldown=2),
+                                initial_drbs=30, mean_holding=10.0, throughput_mbps=5.0)),
+    ]
+
+
+@pytest.mark.parametrize("overload", [False, True], ids=["allocated", "overloaded"])
+def test_violation_counts_match_an_independent_recount(monkeypatch, overload):
+    # Each row's isolation_violations against a recount of its instances
+    # with check_isolation. "overloaded" gives every slice the whole cell
+    # after allocation, so observation projects afresh and finds
+    # violations.
+    if overload:
+        allocate = Orchestrator.allocate_prbs
+
+        def allocate_then_overload(self, total_prbs):
+            alloc = allocate(self, total_prbs)
+            for sub in self.subnets.values():
+                sub.allocated_prbs = total_prbs
+            return alloc
+
+        monkeypatch.setattr(Orchestrator, "allocate_prbs", allocate_then_overload)
+    found = 0
+    for ds, config in _violation_cases():
+        for scenario in Scenario:
+            trace = run(dataclasses.replace(config, scenario=scenario), ds)
+            cap = config.budget.per_slice_cap
+            for row in trace.rows:
+                recount = sum(
+                    not check_isolation(i.per_slice, CapacityBudget(i.capacity, cap)).ok
+                    for i in row.instances if i.shared)
+                assert row.isolation_violations == recount
+                found += recount
+    assert (found > 0) == overload
 
 
 def test_compare_single_slice_scenarios_coincide():
