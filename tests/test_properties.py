@@ -1,7 +1,8 @@
 """Property tests of the scaling-unit model, of the scoped admission
 check and of the projection memos: random sequences of scale, admit,
 depart and tick operations, under every sharing scenario, some of them
-also editing state by hand between allocation and observation. Then
+also editing state by hand between allocation and observation, and
+the unit records against a frozen copy of the tuple-keyed policy. Then
 properties over generated deployments and loads: a pool's head decides
 admission for its pool, and allocation stays within demand, budget and
 isolation. Last, the isolation predicate and the modulation snap against
@@ -15,7 +16,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import build_descriptor_set
@@ -427,10 +428,20 @@ def assert_histories_match(orch: Orchestrator, ref: TupleKeyedPolicy) -> None:
         (u, list(ref.ref_hist.get(u, ()))) for u in ref.ref_units()]
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(n_slices=st.integers(1, 3), n_start=st.integers(1, 3), du_vcpus=st.sampled_from((1, 4)),
        scenario=st.sampled_from(Scenario),
        ops=op_lists(200.0, *STATE_EDITS, st.just(("instantiate",)), min_size=4))
+# A shared CU above one subnet's own CU level; a unit set rebuilt after
+# the first subnet's units have a history; a DU pool resized by hand.
+@example(n_slices=2, n_start=2, du_vcpus=4, scenario=Scenario.S2_ALL_SHARED,
+         ops=[("scale", ScaleTarget.CU, Direction.UP, 0), ("admit", 0, 50.0, (6, 0.75)),
+              ("admit", 1, 50.0, (6, 0.75)), ("tick",)])
+@example(n_slices=2, n_start=1, du_vcpus=4, scenario=Scenario.S4_DU_SHARED,
+         ops=[("admit", 0, 50.0, (6, 0.75)), ("tick",), ("instantiate",), ("tick",)])
+@example(n_slices=2, n_start=2, du_vcpus=1, scenario=Scenario.S1_DEDICATED,
+         ops=[("admit", 0, 50.0, (6, 0.75)), ("tick",),
+              ("handoff", ("level", "du", 0, 2)), ("tick",)])
 def test_unit_records_match_the_tuple_keyed_policy(n_slices, n_start, du_vcpus, scenario, ops):
     # Two orchestrators in lockstep, the second running the frozen
     # policy. Subnets after the first ``n_start`` are instantiated by an

@@ -136,8 +136,8 @@ def test_shared_run_never_uses_more_vcpu_ticks(ds_two_slices):
 
 
 def _violation_cases():
-    """The demo, and a 3-slice deployment hit by a burst that scales
-    every unit up and back down."""
+    """The demo, and a 3-slice deployment hit by a burst that drains,
+    so that its CUs and DU pools scale up and back down."""
     synthetic = build_descriptor_set(n_slices=3, du_counts=(1, 2, 4), cu_vcpus=(1, 2, 4),
                                      du_vcpus=4)
     return [
