@@ -30,7 +30,7 @@ from typing import Any, Mapping
 
 import yaml
 
-from .descriptors import ServiceType, Snssai, load_yaml
+from .descriptors import DescriptorSyntaxError, Snssai, load_yaml, parse_snssai
 from .orchestrator import ScalingThresholds
 from .resources import CapacityBudget, ResourceModelParams
 from .sim import ConfigError, DemandProfile, McsAtom, SimConfig
@@ -64,16 +64,10 @@ def _int(m: Mapping[str, Any], key: str, path: str, default: int | None = None) 
 
 
 def _snssai(obj: Any, path: str) -> Snssai:
-    m = _need_map(obj, path)
-    raw = m.get("service_type")
-    for member in ServiceType:
-        if member.value == raw:
-            subtype = m.get("subtype")
-            if subtype is not None and not isinstance(subtype, str):
-                raise ConfigError(f"{path}.subtype", "expected a string")
-            return Snssai(service_type=member, subtype=subtype)
-    allowed = ", ".join(member.value for member in ServiceType)
-    raise ConfigError(f"{path}.service_type", f"{raw!r} not one of {allowed}")
+    try:
+        return parse_snssai(obj, "config", path)
+    except DescriptorSyntaxError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def resource_params_from_dict(m: Mapping[str, Any], path: str = "resource") -> ResourceModelParams:

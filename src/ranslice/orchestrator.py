@@ -85,6 +85,8 @@ class ScaleTarget(enum.Enum):
 # shared DU pool (no snssai). Each unit has ordered levels, one history
 # and scales on its own.
 Unit = tuple[ScaleTarget, Snssai | None]
+# Where each slice's DU pool (a range) and CU sit in an instance tuple.
+Pools = Mapping[Snssai, tuple[range, int]]
 
 
 class ScalingCause(enum.Enum):
@@ -212,21 +214,27 @@ class AuxServiceInstance:
 
 @dataclass(frozen=True, slots=True)
 class Instance:
-    """One VNF instance: its kind, the slices it serves, whether it is
-    shared between several of them, its flavour capacity (vCPUs) and its
-    position ``index`` in a pool of ``pool`` instances that split each
-    owner's PRBs evenly (a CU is a pool of one). A projection fills in
-    its load: each owner's vCPU use and the PRBs through its vNIC."""
+    """One VNF instance: its kind, the slices it serves, its flavour
+    capacity (vCPUs) and its position ``index`` in a pool of ``pool``
+    instances that split each owner's PRBs evenly (a CU is a pool of
+    one). A projection fills in its load: each owner's vCPU use and the
+    PRBs through its vNIC."""
 
     instance_id: str
     kind: str                    # "cu" | "du"
     owners: tuple[Snssai, ...]
-    shared: bool
     capacity: float
     index: int = 0
     pool: int = 1
     per_slice: Mapping[Snssai, float] = field(default_factory=dict)
     prbs: int = 0
+
+    @property
+    def shared(self) -> bool:
+        """Whether several slices own it. With a single owner a "shared"
+        instance degenerates to a dedicated one: there is no other slice
+        for the cap to protect."""
+        return len(self.owners) > 1
 
     @property
     def consumption(self) -> float:
@@ -284,8 +292,8 @@ def _snap_modulation(value: float) -> int:
 class _UnitRecord:
     """One scaling unit: ``holder.attr`` is its live level (a subnet's
     cu_sl or du_sl, or the auxiliary IL), one of ``levels`` in order, and
-    ``caps`` a CU's vCPUs per level; then its utilization history, last
-    policy decision, and own instances' positions in the tuple ``layout``."""
+    ``caps`` a CU's vCPUs per level; then its utilization history and
+    last policy decision."""
 
     target: ScaleTarget
     snssai: Snssai | None
@@ -295,19 +303,13 @@ class _UnitRecord:
     caps: dict[str, int]
     hist: deque[float]
     last: tuple[int, Direction] | None = None
-    layout: tuple[Instance, ...] | None = None
-    own: list[int] | None = None
 
-    def positions(self, layout: tuple[Instance, ...]) -> list[int]:
-        """Where the unit's own instances (a CU unit's CU, a DU pool's DUs)
-        sit in ``layout``, recomputed only when ``layout`` is another tuple
-        than last time."""
-        if layout is not self.layout:
-            kind = "cu" if self.target is ScaleTarget.CU else "du"
-            self.own = [j for j, i in enumerate(layout)
-                        if i.kind == kind and (self.snssai is None or self.snssai in i.owners)]
-            self.layout = layout
-        return self.own
+
+def _own(rec: _UnitRecord, pools: Pools) -> range:
+    """Where the unit's own instances sit in the tuple ``pools`` indexes:
+    a CU unit's CU, or a DU pool's DUs (the shared pool is every slice's)."""
+    dus, cu = pools[rec.snssai] if rec.snssai is not None else next(iter(pools.values()))
+    return range(cu, cu + 1) if rec.target is ScaleTarget.CU else dus
 
 
 class Orchestrator:
@@ -336,13 +338,13 @@ class Orchestrator:
         self._unit_recs: dict[Unit, _UnitRecord] = {}
         self._policy_order: tuple[tuple, list[_UnitRecord]] = ((), [])
         self._instances: tuple[Instance, ...] = ()
+        self._pools: Pools = {}
         self._instances_key: list | None = None
         # Projection memos. Each is checked against live state where it is
         # read, with no invalidation hooks, so state changed from outside
         # is seen as well.
         self._slices: tuple[tuple[Snssai, ...], tuple[Snssai, ...]] = ((), ())
         self._loads: dict[Snssai, tuple] = {}
-        self._owned: tuple[tuple[Instance, ...], dict[Snssai, list[Instance]]] = ((), {})
         self._budgets: dict[tuple[float, float], CapacityBudget] = {}
         self._handoff: tuple | None = None
         self._checked: list[Instance] | None = None
@@ -412,21 +414,15 @@ class Orchestrator:
 
     # -- load projection ------------------------------------------------------
 
-    def _slice_mcs(self, snssai: Snssai,
-                   extra: tuple[Snssai, AdmittedDrb] | None = None) -> tuple[int, float]:
-        """The slice's ``SubnetInstance.mcs``, with the arriving DRB
-        ``extra`` if it belongs to this slice. ``extra`` names its slice by
-        the subnet's own Snssai object (admit_drb passes that one)."""
-        arriving = extra[1] if extra is not None and extra[0] is snssai else None
-        return self.subnets[snssai].mcs(arriving)
-
     def _slice_loads(self, snssai: Snssai,
                      extra: tuple[Snssai, AdmittedDrb] | None = None) -> tuple:
-        """The slice's load memo entry: (its MCS (see _slice_mcs), the
-        model parameters, {(instance kind, PRB share): vCPU use} computed
-        so far at those two). The entry is replaced when the MCS or
-        ``self.params`` changes, so each slice keeps one."""
-        mcs = self._slice_mcs(snssai, extra)
+        """The slice's load memo entry: (its MCS, with the arriving DRB
+        ``extra`` if it names this slice by the subnet's own Snssai object,
+        the model parameters, {(instance kind, PRB share): vCPU use}
+        computed so far at those two). The entry is replaced when the MCS
+        or ``self.params`` changes, so each slice keeps one."""
+        mcs = self.subnets[snssai].mcs(
+            extra[1] if extra is not None and extra[0] is snssai else None)
         entry = self._loads.get(snssai)
         if entry is None or entry[1] is not self.params or entry[0] != mcs:
             entry = self._loads[snssai] = (mcs, self.params, {})
@@ -443,30 +439,37 @@ class Orchestrator:
         every subnet's (cu_sl, du_sl) and the auxiliary IL, is read on
         each call, so state changed from outside is seen as well."""
         if over:
-            return self._build_instances(over)
+            return self._build_instances(over)[0]
         key = [(s, sub.cu_sl, sub.du_sl) for s, sub in self.subnets.items()]
         if self.aux is not None:
             key.append((self.aux.aux_nsd_ref, self.aux.current_il))
         if key != self._instances_key:
-            self._instances = self._build_instances({})
+            self._instances, self._pools = self._build_instances({})
             self._instances_key = key
         return self._instances
 
-    def _build_instances(self, over: Mapping[Unit, str]) -> tuple[Instance, ...]:
+    def pools(self) -> Pools:
+        """Where each slice's DU pool (a range of positions) and CU sit in
+        the live instances, from the same build as the tuple instances()
+        returns. Read-only."""
+        self.instances()
+        return self._pools
+
+    def _build_instances(self, over: Mapping[Unit, str]) -> tuple[tuple[Instance, ...], Pools]:
+        """The instances with ``over`` applied, and their pool index (see pools)."""
         slices = self._sorted_slices()
         if not slices:
-            return ()
-        # With a single owning subnet a "shared" instance degenerates to a
-        # dedicated one: there is no other slice for the cap to protect.
-        multi = len(slices) > 1
+            return (), {}
         insts: list[Instance] = []
+        dus: dict[Snssai, range] = {}
         if self.aux is not None:
             il = self.ds.aux_nsds[self.aux.aux_nsd_ref].il(
                 over.get((ScaleTarget.SHARED_DU, None), self.aux.current_il))
             any_nsd = self.ds.gnb_nsds[next(iter(self.subnets.values())).nsd_ref]
             vcpus = float(self.ds.du_vnfd(any_nsd).flavour(il.du_il_ref).vcpus)
-            insts += [Instance(du_id, "du", tuple(slices), multi, vcpus, i, il.du_count)
+            insts += [Instance(du_id, "du", tuple(slices), vcpus, i, il.du_count)
                       for i, du_id in enumerate(shared_du_ids(il.du_count))]
+            dus = dict.fromkeys(slices, range(il.du_count))
         else:
             for s in slices:
                 nsd = self._nsd(s)
@@ -476,7 +479,8 @@ class Orchestrator:
                         f"DU scale level {sl.id!r} must have exactly one constituent")
                 c = sl.constituents[0]
                 vcpus = float(self.ds.du_vnfd(nsd).flavour(c.flavour_ref).vcpus)
-                insts += [Instance(du_id, "du", (s,), False, vcpus, i, c.instance_count)
+                dus[s] = range(len(insts), len(insts) + c.instance_count)
+                insts += [Instance(du_id, "du", (s,), vcpus, i, c.instance_count)
                           for i, du_id in enumerate(dedicated_du_ids(s, c.instance_count))]
 
         cu_vcpus = {}
@@ -484,12 +488,12 @@ class Orchestrator:
             level = over.get((ScaleTarget.CU, s), self.subnets[s].cu_sl)
             cu_vcpus[s] = float(self._cu_capacity_of(self._nsd(s), level))
         if self.scenario.cu_shared:
-            insts.append(Instance(shared_cu_id(), "cu", tuple(slices), multi,
-                                  max(cu_vcpus.values())))
+            cus = dict.fromkeys(slices, len(insts))
+            insts.append(Instance(shared_cu_id(), "cu", tuple(slices), max(cu_vcpus.values())))
         else:
-            insts += [Instance(self._nsd(s).cu_id, "cu", (s,), False, cu_vcpus[s])
-                      for s in slices]
-        return tuple(insts)
+            cus = {s: len(insts) + k for k, s in enumerate(slices)}
+            insts += [Instance(self._nsd(s).cu_id, "cu", (s,), cu_vcpus[s]) for s in slices]
+        return tuple(insts), {s: (dus[s], cus[s]) for s in slices}
 
     def _project(self, prbs_by_slice: Mapping[Snssai, int],
                  extra: tuple[Snssai, AdmittedDrb] | None = None,
@@ -518,8 +522,8 @@ class Orchestrator:
                     loads[key] = consumption(SliceLoad(s, share, *entry[0]), params)
                 per_slice[s] = loads[key]
                 prbs += share
-            projected.append(Instance(inst.instance_id, inst.kind, inst.owners, inst.shared,
-                                      inst.capacity, inst.index, inst.pool, per_slice, prbs))
+            projected.append(Instance(inst.instance_id, inst.kind, inst.owners, inst.capacity,
+                                      inst.index, inst.pool, per_slice, prbs))
         return projected
 
     def _demand_map(self) -> dict[Snssai, int]:
@@ -538,8 +542,8 @@ class Orchestrator:
         the pool heads that decide it, see _owned_by)."""
         if snssai not in self.subnets:
             raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
-        # The subnet's own Snssai object: dict lookups and owner scans
-        # below then match on identity, without Snssai.__eq__.
+        # The subnet's own Snssai object: dict lookups and the arriving-DRB
+        # test below then match on identity, without Snssai.__eq__.
         snssai = self.subnets[snssai].snssai
         nsst = self.ds.nssts[self.subnets[snssai].nsst_ref]
         profile = nsst.slice_profile
@@ -558,8 +562,7 @@ class Orchestrator:
 
     def _owned_by(self, snssai: Snssai) -> list[Instance]:
         """The heads (``index == 0``) of the pools ``snssai`` owns: the
-        first instance of its DU pool and its CU. Memoised per slice on
-        the live instance tuple.
+        first instance of its DU pool and its CU.
 
         Checking the heads alone gives the same Decision as checking every
         owned instance. _share gives the remainder of a split to the
@@ -571,12 +574,8 @@ class Orchestrator:
         breaks a limit has a head that breaks one too, and the head comes
         first in the pool."""
         insts = self.instances()
-        if self._owned[0] is not insts:
-            self._owned = (insts, {})
-        owned = self._owned[1]
-        if snssai not in owned:
-            owned[snssai] = [i for i in insts if i.index == 0 and snssai in i.owners]
-        return owned[snssai]
+        dus, cu = self._pools[snssai]
+        return [insts[dus[0]], insts[cu]]
 
     def _limit(self, inst: Instance, vnic: bool = True) -> Decision | None:
         """The first limit ``inst`` breaks, or None: isolation if the
@@ -799,7 +798,7 @@ class Orchestrator:
             return None
         loaded = self._sorted_slices() if self.scenario.cu_shared else [s]
         need = sum(cu_vcpu_consumption(
-            SliceLoad(t, self.subnets[t].demand_prbs(), *self._slice_mcs(t)), self.params)
+            SliceLoad(t, self.subnets[t].demand_prbs(), *self.subnets[t].mcs()), self.params)
             for t in loaded)
         covering = [sl.id for sl in nsd.sa_cu.sls if self._cu_capacity_of(nsd, sl.id) >= need]
         chosen = nsd.find_il(covering[0] if covering else nsd.sa_cu.sls[-1].id, new_du_sl)
@@ -835,9 +834,9 @@ class Orchestrator:
         else:
             insts = self._project(alloc)
             self._checked = None
-        layout = self.instances()
+        pools = self.pools()
         for rec in self._units():
-            own = rec.positions(layout)
+            own = _own(rec, pools)
             if rec.target is ScaleTarget.CU:
                 util = insts[own[0]].per_slice[rec.snssai] / rec.caps[rec.holder.cu_sl]
             else:
@@ -858,12 +857,12 @@ class Orchestrator:
         allocations with the unit at ``level``, stay within capacity,
         isolation and (DU pools only) the vNIC limits."""
         vnic = rec.target is not ScaleTarget.CU
-        over = self.instances({(rec.target, rec.snssai): level})
+        over, pools = self._build_instances({(rec.target, rec.snssai): level})
         return not any(
             (not inst.shared and inst.consumption > inst.capacity)
             or self._limit(inst, vnic=vnic) is not None
             for inst in self._project(self._allocated_map(),
-                                      insts=[over[j] for j in rec.positions(over)]))
+                                      insts=[over[j] for j in _own(rec, pools)]))
 
     def apply_scaling_policies(self) -> list[ScalingEvent]:
         """Evaluate the threshold policy per scaling unit and apply the

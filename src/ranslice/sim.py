@@ -425,8 +425,6 @@ def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
             for s in slices}
     departures: dict[int, list[tuple[Snssai, str]]] = {}
     waits: dict[int, float] = {}    # a DU's vNIC wait per PRB count
-    layout = None                   # the instance tuple ``plan`` indexes
-    plan: list[tuple[Snssai, list[int], int]] = []
 
     for tick in range(config.ticks):
         for snssai, drb_id in departures.pop(tick, []):
@@ -456,13 +454,9 @@ def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
 
         alloc = orch.allocate_prbs(config.total_prbs)
         snapshot = orch.observe_utilization()
-        # Each slice's DUs and CU in the layout the snapshot was projected
-        # from, found again only once a scaling replaces it.
-        if (live := orch.instances()) is not layout:
-            layout = live
-            plan = [(s, [j for j, i in enumerate(layout) if i.kind == "du" and s in i.owners],
-                     next(j for j, i in enumerate(layout) if i.kind == "cu" and s in i.owners))
-                    for s in slices]
+        # Where each slice's DUs and CU sit in the snapshot, read before a
+        # scaling replaces the instances.
+        pools = orch.pools()
         events = orch.apply_scaling_policies()
         violations = orch.isolation_violations(snapshot)
 
@@ -471,7 +465,8 @@ def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
             if i.kind == "du" and i.prbs not in waits:
                 waits[i.prbs] = _safe_wait(i.prbs, config.params)
         slice_rows = []
-        for s, dus, cu in plan:
+        for s in slices:
+            dus, cu = pools[s]
             slice_rows.append(SliceRow(
                 snssai=s,
                 prbs=alloc[s],

@@ -256,7 +256,7 @@ def test_criterion_5_admission_safety():
             for sn in slices:
                 demand = orch.subnets[sn].demand_prbs()
                 worst_share = demand // pool + (1 if demand % pool else 0)
-                mm, ccr = orch._slice_mcs(sn)
+                mm, ccr = orch.subnets[sn].mcs()
                 per_slice[sn] = du_vcpu_consumption(
                     SliceLoad(sn, worst_share, mm, ccr), params)
             capacity = 2.0  # du flavour vCPUs

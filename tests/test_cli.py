@@ -185,6 +185,23 @@ def test_simulate_non_finite_config_exit_two(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("snssai", [
+    {"service_type": "broadband"},
+    {"subtype": "video"},
+    {"service_type": "uRLLC", "subtype": 7},
+], ids=["unknown-service-type", "missing-service-type", "non-string-subtype"])
+def test_simulate_bad_snssai_exit_two(tmp_path, capsys, snssai):
+    d = write_descriptors(tmp_path)
+    cfg = write_config(tmp_path)
+    raw = yaml.safe_load(cfg.read_text())
+    raw["profiles"][1]["snssai"] = snssai
+    cfg.write_text(yaml.safe_dump(raw))
+    rc = main(["simulate", "--descriptors", str(d), "--config", str(cfg),
+               "--scenario", "s1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: profiles[1].snssai: ")
+
+
 def test_compare_writes_summary(tmp_path):
     d = write_descriptors(tmp_path)
     cfg = write_config(tmp_path)

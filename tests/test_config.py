@@ -81,6 +81,19 @@ def test_error_paths_carry_field_path():
     assert "profiles" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("snssai, field", [
+    ({"service_type": "broadband"}, "service_type"),
+    ({"subtype": "meters"}, "service_type"),
+    ({"service_type": "mMTC", "subtype": 7}, "subtype"),
+], ids=["unknown-service-type", "missing-service-type", "non-string-subtype"])
+def test_bad_snssai_is_a_config_error_at_its_profile(snssai, field):
+    profiles = [BASE["profiles"][0], dict(BASE["profiles"][0], snssai=snssai)]
+    with pytest.raises(ConfigError) as excinfo:
+        sim_config_from_dict(dict(BASE, profiles=profiles))
+    assert excinfo.value.path == "profiles[1].snssai"
+    assert f"profiles[1].snssai.{field}" in str(excinfo.value)
+
+
 def test_bad_mcs_probability_sum():
     profile = dict(BASE["profiles"][0],
                    mcs=[{"modulation_order": 2, "code_rate": 0.3, "p": 0.5}])

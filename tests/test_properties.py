@@ -1,12 +1,14 @@
 """Property tests of the scaling-unit model, of the scoped admission
-check and of the projection memos: random sequences of scale, admit,
-depart and tick operations, under every sharing scenario, some of them
-also editing state by hand between allocation and observation, and
-the unit records against a frozen copy of the tuple-keyed policy. Then
-properties over generated deployments and loads: a pool's head decides
-admission for its pool, and allocation stays within demand, budget and
-isolation. Last, the isolation predicate and the modulation snap against
-frozen copies of their first versions."""
+check, of the pool index and of the projection memos: random sequences
+of scale, admit, depart and tick operations, under every sharing
+scenario, some of them also editing state by hand between allocation
+and observation or instantiating a subnet midway, the unit records
+against a frozen copy of the tuple-keyed policy, and subnets following
+a shared-DU scaling against a frozen copy of their two-search IL choice.
+Then properties over generated deployments and loads: a pool's head
+decides admission for its pool, and allocation stays within demand,
+budget and isolation. Last, the isolation predicate and the modulation
+snap against frozen copies of their first versions."""
 
 from __future__ import annotations
 
@@ -19,9 +21,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_descriptor_set
+from helpers import build_descriptor_set, build_documents
 
-from ranslice.descriptors import ServiceType, Snssai
+from ranslice.descriptors import ServiceType, Snssai, load_yaml, parse_descriptor_set
 from ranslice.orchestrator import (
     AdmittedDrb,
     BaselineOverloadError,
@@ -32,6 +34,7 @@ from ranslice.orchestrator import (
     Orchestrator,
     ScaleTarget,
     ScalingCause,
+    ScalingEvent,
     ScalingThresholds,
     _share,
     evaluate_scaling_policy,
@@ -195,7 +198,7 @@ def assert_loads_match_the_reference(orch: Orchestrator) -> None:
     for s, sub in orch.subnets.items():
         demand, m, cr = reference_load(orch, s)
         assert sub.demand_prbs() == demand
-        assert orch._slice_mcs(s) == (m, cr)
+        assert orch.subnets[s].mcs() == (m, cr)
 
 
 def reference_projection(orch: Orchestrator, prbs_by_slice, extra=None) -> list[Instance]:
@@ -205,7 +208,7 @@ def reference_projection(orch: Orchestrator, prbs_by_slice, extra=None) -> list[
     Mutates nothing and reads no memo."""
     mcs = {s: reference_load(orch, s, extra)[1:] for s in orch.subnets}
     projected = []
-    for inst in orch._build_instances({}):
+    for inst in orch._build_instances({})[0]:
         consumption = du_vcpu_consumption if inst.kind == "du" else cu_vcpu_consumption
         per_slice = {}
         prbs = 0
@@ -213,9 +216,17 @@ def reference_projection(orch: Orchestrator, prbs_by_slice, extra=None) -> list[
             share = _share(prbs_by_slice.get(s, 0), inst.pool, inst.index)
             per_slice[s] = consumption(SliceLoad(s, share, *mcs[s]), orch.params)
             prbs += share
-        projected.append(Instance(inst.instance_id, inst.kind, inst.owners, inst.shared,
-                                  inst.capacity, inst.index, inst.pool, per_slice, prbs))
+        projected.append(Instance(inst.instance_id, inst.kind, inst.owners, inst.capacity,
+                                  inst.index, inst.pool, per_slice, prbs))
     return projected
+
+
+def owner_scan(insts) -> dict:
+    """Each owner's DU positions and CU positions in ``insts``, found by
+    scanning every instance's owners."""
+    return {s: ([j for j, i in enumerate(insts) if i.kind == "du" and s in i.owners],
+                [j for j, i in enumerate(insts) if i.kind == "cu" and s in i.owners])
+            for s in {s for i in insts for s in i.owners}}
 
 
 def reference_admission(orch: Orchestrator, snssai, drb, m: int, cr: float) -> Decision:
@@ -287,26 +298,30 @@ def observe_and_check(orch: Orchestrator) -> None:
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 # Large DRBs, and 4-vCPU DUs, so that the CU (a shared CU's isolation
 # or a CU's vNIC, which carries the slice's whole load) rejects too.
-@given(n_slices=st.integers(1, 3), du_vcpus=st.sampled_from((1, 4)),
-       scenario=st.sampled_from(Scenario), ops=op_lists(200.0, *STATE_EDITS, min_size=4))
-def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, du_vcpus,
-                                                                     scenario, ops):
+@given(n_slices=st.integers(1, 3), n_start=st.integers(1, 3), du_vcpus=st.sampled_from((1, 4)),
+       scenario=st.sampled_from(Scenario),
+       ops=op_lists(200.0, *STATE_EDITS, st.just(("instantiate",)), min_size=4))
+def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, n_start,
+                                                                     du_vcpus, scenario, ops):
+    # Subnets after the first ``n_start`` are instantiated by an op.
     ds = descriptor_set(n_slices, du_vcpus)
-    slices = ds.snssais()
     orch = Orchestrator(ds, scenario, PARAMS, BUDGET, THRESHOLDS, vnic_delay_cap_s=5e-3)
-    for s in slices:
-        orch.instantiate_subnet(s)
+    waiting = list(ds.snssais())
     live: list[tuple] = []
-    for step, op in enumerate(ops):
-        if op[0] == "scale":
+    for step, op in enumerate((("instantiate",),) * n_start + tuple(ops)):
+        here = list(orch.subnets)
+        if op[0] == "instantiate":
+            if waiting:
+                orch.instantiate_subnet(waiting.pop(0))
+        elif op[0] == "scale":
             _, target, direction, i = op
             try:
-                orch.scale(target, direction, slices[i % n_slices])
+                orch.scale(target, direction, here[i % len(here)])
             except OrchestrationError:
                 pass
         elif op[0] == "admit":
             _, i, mbps, (m, cr) = op
-            s = slices[i % n_slices]
+            s = here[i % len(here)]
             drb = Drb(f"d{step}", s, DrbQos(mbps, 20.0, 0.99))
             expected = reference_admission(orch, s, drb, m, cr)
             # Every other arrival names its slice by an equal Snssai that
@@ -332,7 +347,11 @@ def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, d
             observe_and_check(orch)
         elif op[0] in ("append", "level", "prbs", "params"):
             edit_by_hand(orch, op, step, live)
-        assert orch.instances() == orch._build_instances({})
+        fresh = orch._build_instances({})[0]
+        assert orch.instances() == fresh
+        # The live pool index equals an owner scan of a fresh build.
+        assert {s: (list(dus), [cu]) for s, (dus, cu) in orch.pools().items()} == \
+            owner_scan(fresh)
         assert_loads_match_the_reference(orch)
 
 
@@ -515,7 +534,7 @@ def test_load_memo_sees_changes_made_to_the_drb_list_directly(ds_two_slices):
         return AdmittedDrb(Drb(f"d{i}", s, DrbQos(10.0, 20.0, 0.99)), prbs, m, cr)
 
     def load():
-        return (sub.demand_prbs(), *orch._slice_mcs(s))
+        return (sub.demand_prbs(), *orch.subnets[s].mcs())
 
     assert load() == (0, 2, 1.0)
     sub.admitted_drbs.append(drb(0, 30, 8, 0.9))
@@ -524,7 +543,126 @@ def test_load_memo_sees_changes_made_to_the_drb_list_directly(ds_two_slices):
     sub.admitted_drbs[1] = drb(2, 50, 4, 0.5)      # same length, another DRB
     assert load() == reference_load(orch, s)
     sub.admitted_drbs.clear()
-    assert sub.demand_prbs() == 0 and orch._slice_mcs(s) == (2, 1.0)
+    assert sub.demand_prbs() == 0 and orch.subnets[s].mcs() == (2, 1.0)
+
+
+class TwoSearchFollow(Orchestrator):
+    """_follow_aux as it was with two IL searches, frozen: find_il at the
+    smallest CU level covering the demand (the largest if none does),
+    then, if that pair is not declared, the cheapest covering IL."""
+
+    def _follow_aux(self, s, cause):
+        subnet = self.subnets[s]
+        nsd = self._nsd(s)
+        new_du_sl = self.aux.current_il
+        if nsd.sa_du.sl(new_du_sl) is None:
+            self.findings.append(
+                f"InconsistentIl: {s}: sa_du has no scale level {new_du_sl!r}")
+            return None
+        loaded = self._sorted_slices() if self.scenario.cu_shared else [s]
+        need = sum(cu_vcpu_consumption(
+            SliceLoad(t, self.subnets[t].demand_prbs(), *self.subnets[t].mcs()), self.params)
+            for t in loaded)
+        covering = [sl.id for sl in nsd.sa_cu.sls if self._cu_capacity_of(nsd, sl.id) >= need]
+        chosen = nsd.find_il(covering[0] if covering else nsd.sa_cu.sls[-1].id, new_du_sl)
+        if chosen is None:
+            candidates = [il for il in nsd.ils
+                          if il.du_sl == new_du_sl and il.cu_sl is not None
+                          and self._cu_capacity_of(nsd, il.cu_sl) >= need]
+            if not candidates:
+                self.findings.append(
+                    f"InconsistentIl: {s}: no declared IL matches du_sl {new_du_sl!r}")
+                return None
+            chosen = min(candidates, key=lambda il: self._cu_capacity_of(nsd, il.cu_sl))
+        previous = subnet.current_il
+        subnet.cu_sl, subnet.du_sl, subnet.current_il = chosen.cu_sl, chosen.du_sl, chosen.id
+        if chosen.id == previous:
+            return None
+        return ScalingEvent(time=self.clock, target=ScaleTarget.SUBNET_IL, snssai=s,
+                            from_level=previous, to_level=chosen.id, cause=cause)
+
+
+@lru_cache(maxsize=None)
+def il_documents(n_slices: int, cu_vcpus: tuple[int, ...]) -> tuple[dict, ...]:
+    """A shared-DU deployment, DU levels of 1, 2 and 3 instances and CU
+    levels of ``cu_vcpus`` vCPUs, declaring the single IL of
+    ``full_il_product=False``."""
+    return tuple(load_yaml(doc) for doc in build_documents(
+        n_slices=n_slices, du_counts=(1, 2, 3), cu_vcpus=cu_vcpus, du_vcpus=4,
+        full_il_product=False))
+
+
+def il_descriptor_set(n_slices: int, cu_vcpus: tuple[int, ...], ils: tuple | None):
+    """il_documents with each gNB NSD declaring ``ils``, (CU level, DU
+    level) index pairs in that order, instead (None keeps the single IL)."""
+    docs = il_documents(n_slices, cu_vcpus)
+    if ils is not None:
+        declared = [{"id": f"il-{i + 1}-{j + 1}", "cu_sl": f"cu-sl-{i + 1}",
+                     "du_sl": f"du-sl-{j + 1}"} for i, j in ils]
+        docs = [{**doc, "gnb_nsd": {**doc["gnb_nsd"], "ils": declared}} if "gnb_nsd" in doc
+                else doc for doc in docs]
+    return parse_descriptor_set(docs)
+
+
+@st.composite
+def il_declarations(draw) -> tuple[tuple[int, ...], tuple | None]:
+    """CU level sizes, equal sizes included, and the ILs to declare: the
+    partial product of ``full_il_product=False``, or any pairs in any
+    order with at least one at the first DU level, where a shared DU
+    starts."""
+    cu_vcpus = tuple(sorted(draw(st.lists(st.sampled_from((1, 2, 4)), min_size=1, max_size=3))))
+    if draw(st.booleans()):
+        return cu_vcpus, None
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(cu_vcpus) - 1), st.integers(0, 2)),
+                          max_size=8))
+    first = (draw(st.integers(0, len(cu_vcpus) - 1)), 0)
+    pairs.insert(draw(st.integers(0, len(pairs))), first)
+    return cu_vcpus, tuple(dict.fromkeys(pairs))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n_slices=st.integers(2, 3), declared=il_declarations(),
+       scenario=st.sampled_from((Scenario.S2_ALL_SHARED, Scenario.S4_DU_SHARED)),
+       ops=st.lists(st.one_of(
+           st.tuples(st.just("scale"), st.sampled_from((ScaleTarget.CU, ScaleTarget.SHARED_DU)),
+                     st.sampled_from(Direction), st.integers(0, 2)),
+           st.tuples(st.just("append"), st.integers(0, 2), st.integers(1, 300),
+                     st.sampled_from(MCS)),
+           st.tuples(st.just("depart"), st.integers(0, 1000))), max_size=20))
+# Two 1-vCPU CU levels; no CU level covers the load, and the largest one
+# has no IL at the new DU level: the subnet keeps its IL, with a finding.
+@example(n_slices=2, declared=((1, 1), ((0, 0), (0, 1))), scenario=Scenario.S2_ALL_SHARED,
+         ops=[("append", 0, 57, (8, 0.9)), ("scale", ScaleTarget.SHARED_DU, Direction.UP, 0)])
+def test_subnets_follow_the_shared_du_as_with_two_il_searches(n_slices, declared, scenario, ops):
+    ds = il_descriptor_set(n_slices, *declared)
+    orch, ref = (cls(ds, scenario, PARAMS, BUDGET, THRESHOLDS)
+                 for cls in (Orchestrator, TwoSearchFollow))
+    both = (orch, ref)
+    for s in ds.snssais():
+        for o in both:
+            o.instantiate_subnet(s)
+    slices = list(orch.subnets)
+    live: list[tuple] = []
+    for step, op in enumerate(ops):
+        if op[0] == "scale":
+            _, target, direction, i = op
+            outcomes = []
+            for o in both:
+                try:
+                    outcomes.append(o.scale(target, direction, slices[i % n_slices]))
+                except OrchestrationError as exc:
+                    outcomes.append(type(exc))
+            assert outcomes[0] == outcomes[1]
+        elif op[0] == "append":
+            edit_by_hand(ref, op, step, live.copy())
+            edit_by_hand(orch, op, step, live)
+        elif op[0] == "depart" and live:
+            gone = live.pop(op[1] % len(live))
+            for o in both:
+                o.depart_drb(*gone)
+        assert [(sub.current_il, sub.cu_sl, sub.du_sl) for sub in orch.subnets.values()] == \
+            [(sub.current_il, sub.cu_sl, sub.du_sl) for sub in ref.subnets.values()]
+        assert orch.findings == ref.findings
 
 
 @lru_cache(maxsize=None)

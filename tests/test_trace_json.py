@@ -82,7 +82,7 @@ SLICE_ROWS = st.builds(SliceRow, snssai=SNSSAIS, prbs=INTS, du_util=REALS, cu_ut
 # and values that are not numbers reach the writer through its capacity
 # and the slice rows instead.
 INSTANCES = st.builds(Instance, instance_id=NAMES, kind=st.one_of(NAMES, OTHER),
-                      owners=st.just(()), shared=st.booleans(), capacity=REALS,
+                      owners=st.just(()), capacity=REALS,
                       per_slice=st.dictionaries(SNSSAIS, FLOATS, max_size=2))
 TICK_ROWS = st.builds(TickRow, tick=INTS,
                       slices=st.lists(SLICE_ROWS, max_size=4).map(tuple),
