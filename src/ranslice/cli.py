@@ -156,12 +156,12 @@ def _load_anchors(path: str) -> list[tuple[SliceLoad, float]]:
             raise ConfigError(f"{path}[{i}]", "expected a mapping")
         try:
             if "snssai" in entry:
-                snssai = parse_snssai(entry["snssai"], path, f"[{i}].snssai")
+                snssai = parse_snssai(entry["snssai"], path, "")
             else:
                 # the fit does not depend on the slice identity
                 snssai = Snssai(service_type=ServiceType.EMBB)
         except DescriptorSyntaxError as exc:
-            raise ConfigError(f"{path}[{i}].snssai", str(exc)) from exc
+            raise ConfigError(f"{path}[{i}].snssai", exc.message) from exc
         where = f"{path}[{i}]"
         try:
             load = SliceLoad(

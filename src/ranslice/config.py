@@ -65,9 +65,9 @@ def _int(m: Mapping[str, Any], key: str, path: str, default: int | None = None) 
 
 def _snssai(obj: Any, path: str) -> Snssai:
     try:
-        return parse_snssai(obj, "config", path)
+        return parse_snssai(obj, "config", "")
     except DescriptorSyntaxError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        raise ConfigError(path, exc.message) from exc
 
 
 def resource_params_from_dict(m: Mapping[str, Any], path: str = "resource") -> ResourceModelParams:

@@ -59,6 +59,7 @@ class DescriptorSyntaxError(RansliceError):
     def __init__(self, document: str, message: str, line: int | None = None):
         self.document = document
         self.line = line
+        self.message = message
         where = document if line is None else f"{document}:{line}"
         super().__init__(f"{where}: {message}")
 
@@ -71,9 +72,16 @@ class DuplicateIdError(RansliceError):
         super().__init__(f"duplicate descriptor id {dup_id!r}")
 
 
+def _at(path: str, text: str, sep: str = ".") -> str:
+    """``text`` (a field name, or a message with ``sep=": "``) under
+    ``path``; ``text`` alone where ``path`` is empty (the top level)."""
+    return f"{path}{sep}{text}" if path else text
+
+
 def _as_map(obj: Any, doc: str, path: str) -> Mapping[str, Any]:
     if not isinstance(obj, Mapping):
-        raise DescriptorSyntaxError(doc, f"{path}: expected a mapping, got {type(obj).__name__}")
+        raise DescriptorSyntaxError(
+            doc, _at(path, f"expected a mapping, got {type(obj).__name__}", ": "))
     return obj
 
 
@@ -94,11 +102,11 @@ def _get(m: Mapping[str, Any], key: str, kind: type, doc: str, path: str,
     v = m.get(key)
     if v is None:
         if required:
-            raise DescriptorSyntaxError(doc, f"{path}.{key}: missing required field")
+            raise DescriptorSyntaxError(doc, f"{_at(path, key)}: missing required field")
         return default
     accepted = (int, float) if kind is float else kind
     if not isinstance(v, accepted) or (isinstance(v, bool) and kind is not bool):
-        raise DescriptorSyntaxError(doc, f"{path}.{key}: expected {_EXPECTED[kind]}")
+        raise DescriptorSyntaxError(doc, f"{_at(path, key)}: expected {_EXPECTED[kind]}")
     return float(v) if kind is float else v
 
 
@@ -108,7 +116,7 @@ def _get_enum(m: Mapping[str, Any], key: str, enum_cls, doc: str, path: str):
         if member.value == raw:
             return member
     allowed = ", ".join(member.value for member in enum_cls)
-    raise DescriptorSyntaxError(doc, f"{path}.{key}: {raw!r} not one of {allowed}")
+    raise DescriptorSyntaxError(doc, f"{_at(path, key)}: {raw!r} not one of {allowed}")
 
 
 def parse_snssai(obj: Any, doc: str, path: str) -> Snssai:

@@ -155,6 +155,22 @@ class AdmittedDrb:
     code_rate: float
 
 
+_NO_DRBS = (0, 0, 0.0, (2, 1.0))
+
+
+def _fold(drbs: Sequence[AdmittedDrb], sums: tuple = _NO_DRBS) -> tuple:
+    """``sums`` (demand PRBs, sum of est_prbs * modulation_order, sum of
+    est_prbs * code_rate, their MCS) continued over ``drbs`` by an explicit
+    left fold, so that a refold and a continuation agree to the bit."""
+    demand, m_sum, cr_sum, _ = sums
+    for a in drbs:
+        demand += a.est_prbs
+        m_sum += a.est_prbs * a.modulation_order
+        cr_sum += a.est_prbs * a.code_rate
+    mcs = (_snap_modulation(m_sum / demand), cr_sum / demand) if demand else (2, 1.0)
+    return demand, m_sum, cr_sum, mcs
+
+
 @dataclass
 class SubnetInstance:
     """Runtime state of one RAN slice subnet: its current instantiation
@@ -167,39 +183,28 @@ class SubnetInstance:
     current_il: str
     cu_sl: str
     du_sl: str
-    admitted_drbs: list[AdmittedDrb] = field(default_factory=list)
+    admitted_drbs: tuple[AdmittedDrb, ...] = ()
     allocated_prbs: int = 0
-    _memo: list | None = field(default=None, init=False, repr=False, compare=False)
+    _memo: tuple = field(default=((), _NO_DRBS), init=False, repr=False, compare=False)
 
-    def _memo_of(self, drbs: list[AdmittedDrb]) -> list:
-        """[shallow copy of ``drbs``, their demand PRBs, their MCS or None
-        until asked for]. The copy is compared with ``drbs`` on every call
-        (identity first, so cheaply), so DRBs appended or removed from
-        outside are seen as well."""
+    def _folded(self, extra: AdmittedDrb | None = None) -> tuple:
+        """The _fold sums over the admitted DRBs, with ``extra`` appended
+        if given. The memo keeps (the tuple last folded, its sums) and is
+        refolded when ``admitted_drbs`` is another object (an edit assigns
+        a new tuple; a list is always refolded); ``extra`` continues it."""
+        drbs = self.admitted_drbs
         memo = self._memo
-        if memo is None or memo[0] != drbs:
-            memo = self._memo = [list(drbs), sum(a.est_prbs for a in drbs), None]
-        return memo
+        if memo[0] is not drbs or type(drbs) is not tuple:
+            memo = self._memo = (drbs, _fold(drbs))
+        return memo[1] if extra is None else _fold((extra,), memo[1])
 
     def demand_prbs(self) -> int:
-        return self._memo_of(self.admitted_drbs)[1]
+        return self._folded()[0]
 
-    def mcs(self, extra: AdmittedDrb | None = None) -> tuple[int, float]:
-        """PRB-weighted average MCS over the admitted DRBs, with ``extra``
-        appended if given, the modulation snapped to a valid order; (2, 1.0)
-        when idle. Summed afresh in list order when the list changed, so
-        once ``extra`` is admitted its sums are reused."""
-        drbs = self.admitted_drbs if extra is None else [*self.admitted_drbs, extra]
-        memo = self._memo_of(drbs)
-        if memo[2] is None:
-            total = memo[1]
-            if total == 0:
-                memo[2] = (2, 1.0)
-            else:
-                mean_m = sum(a.est_prbs * a.modulation_order for a in drbs) / total
-                mean_cr = sum(a.est_prbs * a.code_rate for a in drbs) / total
-                memo[2] = (_snap_modulation(mean_m), mean_cr)
-        return memo[2]
+    def mcs(self) -> tuple[int, float]:
+        """PRB-weighted average MCS over the admitted DRBs, the modulation
+        snapped to a valid order; (2, 1.0) when idle."""
+        return self._folded()[3]
 
 
 @dataclass
@@ -286,6 +291,17 @@ def _snap_modulation(value: float) -> int:
         if d < gap:
             best, gap = m, d
     return best
+
+
+class _Demand(dict):
+    """Post-admission demand PRBs by slice: the arriving slice's as set,
+    any other slice's read from its subnet's memo when looked up."""
+
+    def __init__(self, subnets: Mapping[Snssai, SubnetInstance]):
+        self.subnets = subnets
+
+    def __missing__(self, s: Snssai) -> int:
+        return self.subnets[s].demand_prbs()
 
 
 @dataclass(eq=False, slots=True)
@@ -414,15 +430,13 @@ class Orchestrator:
 
     # -- load projection ------------------------------------------------------
 
-    def _slice_loads(self, snssai: Snssai,
-                     extra: tuple[Snssai, AdmittedDrb] | None = None) -> tuple:
-        """The slice's load memo entry: (its MCS, with the arriving DRB
-        ``extra`` if it names this slice by the subnet's own Snssai object,
+    def _slice_loads(self, snssai: Snssai, mcs: tuple[int, float] | None = None) -> tuple:
+        """The slice's load memo entry: (its MCS, or ``mcs`` in its place,
         the model parameters, {(instance kind, PRB share): vCPU use}
         computed so far at those two). The entry is replaced when the MCS
         or ``self.params`` changes, so each slice keeps one."""
-        mcs = self.subnets[snssai].mcs(
-            extra[1] if extra is not None and extra[0] is snssai else None)
+        if mcs is None:
+            mcs = self.subnets[snssai].mcs()
         entry = self._loads.get(snssai)
         if entry is None or entry[1] is not self.params or entry[0] != mcs:
             entry = self._loads[snssai] = (mcs, self.params, {})
@@ -496,25 +510,30 @@ class Orchestrator:
         return tuple(insts), {s: (dus[s], cus[s]) for s in slices}
 
     def _project(self, prbs_by_slice: Mapping[Snssai, int],
-                 extra: tuple[Snssai, AdmittedDrb] | None = None,
                  insts: Sequence[Instance] | None = None) -> list[Instance]:
         """Copies of ``insts`` (default: the live instances) with their
-        load filled in for a given PRB split: a slice's PRBs spread
-        evenly over the DU pool serving it, and its CU carries the full
-        slice load. Loads are read from each met slice's load memo entry
-        (_slice_loads, looked up once per projection); a consumption model
-        runs only for a (kind, share) the entry has not met yet."""
+        load filled in for a PRB split naming every owner (_loads_on)."""
+        return [Instance(inst.instance_id, inst.kind, inst.owners, inst.capacity,
+                         inst.index, inst.pool, per_slice, prbs)
+                for inst, per_slice, prbs in self._loads_on(
+                    self.instances() if insts is None else insts, prbs_by_slice, {})]
+
+    def _loads_on(self, insts: Sequence[Instance], prbs_by_slice: Mapping[Snssai, int],
+                  entries: dict[Snssai, tuple]):
+        """Yield each of ``insts`` with its owners' vCPU use and its vNIC
+        PRBs: a slice's PRBs spread evenly over the DU pool serving it, and
+        its CU carries the full slice load. Loads come from each slice's
+        load memo entry, looked up once into ``entries`` (_slice_loads); a
+        consumption model runs only for a (kind, share) new to the entry."""
         params = self.params
-        entries: dict[Snssai, tuple] = {}
-        projected = []
-        for inst in self.instances() if insts is None else insts:
+        for inst in insts:
             per_slice = {}
             prbs = 0
             for s in inst.owners:
-                share = _share(prbs_by_slice.get(s, 0), inst.pool, inst.index)
+                share = _share(prbs_by_slice[s], inst.pool, inst.index)
                 entry = entries.get(s)
                 if entry is None:
-                    entry = entries[s] = self._slice_loads(s, extra)
+                    entry = entries[s] = self._slice_loads(s)
                 loads = entry[2]
                 key = (inst.kind, share)
                 if key not in loads:
@@ -522,9 +541,7 @@ class Orchestrator:
                     loads[key] = consumption(SliceLoad(s, share, *entry[0]), params)
                 per_slice[s] = loads[key]
                 prbs += share
-            projected.append(Instance(inst.instance_id, inst.kind, inst.owners, inst.capacity,
-                                      inst.index, inst.pool, per_slice, prbs))
-        return projected
+            yield inst, per_slice, prbs
 
     def _demand_map(self) -> dict[Snssai, int]:
         return {s: self.subnets[s].demand_prbs() for s in self._sorted_slices()}
@@ -538,26 +555,33 @@ class Orchestrator:
                   modulation_order: int, code_rate: float) -> Decision:
         """Admit the DRB iff, with every slice at its post-admission
         demand, isolation holds on each shared instance the DRB touches
-        and no touched vNIC saturates or exceeds the delay cap (checked on
-        the pool heads that decide it, see _owned_by)."""
-        if snssai not in self.subnets:
+        and no touched vNIC saturates or exceeds the delay cap. Checked on
+        the pool heads that decide it (see _owned_by), DU head first, up
+        to the first break, each owner's demand read from its memo."""
+        if modulation_order not in MODULATION_ORDERS:
+            raise ValueError(f"modulation_order must be one of {MODULATION_ORDERS}")
+        if not 0 < code_rate <= 1:     # NaN fails too
+            raise ValueError("code_rate must be in (0, 1]")
+        subnet = self.subnets.get(snssai)
+        if subnet is None:
             raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
-        # The subnet's own Snssai object: dict lookups and the arriving-DRB
-        # test below then match on identity, without Snssai.__eq__.
-        snssai = self.subnets[snssai].snssai
-        nsst = self.ds.nssts[self.subnets[snssai].nsst_ref]
-        profile = nsst.slice_profile
+        # The subnet's own Snssai object: dict lookups then match on
+        # identity, without Snssai.__eq__.
+        snssai = subnet.snssai
+        profile = self.ds.nssts[subnet.nsst_ref].slice_profile
         est = estimate_prbs(drb.qos.throughput_mbps, modulation_order, code_rate,
                             profile.numerology_index, profile.dl_ul_symbol_ratio)
-        entry = AdmittedDrb(drb=drb, est_prbs=est,
-                            modulation_order=modulation_order, code_rate=code_rate)
-        demand = self._demand_map()
-        demand[snssai] = demand[snssai] + est
-        for inst in self._project(demand, (snssai, entry), self._owned_by(snssai)):
-            reject = self._limit(inst)
+        entry = AdmittedDrb(drb, est, modulation_order, code_rate)
+        after = subnet._folded(entry)
+        demand = _Demand(self.subnets)
+        demand[snssai] = after[0]
+        entries = {snssai: self._slice_loads(snssai, after[3])}
+        for head, per_slice, prbs in self._loads_on(self._owned_by(snssai), demand, entries):
+            reject = self._limit(head, loads=(per_slice, prbs))
             if reject is not None:
                 return reject
-        self.subnets[snssai].admitted_drbs.append(entry)
+        subnet.admitted_drbs = drbs = (*subnet.admitted_drbs, entry)
+        subnet._memo = (drbs, after)
         return Decision(True, est_prbs=est)
 
     def _owned_by(self, snssai: Snssai) -> list[Instance]:
@@ -577,22 +601,27 @@ class Orchestrator:
         dus, cu = self._pools[snssai]
         return [insts[dus[0]], insts[cu]]
 
-    def _limit(self, inst: Instance, vnic: bool = True) -> Decision | None:
+    def _limit(self, inst: Instance, vnic: bool = True,
+               loads: tuple[Mapping[Snssai, float], int] | None = None) -> Decision | None:
         """The first limit ``inst`` breaks, or None: isolation if the
         instance is shared, then (with ``vnic``) vNIC saturation and the
-        vNIC delay cap."""
+        vNIC delay cap, at ``loads`` (per-slice vCPU, vNIC PRBs) if given."""
+        if loads is None:
+            per_slice, prbs = inst.per_slice, inst.prbs
+        else:
+            per_slice, prbs = loads
         if inst.shared:
             key = (inst.capacity, self.budget.per_slice_cap)
             budget = self._budgets.get(key)
             if budget is None:
                 budget = self._budgets[key] = CapacityBudget(*key)
-            result = check_isolation(inst.per_slice, budget)
+            result = check_isolation(per_slice, budget)
             if not result.ok:
                 return Decision(False, reason=REJECT_VCPU_CAP,
                                 detail=f"{inst.instance_id}: {'; '.join(result.violations)}")
         if vnic:
             try:
-                wait = vnic_mean_wait(inst.prbs, self.params)
+                wait = vnic_mean_wait(prbs, self.params)
             except VnicSaturatedError as exc:
                 return Decision(False, reason=REJECT_VNIC_SATURATED,
                                 detail=f"{inst.instance_id}: {exc}")
@@ -606,9 +635,10 @@ class Orchestrator:
         subnet = self.subnets.get(snssai)
         if subnet is None:
             raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
-        for i, entry in enumerate(subnet.admitted_drbs):
+        drbs = subnet.admitted_drbs
+        for i, entry in enumerate(drbs):
             if entry.drb.drb_id == drb_id:
-                del subnet.admitted_drbs[i]
+                subnet.admitted_drbs = drbs[:i] + drbs[i + 1:]
                 return True
         return False
 

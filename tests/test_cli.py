@@ -185,12 +185,16 @@ def test_simulate_non_finite_config_exit_two(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("snssai", [
-    {"service_type": "broadband"},
-    {"subtype": "video"},
-    {"service_type": "uRLLC", "subtype": 7},
-], ids=["unknown-service-type", "missing-service-type", "non-string-subtype"])
-def test_simulate_bad_snssai_exit_two(tmp_path, capsys, snssai):
+BAD_SNSSAIS = pytest.mark.parametrize("snssai, message", [
+    ({"service_type": "broadband"}, "service_type: 'broadband' not one of"),
+    ({"subtype": "video"}, "service_type: missing required field"),
+    ({"service_type": "uRLLC", "subtype": 7}, "subtype: expected a string"),
+    ("eMBB", "expected a mapping, got str"),
+], ids=["unknown-service-type", "missing-service-type", "non-string-subtype", "not-a-mapping"])
+
+
+@BAD_SNSSAIS
+def test_simulate_bad_snssai_exit_two(tmp_path, capsys, snssai, message):
     d = write_descriptors(tmp_path)
     cfg = write_config(tmp_path)
     raw = yaml.safe_load(cfg.read_text())
@@ -199,7 +203,24 @@ def test_simulate_bad_snssai_exit_two(tmp_path, capsys, snssai):
     rc = main(["simulate", "--descriptors", str(d), "--config", str(cfg),
                "--scenario", "s1", "--out", str(tmp_path / "x.csv")])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: profiles[1].snssai: ")
+    err = capsys.readouterr().err
+    # The path is named once, the field after it.
+    assert err.startswith(f"error: profiles[1].snssai: {message}")
+    assert err.count("snssai") == 1
+
+
+@BAD_SNSSAIS
+def test_calibrate_bad_snssai_exit_two(tmp_path, capsys, snssai, message):
+    anchors = [
+        {"prbs": 80, "modulation_order": 6, "code_rate": 0.8, "observed": 0.65},
+        {"snssai": snssai, "prbs": 30, "modulation_order": 4, "code_rate": 0.5,
+         "observed": 0.15}]
+    path = tmp_path / "anchors.yaml"
+    path.write_text(yaml.safe_dump(anchors))
+    assert main(["calibrate", "--anchors", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}[1].snssai: {message}")
+    assert err.count(str(path)) == 1 and err.count(".snssai") == 1
 
 
 def test_compare_writes_summary(tmp_path):

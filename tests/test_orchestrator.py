@@ -22,6 +22,7 @@ from ranslice.orchestrator import (
     REJECT_VNIC_SATURATED,
     ScaleTarget,
     ScalingThresholds,
+    SubnetInstance,
     UnknownSnssaiError,
     evaluate_scaling_policy,
 )
@@ -156,7 +157,7 @@ def test_admission_rejects_vnic_saturation():
     decision = admit_prbs(orch, ds, embb, 801)
     assert not decision.admitted
     assert decision.reason == REJECT_VNIC_SATURATED
-    assert orch.subnets[embb].admitted_drbs == []
+    assert orch.subnets[embb].admitted_drbs == ()
 
 
 def test_admission_rejects_vnic_delay_cap():
@@ -237,8 +238,8 @@ def test_allocate_trims_to_local_maximum(ds_two_slices):
     # (exhaustively enumerated) may carry more PRBs in total.
     orch = make_orch(ds_two_slices)
     embb, urllc = ds_two_slices.snssais()
-    orch.subnets[embb].admitted_drbs.append(_raw_drb(embb, 60))
-    orch.subnets[urllc].admitted_drbs.append(_raw_drb(urllc, 60))
+    orch.subnets[embb].admitted_drbs += (_raw_drb(embb, 60),)
+    orch.subnets[urllc].admitted_drbs += (_raw_drb(urllc, 60),)
     alloc = orch.allocate_prbs(273)
 
     def feasible(a, b):
@@ -340,7 +341,7 @@ def test_scale_shared_du_reselects_cu_from_demand(ds_two_slices):
     # and must land on the 2-vCPU CU level; the idle one stays smallest.
     orch = make_orch(ds_two_slices)
     embb, urllc = ds_two_slices.snssais()
-    orch.subnets[embb].admitted_drbs.append(_raw_drb(embb, 400))
+    orch.subnets[embb].admitted_drbs += (_raw_drb(embb, 400),)
     orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
     assert orch.subnets[embb].cu_sl == "cu-sl-2"
     assert orch.subnets[embb].current_il == "il-2-2"
@@ -557,8 +558,8 @@ def test_scale_down_violating_isolation_is_suppressed(ds_two_slices):
                      thresholds=ScalingThresholds(hi=0.9, lo=0.65, window=3, cooldown=0))
     embb, urllc = ds_two_slices.snssais()
     orch.scale(ScaleTarget.SHARED_DU, Direction.UP)  # 2 shared DU instances
-    orch.subnets[embb].admitted_drbs.append(_raw_drb(embb, 70))
-    orch.subnets[urllc].admitted_drbs.append(_raw_drb(urllc, 50))
+    orch.subnets[embb].admitted_drbs += (_raw_drb(embb, 70),)
+    orch.subnets[urllc].admitted_drbs += (_raw_drb(urllc, 50),)
     orch.allocate_prbs(273)
     for _ in range(3):
         orch.observe_utilization()
@@ -580,7 +581,7 @@ def test_scale_down_checks_only_the_units_own_instances():
     embb, urllc = ds.snssais()
     for s in (embb, urllc):
         orch.scale(ScaleTarget.CU, Direction.UP, s)
-    orch.subnets[embb].admitted_drbs.append(_raw_drb(embb, 273, m=8, cr=0.9))
+    orch.subnets[embb].admitted_drbs += (_raw_drb(embb, 273, m=8, cr=0.9),)
     orch.allocate_prbs(273)
     cu_embb = next(i for i in orch.observe_utilization() if i.instance_id == "cu-eMBB")
     assert cu_embb.consumption > 2 * cu_embb.capacity
@@ -688,6 +689,62 @@ def test_admission_evaluates_only_the_arriving_slices_instances(monkeypatch):
     # 25 PRBs split over a pool of 2 DUs: shares 13 and 12; the head
     # carries the larger one and decides for the pool.
     assert sorted(calls) == [("cu", arriving, 25), ("du", arriving, 13)]
+
+
+def test_admission_reads_only_the_arriving_slices_demand(monkeypatch):
+    # s1, 4 loaded slices: the arriving slice owns its instances alone,
+    # so no other subnet's DRBs are folded or its memo read.
+    ds = build_descriptor_set(n_slices=4, du_vcpus=4)
+    orch = make_orch(ds, scenario=Scenario.S1_DEDICATED)
+    slices = ds.snssais()
+    for s in slices:
+        assert admit_prbs(orch, ds, s, 20).admitted
+    read = []
+    folded = SubnetInstance._folded
+    monkeypatch.setattr(SubnetInstance, "_folded",
+                        lambda self, extra=None: read.append(self.snssai) or folded(self, extra))
+    arriving = slices[2]
+    assert admit_prbs(orch, ds, arriving, 5, drb_id="arrival").admitted
+    assert read and set(read) == {arriving}
+
+
+def test_admission_stops_at_the_du_heads_break(monkeypatch):
+    # s2, 801 PRBs saturate the vNICs of both the shared DU and the shared
+    # CU: the DU head is checked first and the CU is not projected.
+    import ranslice.orchestrator as orch_mod
+
+    ds = build_descriptor_set(n_slices=2, du_vcpus=16)
+    orch = make_orch(ds, scenario=Scenario.S2_ALL_SHARED, budget=CapacityBudget(16.0, 0.9))
+    kinds = []
+    for name, kind in (("du_vcpu_consumption", "du"), ("cu_vcpu_consumption", "cu")):
+        def counted(load, params, fn=getattr(orch_mod, name), kind=kind):
+            kinds.append(kind)
+            return fn(load, params)
+        monkeypatch.setattr(orch_mod, name, counted)
+    decision = admit_prbs(orch, ds, ds.snssais()[0], 801)
+    assert decision.reason == REJECT_VNIC_SATURATED
+    assert decision.detail.startswith("du-shared-1: ")
+    assert set(kinds) == {"du"}
+
+
+@pytest.mark.parametrize("m, cr, field", [
+    (3, 0.5, "modulation_order"), (16, 0.5, "modulation_order"),
+    (8, 0.0, "code_rate"), (8, math.nan, "code_rate"), (8, 1.5, "code_rate"),
+], ids=["order-3", "order-16", "rate-0", "rate-nan", "rate-1.5"])
+@pytest.mark.parametrize("mbps", [5.0, 1e4], ids=["small", "du-breaking"])
+def test_admission_rejects_an_invalid_mcs(ds_two_slices, m, cr, field, mbps):
+    # Orders 3 and 16 used to be admitted (snapped; 16 halves the PRB
+    # estimate), a code rate of 0 raised ZeroDivisionError and NaN a
+    # float conversion error. A DRB large enough to break the DU head must
+    # raise as well, not return a rejection.
+    orch = make_orch(ds_two_slices)
+    embb = ds_two_slices.snssais()[0]
+    assert admit_prbs(orch, ds_two_slices, embb, 10).admitted
+    sub = orch.subnets[embb]
+    drbs, memo = sub.admitted_drbs, sub._memo
+    with pytest.raises(ValueError, match=field):
+        orch.admit_drb(embb, Drb("bad", embb, DrbQos(mbps, 20.0, 0.99)), m, cr)
+    assert sub.admitted_drbs is drbs and sub._memo is memo
 
 
 def test_admission_sees_a_scaling_since_the_last_admission(ds_two_slices):

@@ -36,6 +36,7 @@ from ranslice.orchestrator import (
     ScalingCause,
     ScalingEvent,
     ScalingThresholds,
+    _fold,
     _share,
     evaluate_scaling_policy,
     _snap_modulation,
@@ -82,12 +83,17 @@ OPS = op_lists(60.0)
 PARAM_EDITS = (replace(PARAMS, k=0.002), replace(PARAMS, beta=0.3),
                replace(PARAMS, cu_scale=0.5), replace(PARAMS, c0=0.01), replace(PARAMS))
 
-# State edited by hand: a DRB appended to a subnet's list, a scale level
+# State edited by hand: a DRB appended to a subnet's DRBs, one removed
+# from among them, one replaced by a DRB of equal PRB estimate at another
+# MCS, the DRBs turned into a list (then edited in place), a scale level
 # (or the auxiliary IL) or a subnet's allocated PRBs set directly, the
 # model parameters replaced.
 EDITS = st.one_of(
     st.tuples(st.just("append"), st.integers(0, 2), st.integers(1, 120),
               st.sampled_from(MCS)),
+    st.tuples(st.just("remove"), st.integers(0, 2), st.integers(0, 1000)),
+    st.tuples(st.just("remcs"), st.integers(0, 2), st.integers(0, 1000), st.sampled_from(MCS)),
+    st.tuples(st.just("list"), st.integers(0, 2)),
     st.tuples(st.just("level"), st.sampled_from(("cu", "du")), st.integers(0, 2),
               st.integers(0, 2)),
     st.tuples(st.just("prbs"), st.integers(0, 2), st.integers(0, 273)),
@@ -260,9 +266,26 @@ def edit_by_hand(orch: Orchestrator, edit: tuple, step: int, live: list) -> None
         _, i, prbs, (m, cr) = edit
         s = slices[i % len(slices)]
         drb_id = f"d{step}-{len(live)}"
-        orch.subnets[s].admitted_drbs.append(
-            AdmittedDrb(Drb(drb_id, s, DrbQos(1.0, 20.0, 0.99)), prbs, m, cr))
+        orch.subnets[s].admitted_drbs += (
+            AdmittedDrb(Drb(drb_id, s, DrbQos(1.0, 20.0, 0.99)), prbs, m, cr),)
         live.append((s, drb_id))
+    elif edit[0] in ("remove", "remcs"):
+        sub = orch.subnets[slices[edit[1] % len(slices)]]
+        drbs = list(sub.admitted_drbs)
+        if drbs:
+            j = edit[2] % len(drbs)
+            if edit[0] == "remove":
+                del drbs[j]
+            else:
+                m, cr = edit[3]
+                drbs[j] = replace(drbs[j], modulation_order=m, code_rate=cr)
+            if isinstance(sub.admitted_drbs, list):
+                sub.admitted_drbs[:] = drbs         # in place
+            else:
+                sub.admitted_drbs = tuple(drbs)
+    elif edit[0] == "list":
+        sub = orch.subnets[slices[edit[1] % len(slices)]]
+        sub.admitted_drbs = list(sub.admitted_drbs)
     elif edit[0] == "level":
         _, kind, i, j = edit
         s = slices[i % len(slices)]
@@ -301,6 +324,11 @@ def observe_and_check(orch: Orchestrator) -> None:
 @given(n_slices=st.integers(1, 3), n_start=st.integers(1, 3), du_vcpus=st.sampled_from((1, 4)),
        scenario=st.sampled_from(Scenario),
        ops=op_lists(200.0, *STATE_EDITS, st.just(("instantiate",)), min_size=4))
+# A shared CU that only the arriving DRB's own PRBs push over its cap,
+# under a DU head that holds.
+@example(n_slices=2, n_start=1, du_vcpus=1, scenario=Scenario.S3_CU_SHARED,
+         ops=[("tick",), ("instantiate",), ("admit", 0, 12.0, (6, 0.75)),
+              ("admit", 0, 75.0, (8, 0.9))])
 def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, n_start,
                                                                      du_vcpus, scenario, ops):
     # Subnets after the first ``n_start`` are instantiated by an op.
@@ -345,7 +373,7 @@ def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, n
             orch.allocate_prbs(273)
         elif op[0] == "observe":
             observe_and_check(orch)
-        elif op[0] in ("append", "level", "prbs", "params"):
+        elif op[0] in ("append", "remove", "remcs", "list", "level", "prbs", "params"):
             edit_by_hand(orch, op, step, live)
         fresh = orch._build_instances({})[0]
         assert orch.instances() == fresh
@@ -518,7 +546,7 @@ def test_unit_records_match_the_tuple_keyed_policy(n_slices, n_start, du_vcpus, 
             assert orch.allocate_prbs(273) == ref.allocate_prbs(273)
         elif op[0] == "observe":
             assert as_rows(orch.observe_utilization()) == as_rows(ref.observe_utilization())
-        elif op[0] in ("append", "level", "prbs", "params"):
+        elif op[0] in ("append", "remove", "remcs", "list", "level", "prbs", "params"):
             edit_by_hand(ref, op, step, live.copy())
             edit_by_hand(orch, op, step, live)
         assert_histories_match(orch, ref)
@@ -537,13 +565,69 @@ def test_load_memo_sees_changes_made_to_the_drb_list_directly(ds_two_slices):
         return (sub.demand_prbs(), *orch.subnets[s].mcs())
 
     assert load() == (0, 2, 1.0)
-    sub.admitted_drbs.append(drb(0, 30, 8, 0.9))
-    sub.admitted_drbs.append(drb(1, 10, 2, 0.3))
+    sub.admitted_drbs += (drb(0, 30, 8, 0.9),)
+    sub.admitted_drbs += (drb(1, 10, 2, 0.3),)
     assert load() == reference_load(orch, s) == (40, 6, (30 * 0.9 + 10 * 0.3) / 40)
-    sub.admitted_drbs[1] = drb(2, 50, 4, 0.5)      # same length, another DRB
+    sub.admitted_drbs = (sub.admitted_drbs[0], drb(2, 50, 4, 0.5))  # same length
     assert load() == reference_load(orch, s)
-    sub.admitted_drbs.clear()
+    sub.admitted_drbs = ()
     assert sub.demand_prbs() == 0 and orch.subnets[s].mcs() == (2, 1.0)
+
+
+# Any PRB estimate, modulation order and code rate for a DRB set by hand.
+DRB_LOADS = st.tuples(st.integers(0, 10**6), st.sampled_from(MODULATION_ORDERS),
+                      st.floats(0.0, 1.0, exclude_min=True))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ops=st.lists(st.one_of(
+    st.tuples(st.just("admit"), st.floats(0.5, 40.0), st.sampled_from(MODULATION_ORDERS),
+              st.floats(0.05, 1.0)),
+    st.tuples(st.just("depart"), st.integers(0, 1000)),
+    st.tuples(st.just("append"), DRB_LOADS),
+    st.tuples(st.just("replace"), st.integers(0, 1000), DRB_LOADS),
+    st.just(("list",)),
+), max_size=40), probe=DRB_LOADS)
+def test_continued_folds_equal_a_refold_and_the_reference(ops, probe):
+    # One slice with room for many DRBs: admissions continue the fold,
+    # departures (from anywhere) and edits by hand replace the DRBs.
+    ds = descriptor_set(1, du_vcpus=4)
+    s = ds.snssais()[0]
+    orch = Orchestrator(ds, Scenario.S1_DEDICATED, PARAMS, CapacityBudget(64.0, 0.9),
+                        THRESHOLDS, vnic_delay_cap_s=1.0)
+    sub = orch.instantiate_subnet(s)
+
+    def drb(i: int, load: tuple) -> AdmittedDrb:
+        return AdmittedDrb(Drb(f"h{i}", s, DrbQos(1.0, 20.0, 0.99)), *load)
+
+    for step, op in enumerate(ops):
+        if op[0] == "admit":
+            before = (sub.admitted_drbs, sub._folded())
+            decision = orch.admit_drb(s, Drb(f"d{step}", s, DrbQos(op[1], 20.0, 0.99)),
+                                      op[2], op[3])
+            if decision.admitted:
+                # The memo was continued by the DRB, not refolded.
+                assert sub._memo[0] is sub.admitted_drbs
+                assert sub._memo[1] == _fold(tuple(sub.admitted_drbs))
+            else:
+                assert sub.admitted_drbs is before[0] and sub._memo[1] == before[1]
+        elif op[0] == "depart" and sub.admitted_drbs:
+            drbs = sub.admitted_drbs
+            assert orch.depart_drb(s, drbs[op[1] % len(drbs)].drb.drb_id)
+        elif op[0] == "append":
+            sub.admitted_drbs += (drb(step, op[1]),)    # in place on a list
+        elif op[0] == "replace" and sub.admitted_drbs:
+            drbs = list(sub.admitted_drbs)
+            drbs[op[1] % len(drbs)] = drb(step, op[2])
+            sub.admitted_drbs = type(sub.admitted_drbs)(drbs)
+        elif op[0] == "list":
+            sub.admitted_drbs = list(sub.admitted_drbs)
+        demand, m, cr = reference_load(orch, s)
+        assert (sub.demand_prbs(), *sub.mcs()) == (demand, m, cr)
+        assert sub._folded() == _fold(tuple(sub.admitted_drbs))
+        # One more DRB continues the kept fold as a refold would.
+        extra = drb(-1, probe)
+        assert sub._folded(extra) == _fold((*sub.admitted_drbs, extra))
 
 
 class TwoSearchFollow(Orchestrator):
@@ -693,9 +777,9 @@ def deployments(draw, max_c0: float = 0.6) -> Orchestrator:
         sub.du_sl = draw(st.sampled_from(nsd.sa_du.sl_ids()))
         for j in range(draw(st.integers(0, 3))):
             m = draw(st.sampled_from(MODULATION_ORDERS))
-            sub.admitted_drbs.append(AdmittedDrb(
+            sub.admitted_drbs += (AdmittedDrb(
                 Drb(f"d{i}-{j}", s, DrbQos(1.0, 20.0, 0.99)), draw(st.integers(1, 200)),
-                m, draw(st.floats(0.05, 1.0))))
+                m, draw(st.floats(0.05, 1.0))),)
     if orch.aux is not None:
         orch.aux.current_il = draw(st.sampled_from(
             [il.id for il in ds.aux_nsds[orch.aux.aux_nsd_ref].ils]))

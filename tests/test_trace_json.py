@@ -108,7 +108,7 @@ def test_trace_json_of_a_run_with_a_saturated_vnic(monkeypatch):
     # wait, which JSON spells Infinity.
     limit = Orchestrator._limit
     monkeypatch.setattr(Orchestrator, "_limit",
-                        lambda self, inst, vnic=True: limit(self, inst, vnic=False))
+                        lambda self, inst, vnic=True, loads=None: limit(self, inst, False, loads))
     ds = build_descriptor_set(n_slices=2, du_vcpus=16)
     config = make_config(ds, ticks=3, initial_drbs=20, throughput_mbps=20.0,
                          params=ResourceModelParams(c0=0.01, k=1e-4, vnic_service_rate=5e3),
