@@ -350,16 +350,17 @@ class Orchestrator:
         self.aux: AuxServiceInstance | None = None
         self.events: list[ScalingEvent] = []
         self.findings: list[str] = []
-        # Every scaling unit met so far, and the unit set in policy order.
+        # The layout: the slices by key, the live scaling units in policy
+        # order (each unit's record kept for life) and the live instances
+        # with their pool index. Levels and the subnet set change only in
+        # instantiate_subnet and scale, which drop (None) what they change.
+        self._slices: tuple[Snssai, ...] = ()
         self._unit_recs: dict[Unit, _UnitRecord] = {}
-        self._policy_order: tuple[tuple, list[_UnitRecord]] = ((), [])
-        self._instances: tuple[Instance, ...] = ()
+        self._policy_order: list[_UnitRecord] | None = None
+        self._instances: tuple[Instance, ...] | None = None
         self._pools: Pools = {}
-        self._instances_key: list | None = None
-        # Projection memos. Each is checked against live state where it is
-        # read, with no invalidation hooks, so state changed from outside
-        # is seen as well.
-        self._slices: tuple[tuple[Snssai, ...], tuple[Snssai, ...]] = ((), ())
+        # Projection memos, checked on identity where they are read, so
+        # DRBs, allocations and parameters changed from outside are seen.
         self._loads: dict[Snssai, tuple] = {}
         self._budgets: dict[tuple[float, float], CapacityBudget] = {}
         self._handoff: tuple | None = None
@@ -418,15 +419,9 @@ class Orchestrator:
             current_il=il.id, cu_sl=il.cu_sl, du_sl=il.du_sl,
         )
         self.subnets[snssai] = subnet
+        self._slices = tuple(sorted(self.subnets, key=Snssai.key))
+        self._instances = self._policy_order = None
         return subnet
-
-    def _sorted_slices(self) -> tuple[Snssai, ...]:
-        """The subnets' slices by key, re-sorted only when the subnet
-        set changes."""
-        slices = tuple(self.subnets)
-        if slices != self._slices[0]:
-            self._slices = (slices, tuple(sorted(slices, key=Snssai.key)))
-        return self._slices[1]
 
     # -- load projection ------------------------------------------------------
 
@@ -442,36 +437,26 @@ class Orchestrator:
             entry = self._loads[snssai] = (mcs, self.params, {})
         return entry
 
-    def instances(self, over: Mapping[Unit, str] | None = None) -> tuple[Instance, ...]:
+    def instances(self) -> tuple[Instance, ...]:
         """The live VNF instances: the shared DU pool or each subnet's
-        dedicated DU pool, then the shared CU or each subnet's CU. The
-        one place where ids, owners and capacities come from the scale
-        levels and the auxiliary IL. ``over`` puts units at hypothetical
-        levels without touching state.
-
-        The live view is rebuilt only when a level changes: the key,
-        every subnet's (cu_sl, du_sl) and the auxiliary IL, is read on
-        each call, so state changed from outside is seen as well."""
-        if over:
-            return self._build_instances(over)[0]
-        key = [(s, sub.cu_sl, sub.du_sl) for s, sub in self.subnets.items()]
-        if self.aux is not None:
-            key.append((self.aux.aux_nsd_ref, self.aux.current_il))
-        if key != self._instances_key:
+        dedicated DU pool, then the shared CU or each subnet's CU (see
+        _build_instances). Built on the first read after instantiate_subnet
+        or scale, the only places where levels change."""
+        if self._instances is None:
             self._instances, self._pools = self._build_instances({})
-            self._instances_key = key
         return self._instances
 
     def pools(self) -> Pools:
         """Where each slice's DU pool (a range of positions) and CU sit in
-        the live instances, from the same build as the tuple instances()
-        returns. Read-only."""
+        the live instances, from the build instances() returns. Read-only."""
         self.instances()
         return self._pools
 
     def _build_instances(self, over: Mapping[Unit, str]) -> tuple[tuple[Instance, ...], Pools]:
-        """The instances with ``over`` applied, and their pool index (see pools)."""
-        slices = self._sorted_slices()
+        """The instances with ``over`` putting units at hypothetical levels,
+        and their pool index (see pools). The one place where ids, owners
+        and capacities come from the scale levels and the auxiliary IL."""
+        slices = self._slices
         if not slices:
             return (), {}
         insts: list[Instance] = []
@@ -544,10 +529,10 @@ class Orchestrator:
             yield inst, per_slice, prbs
 
     def _demand_map(self) -> dict[Snssai, int]:
-        return {s: self.subnets[s].demand_prbs() for s in self._sorted_slices()}
+        return {s: self.subnets[s].demand_prbs() for s in self._slices}
 
     def _allocated_map(self) -> dict[Snssai, int]:
-        return {s: self.subnets[s].allocated_prbs for s in self._sorted_slices()}
+        return {s: self.subnets[s].allocated_prbs for s in self._slices}
 
     # -- admission ------------------------------------------------------------
 
@@ -658,7 +643,7 @@ class Orchestrator:
         parameters. Keys compare with ``==``, which matches the instance
         tuple and the parameters on identity before comparing values."""
         return (self.instances(), dict(alloc),
-                [self.subnets[s].mcs() for s in self._sorted_slices()], self.params)
+                [self.subnets[s].mcs() for s in self._slices], self.params)
 
     def allocate_prbs(self, total_prbs: int) -> dict[Snssai, int]:
         """Split the PRB budget across subnets proportionally to their
@@ -673,7 +658,7 @@ class Orchestrator:
         (see _handoff_key) changed in between."""
         if total_prbs < 0:
             raise ValueError("total_prbs must be >= 0")
-        slices = self._sorted_slices()
+        slices = self._slices
         demand = self._demand_map()
         total_demand = sum(demand.values())
 
@@ -742,17 +727,16 @@ class Orchestrator:
         return rec
 
     def _units(self) -> list[_UnitRecord]:
-        """Every scaling unit, in policy order: each subnet's CU, then the
-        shared DU pool or each subnet's dedicated DU pool. Rebuilt only
-        when the subnet set or the auxiliary service changes."""
-        slices = self._sorted_slices()
-        key = (slices, self.aux is None)
-        if key != self._policy_order[0]:
+        """Every live scaling unit, in policy order: each subnet's CU, then
+        the shared DU pool or each subnet's dedicated DU pool. Built on the
+        first read after instantiate_subnet."""
+        if self._policy_order is None:
+            slices = self._slices
             pools = ([(ScaleTarget.SHARED_DU, None)] if self.aux is not None
                      else [(ScaleTarget.DU, s) for s in slices])
             units = [(ScaleTarget.CU, s) for s in slices] + pools
-            self._policy_order = (key, [self._unit(*unit) for unit in units])
-        return self._policy_order[1]
+            self._policy_order = [self._unit(*unit) for unit in units]
+        return self._policy_order
 
     def _step(self, rec: _UnitRecord, direction: Direction) -> tuple[str, str | None]:
         """The unit's current level and the adjacent one in ``direction``
@@ -781,18 +765,18 @@ class Orchestrator:
         other level stays and its current IL becomes the declared IL for
         the new pair. SHARED_DU scales the shared pool exactly once, on
         the auxiliary service; every referencing subnet then follows with
-        a SUBNET_IL event (see _follow_aux)."""
-        if target is ScaleTarget.SHARED_DU:
-            if self.aux is None:
-                raise OrchestrationError("no auxiliary service instance is live")
-            snssai = None
-        elif target is ScaleTarget.SUBNET_IL:
-            raise OrchestrationError("subnet ILs follow a shared-DU scaling")
-        elif snssai not in self.subnets:
-            raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
-        elif target is ScaleTarget.DU and self.aux is not None:
-            raise OrchestrationError("shared DUs scale through the auxiliary service")
-        rec = self._unit(target, snssai)
+        a SUBNET_IL event (see _follow_aux). Any other unit that is not
+        live raises: a slice that is not instantiated, a shared DU without
+        an auxiliary service, a DU under a shared DU and SUBNET_IL."""
+        shared = target is ScaleTarget.SHARED_DU
+        self._units()               # every live unit has its record
+        rec = self._unit_recs.get((target, None if shared else snssai))
+        if rec is None:
+            if not shared and snssai not in self.subnets:
+                raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
+            raise OrchestrationError(f"no live {target.value} unit under scenario "
+                                     f"{self.scenario.value}")
+        snssai = rec.snssai
         current, level = self._step(rec, direction)
         who = "auxiliary service" if snssai is None else f"{target.value} of {snssai}"
         if level is None:
@@ -800,16 +784,15 @@ class Orchestrator:
         il = self._target_il(rec, level)
         if il is None:
             raise NoMatchingIlError(
-                f"gnb_nsd[{self.subnets[snssai].nsd_ref}] declares no IL putting "
-                f"{who} at {level!r}")
+                f"gnb_nsd[{rec.holder.nsd_ref}] declares no IL putting {who} at {level!r}")
         events = [ScalingEvent(time=self.clock, target=target, snssai=snssai,
                                from_level=current, to_level=level, cause=cause)]
-        if target is ScaleTarget.SHARED_DU:
+        if shared:
             self.aux.current_il = level
-            events += filter(None, (self._follow_aux(s, cause) for s in self._sorted_slices()))
+            events += filter(None, (self._follow_aux(s, cause) for s in self._slices))
         else:
-            subnet = self.subnets[snssai]
-            subnet.cu_sl, subnet.du_sl, subnet.current_il = il.cu_sl, il.du_sl, il.id
+            rec.holder.cu_sl, rec.holder.du_sl, rec.holder.current_il = il.cu_sl, il.du_sl, il.id
+        self._instances = None
         self.events.extend(events)
         return events
 
@@ -826,7 +809,7 @@ class Orchestrator:
             self.findings.append(
                 f"InconsistentIl: {s}: sa_du has no scale level {new_du_sl!r}")
             return None
-        loaded = self._sorted_slices() if self.scenario.cu_shared else [s]
+        loaded = self._slices if self.scenario.cu_shared else [s]
         need = sum(cu_vcpu_consumption(
             SliceLoad(t, self.subnets[t].demand_prbs(), *self.subnets[t].mcs()), self.params)
             for t in loaded)

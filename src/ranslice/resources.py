@@ -166,7 +166,8 @@ def estimate_prbs(throughput_mbps: float, modulation_order: int, code_rate: floa
 
     One PRB carries 12 * 14 * 1000 * 2^mu symbols/s, of which the
     downlink share is r / (1 + r) for a DL/UL symbol ratio r; each symbol
-    carries modulation_order * code_rate information bits.
+    carries modulation_order * code_rate information bits. Raises
+    ValueError when the estimate is not a finite number of PRBs.
     """
     if throughput_mbps < 0:
         raise ValueError("throughput must be >= 0")
@@ -175,7 +176,11 @@ def estimate_prbs(throughput_mbps: float, modulation_order: int, code_rate: floa
     sym_per_sec = _SYMBOLS_PER_PRB_PER_SEC_MU0 * (2 ** numerology_index)
     dl_share = dl_ul_symbol_ratio / (1.0 + dl_ul_symbol_ratio)
     bits_per_prb = modulation_order * code_rate * sym_per_sec * dl_share
-    return max(1, math.ceil(throughput_mbps * 1e6 / bits_per_prb))
+    prbs = throughput_mbps * 1e6 / bits_per_prb if bits_per_prb > 0 else math.inf
+    if not math.isfinite(prbs):
+        raise ValueError(f"PRB estimate is not finite: {throughput_mbps:g} Mbps "
+                         f"at {bits_per_prb:g} bits/s per PRB")
+    return max(1, math.ceil(prbs))
 
 
 def _traffic_term(load: SliceLoad, beta: float) -> float:

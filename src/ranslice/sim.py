@@ -34,6 +34,7 @@ from .resources import (
     MODULATION_ORDERS,
     ResourceModelParams,
     check_isolation,  # unused here; perfbench/tracing.py patches this name
+    estimate_prbs,
     vnic_mean_wait,
     VnicSaturatedError,
 )
@@ -392,6 +393,14 @@ def _check_profiles(config: SimConfig, ds: DescriptorSet) -> dict[Snssai, Demand
         if extra:
             parts.append("profile for undeclared slice " + ", ".join(sorted(str(s) for s in extra)))
         raise ConfigError("profiles", "; ".join(parts))
+    for i, profile in enumerate(config.profiles):
+        sp = ds.nsst_for(profile.snssai).slice_profile
+        for j, atom in enumerate(profile.mcs_distribution):
+            try:
+                estimate_prbs(profile.qos.throughput_mbps, atom.modulation_order,
+                              atom.code_rate, sp.numerology_index, sp.dl_ul_symbol_ratio)
+            except ValueError as exc:
+                raise ConfigError(f"profiles[{i}].mcs[{j}]", str(exc)) from exc
     return by_snssai
 
 

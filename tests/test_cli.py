@@ -185,6 +185,32 @@ def test_simulate_non_finite_config_exit_two(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    (("mcs", 0, "code_rate"), 5e-324),
+    (("qos", "throughput_mbps"), 1e305),
+], ids=["rate-subnormal", "throughput-1e305"])
+@pytest.mark.parametrize("scenario", ["s1", "s4"])
+def test_simulate_unrepresentable_prb_estimate_exit_two(tmp_path, capsys, field, value,
+                                                        scenario):
+    # Each value passes its own check, but the PRB estimate it gives is
+    # not finite; the run stops before tick 0 with the atom's path.
+    demo = Path(__file__).resolve().parent.parent / "demo"
+    raw = yaml.safe_load((demo / "config.yaml").read_text())
+    target = raw["profiles"][0]
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--descriptors", str(demo / "descriptors"), "--config", str(cfg),
+               "--scenario", scenario, "--ticks", "3", "--out", str(out), "--format", "csv"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: profiles[0].mcs[0]: PRB estimate is not finite")
+    assert not out.exists()
+
+
 BAD_SNSSAIS = pytest.mark.parametrize("snssai, message", [
     ({"service_type": "broadband"}, "service_type: 'broadband' not one of"),
     ({"subtype": "video"}, "service_type: missing required field"),

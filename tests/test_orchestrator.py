@@ -374,12 +374,14 @@ def test_scale_shared_du_keeps_a_shared_cu_covering_every_subnets_load():
 
 
 def test_shared_du_scaling_gives_no_event_to_a_subnet_already_at_its_il():
-    # The auxiliary IL is set by hand above the subnets' ILs; the policy
-    # scales the idle pool back down to where both subnets already sit.
+    # The auxiliary IL is set by hand above the subnets' ILs, and the
+    # layout dropped as scale() drops it; the policy scales the idle pool
+    # back down to where both subnets already sit.
     ds = build_descriptor_set(n_slices=2, du_counts=(1, 2, 4), cu_vcpus=(1, 2, 4), du_vcpus=4)
     orch = make_orch(ds, scenario=Scenario.S2_ALL_SHARED,
                      thresholds=ScalingThresholds(window=1, cooldown=0))
     orch.aux.current_il = "du-sl-2"
+    orch._instances = None
     orch.allocate_prbs(100)
     orch.observe_utilization()
     events = orch.apply_scaling_policies()
@@ -414,6 +416,28 @@ def test_scale_shared_du_at_boundary(ds_two_slices):
     orch = make_orch(ds_two_slices)
     with pytest.raises(AtBoundaryError):
         orch.scale(ScaleTarget.SHARED_DU, Direction.DOWN)
+
+
+@pytest.mark.parametrize("scenario, target, slice_index, error", [
+    (Scenario.S1_DEDICATED, ScaleTarget.SHARED_DU, None, OrchestrationError),
+    (Scenario.S4_DU_SHARED, ScaleTarget.DU, 0, OrchestrationError),
+    (Scenario.S4_DU_SHARED, ScaleTarget.SUBNET_IL, 0, OrchestrationError),
+    (Scenario.S4_DU_SHARED, ScaleTarget.CU, 1, UnknownSnssaiError),
+], ids=["shared-du-in-s1", "du-in-s4", "subnet-il-in-s4", "cu-of-a-stranger"])
+def test_scale_refuses_a_unit_that_is_not_live(ds_two_slices, scenario, target,
+                                               slice_index, error):
+    # Only the first slice is instantiated; the second is not.
+    orch = make_orch(ds_two_slices, scenario=scenario, instantiate=False)
+    slices = ds_two_slices.snssais()
+    orch.instantiate_subnet(slices[0])
+    before = copy.deepcopy((orch.subnets, orch.aux))
+    snssai = None if slice_index is None else slices[slice_index]
+    for direction in Direction:
+        with pytest.raises(OrchestrationError) as info:
+            orch.scale(target, direction, snssai)
+        assert type(info.value) is error
+    assert (orch.subnets, orch.aux) == before
+    assert orch.events == [] and orch.findings == []
 
 
 def test_scale_shared_du_requires_aux(ds_two_slices):
@@ -730,13 +754,15 @@ def test_admission_stops_at_the_du_heads_break(monkeypatch):
 @pytest.mark.parametrize("m, cr, field", [
     (3, 0.5, "modulation_order"), (16, 0.5, "modulation_order"),
     (8, 0.0, "code_rate"), (8, math.nan, "code_rate"), (8, 1.5, "code_rate"),
-], ids=["order-3", "order-16", "rate-0", "rate-nan", "rate-1.5"])
+    (8, 5e-324, "PRB estimate"),
+], ids=["order-3", "order-16", "rate-0", "rate-nan", "rate-1.5", "rate-subnormal"])
 @pytest.mark.parametrize("mbps", [5.0, 1e4], ids=["small", "du-breaking"])
 def test_admission_rejects_an_invalid_mcs(ds_two_slices, m, cr, field, mbps):
     # Orders 3 and 16 used to be admitted (snapped; 16 halves the PRB
     # estimate), a code rate of 0 raised ZeroDivisionError and NaN a
-    # float conversion error. A DRB large enough to break the DU head must
-    # raise as well, not return a rejection.
+    # float conversion error, and a subnormal one an OverflowError. A DRB
+    # large enough to break the DU head must raise as well, not return a
+    # rejection.
     orch = make_orch(ds_two_slices)
     embb = ds_two_slices.snssais()[0]
     assert admit_prbs(orch, ds_two_slices, embb, 10).admitted
@@ -835,10 +861,10 @@ def test_instances_are_memoised_on_live_levels(ds_two_slices):
     assert isinstance(first, tuple)
     assert orch.instances() is first
     # A hypothetical level neither uses nor replaces the live view.
-    assert len(orch.instances({(ScaleTarget.DU, embb): "du-sl-2"})) == len(first) + 1
+    assert len(orch._build_instances({(ScaleTarget.DU, embb): "du-sl-2"})[0]) == len(first) + 1
     assert orch.instances() is first
-    # Levels changed from outside the orchestrator's methods are seen.
-    orch.subnets[embb].cu_sl = "cu-sl-2"
+    # A scaling drops the live view; the next read sees the new level.
+    orch.scale(ScaleTarget.CU, Direction.UP, embb)
     cu = next(i for i in orch.instances() if i.instance_id == "cu-eMBB")
     assert cu.capacity == 2.0
 

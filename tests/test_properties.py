@@ -21,9 +21,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_descriptor_set, build_documents
+from helpers import build_descriptor_set, build_documents, make_config
 
 from ranslice.descriptors import ServiceType, Snssai, load_yaml, parse_descriptor_set
+from ranslice.errors import RansliceError
 from ranslice.orchestrator import (
     AdmittedDrb,
     BaselineOverloadError,
@@ -52,6 +53,7 @@ from ranslice.resources import (
     du_vcpu_consumption,
     estimate_prbs,
 )
+from ranslice.sim import McsAtom, run
 from ranslice.topology import Drb, DrbQos, Scenario
 
 PARAMS = ResourceModelParams(c0=0.002, k=0.004, beta=0.35)
@@ -299,6 +301,7 @@ def edit_by_hand(orch: Orchestrator, edit: tuple, step: int, live: list) -> None
         else:
             levels = nsd.sa_du.sl_ids()
             orch.subnets[s].du_sl = levels[j % len(levels)]
+        orch._instances = None      # levels change only as scale() does it
     elif edit[0] == "prbs":
         orch.subnets[slices[edit[1] % len(slices)]].allocated_prbs = edit[2]
     else:
@@ -397,7 +400,7 @@ class TupleKeyedPolicy(Orchestrator):
         self.ref_last: dict[tuple, tuple] = {}
 
     def ref_units(self) -> list[tuple]:
-        slices = self._sorted_slices()
+        slices = self._slices
         units = [(ScaleTarget.CU, s) for s in slices]
         if self.aux is not None:
             return units + [(ScaleTarget.SHARED_DU, None)]
@@ -460,7 +463,7 @@ class TupleKeyedPolicy(Orchestrator):
                     or self._limit(inst, vnic=unit[0] is not ScaleTarget.CU) is not None
                     for inst in self._project(
                         self._allocated_map(),
-                        insts=self.ref_own(unit, self.instances({unit: level})))):
+                        insts=self.ref_own(unit, self._build_instances({unit: level})[0]))):
                 continue
             cause = (ScalingCause.LOAD_INCREASE if decision is Direction.UP
                      else ScalingCause.LOAD_DECREASE)
@@ -643,7 +646,7 @@ class TwoSearchFollow(Orchestrator):
             self.findings.append(
                 f"InconsistentIl: {s}: sa_du has no scale level {new_du_sl!r}")
             return None
-        loaded = self._sorted_slices() if self.scenario.cu_shared else [s]
+        loaded = self._slices if self.scenario.cu_shared else [s]
         need = sum(cu_vcpu_consumption(
             SliceLoad(t, self.subnets[t].demand_prbs(), *self.subnets[t].mcs()), self.params)
             for t in loaded)
@@ -783,6 +786,7 @@ def deployments(draw, max_c0: float = 0.6) -> Orchestrator:
     if orch.aux is not None:
         orch.aux.current_il = draw(st.sampled_from(
             [il.id for il in ds.aux_nsds[orch.aux.aux_nsd_ref].ils]))
+    orch._instances = None          # levels change only as scale() does it
     return orch
 
 
@@ -817,7 +821,7 @@ def breaking_point(orch: Orchestrator, split: dict, s, hi: int = 4000) -> int:
        edge=st.integers(0, 5))
 def test_a_pool_head_decides_admission_for_its_pool(orch, prbs, edge):
     # ``edge`` names a slice moved to its breaking point, if there is one.
-    slices = orch._sorted_slices()
+    slices = orch._slices
     split = dict(zip(slices, prbs))
     if edge < len(slices):
         split[slices[edge]] = breaking_point(orch, split, slices[edge])
@@ -908,3 +912,36 @@ def test_check_isolation_matches_the_reference(case):
                                 for d in (math.inf, -math.inf)))))
 def test_snap_modulation_matches_the_reference(value):
     assert _snap_modulation(value) == reference_snap(value)
+
+
+@lru_cache(maxsize=None)
+def two_slice_set():
+    return build_descriptor_set(n_slices=2)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=st.sampled_from(Scenario), initial_drbs=st.integers(0, 3),
+       loads=st.lists(st.tuples(st.floats(0.0, 1e308, exclude_min=True),
+                                st.sampled_from(MODULATION_ORDERS),
+                                st.floats(0.0, 1.0, exclude_min=True)),
+                      min_size=2, max_size=2))
+# Each value is accepted on its own, but the PRB estimate it gives is
+# not finite.
+@example(scenario=Scenario.S4_DU_SHARED, initial_drbs=1,
+         loads=[(40.0, 6, 5e-324), (10.0, 4, 0.5)])
+@example(scenario=Scenario.S1_DEDICATED, initial_drbs=1,
+         loads=[(1e305, 6, 0.75), (10.0, 4, 0.5)])
+def test_a_run_completes_or_raises_a_typed_error(scenario, initial_drbs, loads):
+    # Every slice's throughput (finite, up to 1e308) and MCS, the code
+    # rate subnormal to 1, are drawn; a 3-tick run with DRBs arriving on
+    # every tick either runs or raises RansliceError, nothing else.
+    ds = two_slice_set()
+    base = make_config(ds, ticks=3, arrival_rate=1.0, initial_drbs=initial_drbs,
+                       mean_holding=2.0, scenario=scenario)
+    profiles = tuple(replace(p, qos=replace(p.qos, throughput_mbps=mbps),
+                             mcs_distribution=(McsAtom(m, cr, 1.0),))
+                     for p, (mbps, m, cr) in zip(base.profiles, loads))
+    try:
+        run(replace(base, profiles=profiles), ds)
+    except RansliceError:
+        pass
