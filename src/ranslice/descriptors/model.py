@@ -33,27 +33,39 @@ class HarqTarget(enum.Enum):
     ROUND_TRIP_TIME = "round_trip_time"
 
 
-@dataclass(frozen=True)
+# The one Snssai per (service_type, subtype); see Snssai.__new__.
+_SNSSAIS: dict[tuple[ServiceType, str | None], Snssai] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Snssai:
     """Slice identifier: one of the three main service types plus an
-    optional subtype for a specific vertical use case."""
+    optional subtype for a specific vertical use case.
+
+    Interned: constructing one returns the one object for its fields, so
+    equality and hashing are identity, done in C. Slices key most of the
+    orchestrator's dicts, and their sort order is by key(), never by hash."""
 
     service_type: ServiceType
     subtype: str | None = None
 
-    # Slices key most of the orchestrator's dicts and set its sort order,
-    # so the hash and the sort key are computed once here.
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.service_type, self.subtype)))
-        object.__setattr__(self, "_key", f"{self.service_type.value}.{self.subtype}"
-                           if self.subtype else self.service_type.value)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, service_type: ServiceType, subtype: str | None = None) -> Snssai:
+        fields = (service_type, subtype)
+        found = _SNSSAIS.get(fields)
+        if found is None:
+            found = object.__new__(cls)
+            object.__setattr__(found, "service_type", service_type)
+            object.__setattr__(found, "subtype", subtype)
+            object.__setattr__(found, "_key", f"{service_type.value}.{subtype}"
+                               if subtype else service_type.value)
+            # Built before it is published; threads racing on one slice
+            # all get whichever object setdefault stored first.
+            found = _SNSSAIS.setdefault(fields, found)
+        return found
 
     def __reduce__(self):
-        # Rebuild from the fields, so the hash is recomputed in a process
-        # with another hash seed instead of being unpickled stale.
+        # Unpickling and copying go through __new__, so they return the
+        # interned object of this process.
         return Snssai, (self.service_type, self.subtype)
 
     def key(self) -> str:

@@ -135,7 +135,7 @@ REJECT_VNIC_SATURATED = "vnic_saturated"
 REJECT_VNIC_DELAY = "vnic_delay"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Decision:
     """Outcome of one admission: admitted with the DRB's PRB estimate, or
     rejected with a reason (one of the REJECT_* codes) and a detail
@@ -147,6 +147,8 @@ class Decision:
     detail: str = ""
 
 
+# Frozen, as is its Drb: SubnetInstance._folded trusts a tuple of them by
+# identity, which holds only while no entry can change.
 @dataclass(frozen=True)
 class AdmittedDrb:
     drb: Drb
@@ -217,7 +219,7 @@ class AuxServiceInstance:
     current_il: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Instance:
     """One VNF instance: its kind, the slices it serves, its flavour
     capacity (vCPUs) and its position ``index`` in a pool of ``pool``
@@ -274,13 +276,6 @@ def evaluate_scaling_policy(history: Sequence[float], thresholds: ScalingThresho
         if last_dir != decision and now - last_tick < thresholds.cooldown:
             return None
     return decision
-
-
-def _share(total: int, pool: int, index: int) -> int:
-    """Instance ``index``'s part of ``total`` PRBs split evenly (integer
-    split, remainder to the first instances) over a pool of ``pool``."""
-    base, rem = divmod(total, pool)
-    return base + (1 if index < rem else 0)
 
 
 def _snap_modulation(value: float) -> int:
@@ -506,25 +501,29 @@ class Orchestrator:
     def _loads_on(self, insts: Sequence[Instance], prbs_by_slice: Mapping[Snssai, int],
                   entries: dict[Snssai, tuple]):
         """Yield each of ``insts`` with its owners' vCPU use and its vNIC
-        PRBs: a slice's PRBs spread evenly over the DU pool serving it, and
-        its CU carries the full slice load. Loads come from each slice's
-        load memo entry, looked up once into ``entries`` (_slice_loads); a
+        PRBs: a slice's PRBs split evenly over the DU pool serving it (an
+        integer split, the remainder to the lowest indices), and its CU
+        carries the full slice load. Loads come from each slice's load memo
+        entry, looked up once into ``entries`` (_slice_loads); a
         consumption model runs only for a (kind, share) new to the entry."""
         params = self.params
         for inst in insts:
+            kind, pool, index = inst.kind, inst.pool, inst.index
             per_slice = {}
             prbs = 0
             for s in inst.owners:
-                share = _share(prbs_by_slice[s], inst.pool, inst.index)
+                base, rem = divmod(prbs_by_slice[s], pool)
+                share = base + 1 if index < rem else base
                 entry = entries.get(s)
                 if entry is None:
                     entry = entries[s] = self._slice_loads(s)
                 loads = entry[2]
-                key = (inst.kind, share)
-                if key not in loads:
-                    consumption = du_vcpu_consumption if inst.kind == "du" else cu_vcpu_consumption
-                    loads[key] = consumption(SliceLoad(s, share, *entry[0]), params)
-                per_slice[s] = loads[key]
+                key = (kind, share)
+                load = loads.get(key)
+                if load is None:
+                    consumption = du_vcpu_consumption if kind == "du" else cu_vcpu_consumption
+                    load = loads[key] = consumption(SliceLoad(s, share, *entry[0]), params)
+                per_slice[s] = load
                 prbs += share
             yield inst, per_slice, prbs
 
@@ -550,9 +549,6 @@ class Orchestrator:
         subnet = self.subnets.get(snssai)
         if subnet is None:
             raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
-        # The subnet's own Snssai object: dict lookups then match on
-        # identity, without Snssai.__eq__.
-        snssai = subnet.snssai
         profile = self.ds.nssts[subnet.nsst_ref].slice_profile
         est = estimate_prbs(drb.qos.throughput_mbps, modulation_order, code_rate,
                             profile.numerology_index, profile.dl_ul_symbol_ratio)
@@ -574,14 +570,14 @@ class Orchestrator:
         first instance of its DU pool and its CU.
 
         Checking the heads alone gives the same Decision as checking every
-        owned instance. _share gives the remainder of a split to the
-        lowest indices, so a head carries at least the PRBs of every other
-        instance of its pool, per owner and through its vNIC. Every limit
-        is non-decreasing in PRBs, float rounding included: the
-        consumption models (k > 0), their sum, the per-slice cap, vNIC
-        saturation and the delay cap. So any instance of a pool that
-        breaks a limit has a head that breaks one too, and the head comes
-        first in the pool."""
+        owned instance. A pool's split of an owner's PRBs (_loads_on) gives
+        the remainder to the lowest indices, so a head carries at least the
+        PRBs of every other instance of its pool, per owner and through its
+        vNIC. Every limit is non-decreasing in PRBs, float rounding
+        included: the consumption models (k > 0), their sum, the per-slice
+        cap, vNIC saturation and the delay cap. So any instance of a pool
+        that breaks a limit has a head that breaks one too, and the head
+        comes first in the pool."""
         insts = self.instances()
         dus, cu = self._pools[snssai]
         return [insts[dus[0]], insts[cu]]
@@ -720,7 +716,6 @@ class Orchestrator:
                 holder, attr, nsd = self.subnets[snssai], "cu_sl", self._nsd(snssai)
                 levels = nsd.sa_cu.sl_ids()
                 caps = {sl: self._cu_capacity_of(nsd, sl) for sl in levels}
-            snssai = getattr(holder, "snssai", None)   # the subnet's own object
             rec = self._unit_recs[(target, snssai)] = _UnitRecord(
                 target, snssai, holder, attr, levels, caps,
                 deque(maxlen=max(self.thresholds.window, 1)))
@@ -766,14 +761,15 @@ class Orchestrator:
         the new pair. SHARED_DU scales the shared pool exactly once, on
         the auxiliary service; every referencing subnet then follows with
         a SUBNET_IL event (see _follow_aux). Any other unit that is not
-        live raises: a slice that is not instantiated, a shared DU without
-        an auxiliary service, a DU under a shared DU and SUBNET_IL."""
+        live raises: a slice that is not instantiated (one given with
+        SHARED_DU too), a shared DU without an auxiliary service, a DU
+        under a shared DU and SUBNET_IL."""
         shared = target is ScaleTarget.SHARED_DU
+        if snssai not in self.subnets and not (shared and snssai is None):
+            raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
         self._units()               # every live unit has its record
         rec = self._unit_recs.get((target, None if shared else snssai))
         if rec is None:
-            if not shared and snssai not in self.subnets:
-                raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
             raise OrchestrationError(f"no live {target.value} unit under scenario "
                                      f"{self.scenario.value}")
         snssai = rec.snssai

@@ -66,7 +66,7 @@ class ResourceModelParams:
             raise ValueError("cu_scale must be in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SliceLoad:
     """Coarse-time-scale load of one slice subnet: allocated PRBs plus
     the average MCS assigned to its scheduled users."""

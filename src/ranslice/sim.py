@@ -127,7 +127,7 @@ class SimConfig:
             seen.add(profile.snssai)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SliceRow:
     snssai: Snssai
     prbs: int
@@ -139,7 +139,7 @@ class SliceRow:
     rejected: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TickRow:
     tick: int
     slices: tuple[SliceRow, ...]

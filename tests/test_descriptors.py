@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import os
 import pickle
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -33,6 +36,8 @@ from ranslice.descriptors.validate import (
     UNORDERED_SCALE_LEVELS,
     UNRESOLVED_REF,
 )
+from ranslice.orchestrator import AdmittedDrb
+from ranslice.topology import Drb, DrbQos
 
 
 def test_parse_empty_document_list():
@@ -333,10 +338,40 @@ def test_snssai_key_formatting():
     assert Snssai(ServiceType.MMTC, "meters").key() == "mMTC.meters"
 
 
-def test_snssai_hash_is_the_field_tuple_hash():
-    for s in (Snssai(ServiceType.EMBB), Snssai(ServiceType.MMTC, "meters")):
-        assert hash(s) == hash((s.service_type, s.subtype))
-    assert hash(Snssai(ServiceType.URLLC, "a")) == hash(Snssai(ServiceType.URLLC, "a"))
+def test_snssai_is_interned_across_construction_copy_and_pickle():
+    s = Snssai(ServiceType.MMTC, "meters")
+    assert Snssai(service_type=ServiceType.MMTC, subtype="meters") is s
+    assert dataclasses.replace(Snssai(ServiceType.MMTC), subtype="meters") is s
+    assert dataclasses.replace(s) is s
+    assert copy.copy(s) is s and copy.deepcopy(s) is s
+    assert pickle.loads(pickle.dumps(s)) is s
+    assert Snssai(ServiceType.EMBB) is Snssai(ServiceType.EMBB, None)
+    assert Snssai(ServiceType.EMBB) is not Snssai(ServiceType.EMBB, "meters")
+
+
+def test_threads_building_one_new_snssai_get_one_object():
+    subtype = f"race-{os.getpid()}-{id(object())}"    # new to this process
+    barrier = threading.Barrier(8)
+
+    def build(_):
+        barrier.wait()
+        return Snssai(ServiceType.URLLC, subtype)
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        built = list(pool.map(build, range(8)))
+    assert all(b is built[0] for b in built)
+    assert Snssai(ServiceType.URLLC, subtype) is built[0]
+
+
+def test_records_trusted_by_identity_stay_frozen():
+    # SubnetInstance._folded trusts an admitted-DRB tuple by identity, and
+    # slices key dicts by identity: neither may change once built.
+    s = Snssai(ServiceType.EMBB)
+    drb = Drb("d1", s, DrbQos(5.0, 20.0, 0.99))
+    for record, name, value in ((s, "subtype", "x"), (drb, "drb_id", "d2"),
+                                (AdmittedDrb(drb, 3, 4, 0.5), "est_prbs", 4)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, value)
 
 
 def test_snssai_equality_and_hash_survive_deepcopy():
@@ -347,21 +382,20 @@ def test_snssai_equality_and_hash_survive_deepcopy():
 
 
 def test_snssai_pickled_under_another_hash_seed_is_found_as_a_dict_key():
-    # Enum and str hashes depend on PYTHONHASHSEED, so a hash pickled
-    # along with the object would be stale in this process.
+    # Hashes differ between processes (by PYTHONHASHSEED, and by address
+    # for an identity hash), so unpickling must give this process's object.
     seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
     code = ("import pickle, sys\n"
             "from ranslice.descriptors import ServiceType, Snssai\n"
             "s = Snssai(ServiceType.URLLC, 'robots')\n"
-            "sys.stdout.write(pickle.dumps((hash(s), s)).hex())\n")
+            "sys.stdout.write(pickle.dumps(s).hex())\n")
     env = dict(os.environ, PYTHONHASHSEED=seed,
                PYTHONPATH=str(Path(ranslice.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    child_hash, s = pickle.loads(bytes.fromhex(proc.stdout))
+    s = pickle.loads(bytes.fromhex(proc.stdout))
     here = Snssai(ServiceType.URLLC, "robots")
-    assert child_hash != hash(here)
-    assert s == here and hash(s) == hash(here)
+    assert s is here
     assert {here: "found"}[s] == "found"
 
 

@@ -38,7 +38,6 @@ from ranslice.orchestrator import (
     ScalingEvent,
     ScalingThresholds,
     _fold,
-    _share,
     evaluate_scaling_policy,
     _snap_modulation,
 )
@@ -221,7 +220,9 @@ def reference_projection(orch: Orchestrator, prbs_by_slice, extra=None) -> list[
         per_slice = {}
         prbs = 0
         for s in inst.owners:
-            share = _share(prbs_by_slice.get(s, 0), inst.pool, inst.index)
+            # An even integer split, the remainder to the lowest indices.
+            total = prbs_by_slice.get(s, 0)
+            share = total // inst.pool + (1 if inst.index < total % inst.pool else 0)
             per_slice[s] = consumption(SliceLoad(s, share, *mcs[s]), orch.params)
             prbs += share
         projected.append(Instance(inst.instance_id, inst.kind, inst.owners, inst.capacity,
@@ -355,8 +356,8 @@ def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, n
             s = here[i % len(here)]
             drb = Drb(f"d{step}", s, DrbQos(mbps, 20.0, 0.99))
             expected = reference_admission(orch, s, drb, m, cr)
-            # Every other arrival names its slice by an equal Snssai that
-            # is not the subnet's own object.
+            # Every other arrival names its slice by a newly constructed
+            # Snssai, which interning makes the subnet's own object.
             caller_s = Snssai(s.service_type, s.subtype) if step % 2 else s
             assert orch.admit_drb(caller_s, drb, m, cr) == expected
             if expected.admitted:
