@@ -9,12 +9,14 @@ instantiation level is updated to the new DU level (its CU level
 re-selected from the demand its CU carries).
 
 All mutating operations run on one logical thread (single-writer);
-read-only snapshots are safe to take concurrently.
+read-only snapshots are safe to take concurrently. State changes only
+through the lifecycle operations; the tick path trusts that (_relayout).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -29,7 +31,7 @@ from .resources import (
     SliceLoad,
     check_isolation,
     cu_vcpu_consumption,
-    du_vcpu_consumption,
+    du_vcpu_consumption,  # unused here; perfbench/tracing.py patches this name
     estimate_prbs,
     MODULATION_ORDERS,
     vnic_mean_wait,
@@ -192,11 +194,11 @@ class SubnetInstance:
     def _folded(self, extra: AdmittedDrb | None = None) -> tuple:
         """The _fold sums over the admitted DRBs, with ``extra`` appended
         if given. The memo keeps (the tuple last folded, its sums) and is
-        refolded when ``admitted_drbs`` is another object (an edit assigns
-        a new tuple; a list is always refolded); ``extra`` continues it."""
+        refolded when ``admitted_drbs`` is another tuple (departure
+        assigns one); ``extra`` continues it."""
         drbs = self.admitted_drbs
         memo = self._memo
-        if memo[0] is not drbs or type(drbs) is not tuple:
+        if memo[0] is not drbs:
             memo = self._memo = (drbs, _fold(drbs))
         return memo[1] if extra is None else _fold((extra,), memo[1])
 
@@ -336,7 +338,7 @@ class Orchestrator:
             raise DescriptorInvalidError(report)
         self.ds = ds
         self.scenario = scenario
-        self.params = params
+        self._params = params
         self.budget = budget
         self.thresholds = thresholds
         self.vnic_delay_cap_s = vnic_delay_cap_s
@@ -354,12 +356,19 @@ class Orchestrator:
         self._policy_order: list[_UnitRecord] | None = None
         self._instances: tuple[Instance, ...] | None = None
         self._pools: Pools = {}
-        # Projection memos, checked on identity where they are read, so
-        # DRBs, allocations and parameters changed from outside are seen.
-        self._loads: dict[Snssai, tuple] = {}
+        # exp(beta * m) per modulation order, the MCS factor of _loads_on.
+        self._exp = {m: math.exp(params.beta * m) for m in MODULATION_ORDERS}
         self._budgets: dict[tuple[float, float], CapacityBudget] = {}
-        self._handoff: tuple | None = None
+        # Lifecycle operations that changed state, counted (the
+        # generation); allocate_prbs hands (generation, projection) over.
+        self._generation = 0
+        self._handoff: tuple[int, list[Instance]] | None = None
         self._checked: list[Instance] | None = None
+
+    @property
+    def params(self) -> ResourceModelParams:
+        """The model parameters, fixed at construction."""
+        return self._params
 
     # -- descriptor lookups -------------------------------------------------
 
@@ -415,22 +424,18 @@ class Orchestrator:
         )
         self.subnets[snssai] = subnet
         self._slices = tuple(sorted(self.subnets, key=Snssai.key))
-        self._instances = self._policy_order = None
+        self._policy_order = None
+        self._relayout()
         return subnet
 
-    # -- load projection ------------------------------------------------------
+    def _relayout(self) -> None:
+        """Drop the instance layout and count a change of state, so that a
+        hand-off made before is not used. Code that edits levels, DRBs or
+        allocations by hand must call it after the edit."""
+        self._instances = None
+        self._generation += 1
 
-    def _slice_loads(self, snssai: Snssai, mcs: tuple[int, float] | None = None) -> tuple:
-        """The slice's load memo entry: (its MCS, or ``mcs`` in its place,
-        the model parameters, {(instance kind, PRB share): vCPU use}
-        computed so far at those two). The entry is replaced when the MCS
-        or ``self.params`` changes, so each slice keeps one."""
-        if mcs is None:
-            mcs = self.subnets[snssai].mcs()
-        entry = self._loads.get(snssai)
-        if entry is None or entry[1] is not self.params or entry[0] != mcs:
-            entry = self._loads[snssai] = (mcs, self.params, {})
-        return entry
+    # -- load projection ------------------------------------------------------
 
     def instances(self) -> tuple[Instance, ...]:
         """The live VNF instances: the shared DU pool or each subnet's
@@ -499,31 +504,29 @@ class Orchestrator:
                     self.instances() if insts is None else insts, prbs_by_slice, {})]
 
     def _loads_on(self, insts: Sequence[Instance], prbs_by_slice: Mapping[Snssai, int],
-                  entries: dict[Snssai, tuple]):
+                  entries: dict[Snssai, tuple[float, float]]):
         """Yield each of ``insts`` with its owners' vCPU use and its vNIC
         PRBs: a slice's PRBs split evenly over the DU pool serving it (an
         integer split, the remainder to the lowest indices), and its CU
-        carries the full slice load. Loads come from each slice's load memo
-        entry, looked up once into ``entries`` (_slice_loads); a
-        consumption model runs only for a (kind, share) new to the entry."""
-        params = self.params
+        carries the full slice load. Each owner's (code rate, exp(beta *
+        modulation order)) is read once into ``entries``. A load is
+        du_vcpu_consumption's expression in its order, times cu_scale on a
+        CU as in cu_vcpu_consumption, so the floats are the models'."""
+        p = self._params
+        c0, k, cu_scale, exp = p.c0, p.k, p.cu_scale, self._exp
         for inst in insts:
-            kind, pool, index = inst.kind, inst.pool, inst.index
+            du, pool, index = inst.kind == "du", inst.pool, inst.index
             per_slice = {}
             prbs = 0
             for s in inst.owners:
                 base, rem = divmod(prbs_by_slice[s], pool)
                 share = base + 1 if index < rem else base
-                entry = entries.get(s)
-                if entry is None:
-                    entry = entries[s] = self._slice_loads(s)
-                loads = entry[2]
-                key = (kind, share)
-                load = loads.get(key)
-                if load is None:
-                    consumption = du_vcpu_consumption if kind == "du" else cu_vcpu_consumption
-                    load = loads[key] = consumption(SliceLoad(s, share, *entry[0]), params)
-                per_slice[s] = load
+                rate = entries.get(s)
+                if rate is None:
+                    m, cr = self.subnets[s].mcs()
+                    rate = entries[s] = (cr, exp[m])
+                load = c0 + k * share * rate[0] * rate[1]
+                per_slice[s] = load if du else cu_scale * load
                 prbs += share
             yield inst, per_slice, prbs
 
@@ -556,13 +559,15 @@ class Orchestrator:
         after = subnet._folded(entry)
         demand = _Demand(self.subnets)
         demand[snssai] = after[0]
-        entries = {snssai: self._slice_loads(snssai, after[3])}
+        m, cr = after[3]
+        entries = {snssai: (cr, self._exp[m])}
         for head, per_slice, prbs in self._loads_on(self._owned_by(snssai), demand, entries):
             reject = self._limit(head, loads=(per_slice, prbs))
             if reject is not None:
                 return reject
         subnet.admitted_drbs = drbs = (*subnet.admitted_drbs, entry)
         subnet._memo = (drbs, after)
+        self._generation += 1
         return Decision(True, est_prbs=est)
 
     def _owned_by(self, snssai: Snssai) -> list[Instance]:
@@ -602,7 +607,7 @@ class Orchestrator:
                                 detail=f"{inst.instance_id}: {'; '.join(result.violations)}")
         if vnic:
             try:
-                wait = vnic_mean_wait(prbs, self.params)
+                wait = vnic_mean_wait(prbs, self._params)
             except VnicSaturatedError as exc:
                 return Decision(False, reason=REJECT_VNIC_SATURATED,
                                 detail=f"{inst.instance_id}: {exc}")
@@ -620,6 +625,7 @@ class Orchestrator:
         for i, entry in enumerate(drbs):
             if entry.drb.drb_id == drb_id:
                 subnet.admitted_drbs = drbs[:i] + drbs[i + 1:]
+                self._generation += 1
                 return True
         return False
 
@@ -633,14 +639,6 @@ class Orchestrator:
             return projected
         return None
 
-    def _handoff_key(self, alloc: Mapping[Snssai, int]) -> tuple:
-        """What a full projection at ``alloc`` depends on: the live
-        instance tuple, the split, every slice's MCS and the model
-        parameters. Keys compare with ``==``, which matches the instance
-        tuple and the parameters on identity before comparing values."""
-        return (self.instances(), dict(alloc),
-                [self.subnets[s].mcs() for s in self._slices], self.params)
-
     def allocate_prbs(self, total_prbs: int) -> dict[Snssai, int]:
         """Split the PRB budget across subnets proportionally to their
         admitted demand (largest-remainder rounding), then trim the
@@ -650,8 +648,8 @@ class Orchestrator:
         BaselineOverloadError when isolation fails even at zero PRBs.
 
         The projection at the final split is handed to the next
-        observe_utilization, which uses it only if nothing it depends on
-        (see _handoff_key) changed in between."""
+        observe_utilization, which uses it only if no lifecycle operation
+        changed state in between (the generation is unchanged)."""
         if total_prbs < 0:
             raise ValueError("total_prbs must be >= 0")
         slices = self._slices
@@ -695,7 +693,7 @@ class Orchestrator:
 
         for s in slices:
             self.subnets[s].allocated_prbs = alloc[s]
-        self._handoff = (self._handoff_key(alloc), projected)
+        self._handoff = (self._generation, projected)
         return alloc
 
     # -- scaling ------------------------------------------------------------------
@@ -788,7 +786,7 @@ class Orchestrator:
             events += filter(None, (self._follow_aux(s, cause) for s in self._slices))
         else:
             rec.holder.cu_sl, rec.holder.du_sl, rec.holder.current_il = il.cu_sl, il.du_sl, il.id
-        self._instances = None
+        self._relayout()
         self.events.extend(events)
         return events
 
@@ -807,7 +805,7 @@ class Orchestrator:
             return None
         loaded = self._slices if self.scenario.cu_shared else [s]
         need = sum(cu_vcpu_consumption(
-            SliceLoad(t, self.subnets[t].demand_prbs(), *self.subnets[t].mcs()), self.params)
+            SliceLoad(t, self.subnets[t].demand_prbs(), *self.subnets[t].mcs()), self._params)
             for t in loaded)
         covering = [sl.id for sl in nsd.sa_cu.sls if self._cu_capacity_of(nsd, sl.id) >= need]
         chosen = nsd.find_il(covering[0] if covering else nsd.sa_cu.sls[-1].id, new_du_sl)
@@ -834,14 +832,13 @@ class Orchestrator:
         sample per scaling unit to its history, and return the snapshot.
         A CU's sample is its slice's consumption over the subnet's own CU
         level; a DU pool's is the pool's consumption over its capacity.
-        Reuses the projection allocate_prbs handed over when nothing it
-        depends on changed since; the hand-off is used at most once."""
-        alloc = self._allocated_map()
+        Reuses the projection allocate_prbs handed over when no lifecycle
+        operation ran since; the hand-off is used at most once."""
         handoff, self._handoff = self._handoff, None
-        if handoff is not None and handoff[0] == self._handoff_key(alloc):
+        if handoff is not None and handoff[0] == self._generation:
             insts = self._checked = handoff[1]
         else:
-            insts = self._project(alloc)
+            insts = self._project(self._allocated_map())
             self._checked = None
         pools = self.pools()
         for rec in self._units():

@@ -1,14 +1,22 @@
-"""No private function, class or module-level assignment in ``src/`` is
+"""Checks over the source tree with the stdlib ``ast`` module.
+
+No private function, class or module-level assignment in ``src/`` is
 left behind: each ``_name`` defined there is read somewhere in ``src/``.
 Public names are out of scope, since code outside ``src/`` may use
-them. Uses only the stdlib ``ast`` module."""
+them.
+
+Orchestrator state changes only through lifecycle operations: in
+``src/`` and ``perfbench/`` (read, never edited), the DRBs, allocations,
+levels and the generation are assigned only inside those operations and
+constructors."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def _is_private(name: str) -> bool:
@@ -47,3 +55,116 @@ def test_every_private_name_in_src_is_used():
     assert defined, f"no private names found under {SRC}"
     unused = sorted(f"{name} ({where})" for name, where in defined.items() if name not in read)
     assert not unused, "defined but never used in src/: " + ", ".join(unused)
+
+
+# State the tick path trusts to change only in lifecycle operations.
+LIFECYCLE_STATE = frozenset({"admitted_drbs", "allocated_prbs", "cu_sl", "du_sl", "current_il",
+                             "_generation"})
+LIFECYCLE_OPS = frozenset({"admit_drb", "depart_drb", "allocate_prbs", "scale", "_follow_aux",
+                           "instantiate_subnet", "__init__", "__post_init__", "__new__"})
+# The orchestrator's reset hook writes the generation; lifecycle
+# operations alone may call it (tests call it after editing by hand).
+RESET_HOOK = "_relayout"
+
+
+def _targets(node: ast.AST):
+    """The attribute names ``node`` assigns: attribute targets of an
+    assignment (unpacked through tuples, lists and starred targets), and
+    the constant name given to ``setattr`` or ``__setattr__``."""
+    if isinstance(node, ast.Assign):
+        stack = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        stack = [node.target]
+    elif isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "setattr" and len(node.args) > 1:
+            stack = [node.args[1]]
+        elif isinstance(func, ast.Attribute) and func.attr == "__setattr__" and node.args:
+            stack = [node.args[-2] if len(node.args) > 2 else node.args[0]]
+        else:
+            return
+        for arg in stack:
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                yield arg.value
+        return
+    else:
+        return
+    while stack:
+        target = stack.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stack.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            stack.append(target.value)
+        elif isinstance(target, ast.Attribute):
+            yield target.attr
+
+
+def state_writes(roots) -> list[tuple[str, str, str]]:
+    """Every (what, function, place) under ``roots`` that assigns one of
+    LIFECYCLE_STATE or calls RESET_HOOK, with the innermost enclosing
+    function's name (``<module>`` or the class body's ``<class Name>``)."""
+    found = []
+
+    def visit(node: ast.AST, where: str, path: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif isinstance(child, ast.Lambda):
+                inner = "<lambda>"
+            elif isinstance(child, ast.ClassDef):
+                inner = f"<class {child.name}>"
+            for name in _targets(child):
+                if name in LIFECYCLE_STATE:
+                    found.append((name, where, f"{path}:{child.lineno}"))
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == RESET_HOOK):
+                found.append((f"{RESET_HOOK}()", where, f"{path}:{child.lineno}"))
+            visit(child, inner, path)
+
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            visit(tree, "<module>", f"{root.name}/{path.relative_to(root)}")
+    return found
+
+
+def stray_writes(roots) -> list[str]:
+    """The writes of state_writes outside lifecycle operations; the
+    reset hook may bump the generation."""
+    return [f"{what} in {where} ({place})" for what, where, place in state_writes(roots)
+            if where not in LIFECYCLE_OPS
+            and not (where == RESET_HOOK and what == "_generation")]
+
+
+def test_lifecycle_state_is_written_only_by_lifecycle_operations():
+    writes = state_writes([SRC, ROOT / "perfbench"])
+    # The check sees the writers it exists for.
+    assert {"admitted_drbs", "allocated_prbs", "cu_sl", "_generation", f"{RESET_HOOK}()"} <= {
+        what for what, _, _ in writes}
+    stray = stray_writes([SRC, ROOT / "perfbench"])
+    assert not stray, "lifecycle state written outside lifecycle operations: " + ", ".join(stray)
+
+
+def test_the_write_check_finds_every_form_of_write(tmp_path):
+    (tmp_path / "edits.py").write_text("""
+def tick(orch, sub, rec):
+    sub.admitted_drbs += (1,)
+    sub.allocated_prbs: int = 3
+    rec.holder.cu_sl, (a, *rec.holder.du_sl) = 1, (2, 3)
+    setattr(orch.aux, "current_il", "x")
+    object.__setattr__(orch, "_generation", 0)
+    orch._relayout()
+    sub.other = 1
+
+class Orch:
+    def _relayout(self):
+        self._generation += 1
+
+    def scale(self):
+        self.current_il = "y"
+        self._relayout()
+""", encoding="utf-8")
+    assert sorted(w.split(" (")[0] for w in stray_writes([tmp_path])) == [
+        "_generation in tick", "_relayout() in tick", "admitted_drbs in tick",
+        "allocated_prbs in tick", "cu_sl in tick", "current_il in tick", "du_sl in tick"]

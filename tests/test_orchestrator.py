@@ -64,6 +64,21 @@ def admit_prbs(orch, ds, snssai, prbs, drb_id=None, m=6, cr=0.75):
     return orch.admit_drb(snssai, drb, m, cr)
 
 
+def count_evaluations(monkeypatch, orch) -> list[tuple]:
+    """Record each (instance kind, owner, vNIC PRBs) pair whose load
+    ``orch._loads_on`` computes, as its caller takes the instances."""
+    evaluated = []
+    loads_on = orch._loads_on
+
+    def counted(*args):
+        for inst, per_slice, prbs in loads_on(*args):
+            evaluated.extend((inst.kind, s, prbs) for s in per_slice)
+            yield inst, per_slice, prbs
+
+    monkeypatch.setattr(orch, "_loads_on", counted)
+    return evaluated
+
+
 def du_ids(orch):
     return [i.instance_id for i in orch.instances() if i.kind == "du"]
 
@@ -374,14 +389,14 @@ def test_scale_shared_du_keeps_a_shared_cu_covering_every_subnets_load():
 
 
 def test_shared_du_scaling_gives_no_event_to_a_subnet_already_at_its_il():
-    # The auxiliary IL is set by hand above the subnets' ILs, and the
-    # layout dropped as scale() drops it; the policy scales the idle pool
+    # The auxiliary IL is set by hand above the subnets' ILs, then the
+    # reset hook drops the layout as scale() does; the policy scales the idle pool
     # back down to where both subnets already sit.
     ds = build_descriptor_set(n_slices=2, du_counts=(1, 2, 4), cu_vcpus=(1, 2, 4), du_vcpus=4)
     orch = make_orch(ds, scenario=Scenario.S2_ALL_SHARED,
                      thresholds=ScalingThresholds(window=1, cooldown=0))
     orch.aux.current_il = "du-sl-2"
-    orch._instances = None
+    orch._relayout()
     orch.allocate_prbs(100)
     orch.observe_utilization()
     events = orch.apply_scaling_policies()
@@ -694,27 +709,21 @@ def test_fuzz_all_scenarios_hold_invariants():
 def test_admission_evaluates_only_the_arriving_slices_instances(monkeypatch):
     # s1, 4 slices, all with admitted load: admitting to one slice
     # evaluates only that slice's CU and the head of its DU pool.
-    import ranslice.orchestrator as orch_mod
-
     ds = build_descriptor_set(n_slices=4, du_counts=(1, 2), du_vcpus=4)
     orch = make_orch(ds, scenario=Scenario.S1_DEDICATED)
     slices = ds.snssais()
     for s in slices:
         orch.scale(ScaleTarget.DU, Direction.UP, s)
         assert admit_prbs(orch, ds, s, 20).admitted
-    calls = []
-    for name, kind in (("du_vcpu_consumption", "du"), ("cu_vcpu_consumption", "cu")):
-        def counted(load, params, fn=getattr(orch_mod, name), kind=kind):
-            calls.append((kind, load.snssai, load.prbs))
-            return fn(load, params)
-        monkeypatch.setattr(orch_mod, name, counted)
+    evaluated = count_evaluations(monkeypatch, orch)
 
     arriving = slices[2]
     assert admit_prbs(orch, ds, arriving, 5, drb_id="arrival").admitted
-    assert {s for _, s, _ in calls} == {arriving}
+    assert {s for _, s, _ in evaluated} == {arriving}
     # 25 PRBs split over a pool of 2 DUs: shares 13 and 12; the head
-    # carries the larger one and decides for the pool.
-    assert sorted(calls) == [("cu", arriving, 25), ("du", arriving, 13)]
+    # carries the larger one and decides for the pool. Each instance has
+    # one owner, so its vNIC PRBs are the owner's share.
+    assert sorted(evaluated) == [("cu", arriving, 25), ("du", arriving, 13)]
 
 
 def test_admission_reads_only_the_arriving_slices_demand(monkeypatch):
@@ -737,20 +746,15 @@ def test_admission_reads_only_the_arriving_slices_demand(monkeypatch):
 def test_admission_stops_at_the_du_heads_break(monkeypatch):
     # s2, 801 PRBs saturate the vNICs of both the shared DU and the shared
     # CU: the DU head is checked first and the CU is not projected.
-    import ranslice.orchestrator as orch_mod
-
     ds = build_descriptor_set(n_slices=2, du_vcpus=16)
     orch = make_orch(ds, scenario=Scenario.S2_ALL_SHARED, budget=CapacityBudget(16.0, 0.9))
-    kinds = []
-    for name, kind in (("du_vcpu_consumption", "du"), ("cu_vcpu_consumption", "cu")):
-        def counted(load, params, fn=getattr(orch_mod, name), kind=kind):
-            kinds.append(kind)
-            return fn(load, params)
-        monkeypatch.setattr(orch_mod, name, counted)
+    evaluated = count_evaluations(monkeypatch, orch)
     decision = admit_prbs(orch, ds, ds.snssais()[0], 801)
     assert decision.reason == REJECT_VNIC_SATURATED
     assert decision.detail.startswith("du-shared-1: ")
-    assert set(kinds) == {"du"}
+    # The shared DU head's two owners, and nothing on the CU.
+    assert sorted(s.key() for _, s, _ in evaluated) == sorted(s.key() for s in ds.snssais())
+    assert {kind for kind, _, _ in evaluated} == {"du"}
 
 
 @pytest.mark.parametrize("m, cr, field", [
@@ -788,22 +792,15 @@ def test_admission_sees_a_scaling_since_the_last_admission(ds_two_slices):
 
 def test_observation_reuses_the_allocation_projection(monkeypatch):
     # s2, 3 loaded slices: with nothing changed between allocate_prbs and
-    # observe_utilization, observation projects nothing and calls no
-    # consumption model, and its snapshot is the projection at the split.
-    import ranslice.orchestrator as orch_mod
-
+    # observe_utilization, observation projects nothing and evaluates no
+    # load, and its snapshot is the projection at the split.
     ds = build_descriptor_set(n_slices=3, du_counts=(1, 2), du_vcpus=4)
     orch = make_orch(ds, scenario=Scenario.S2_ALL_SHARED)
     orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
     for s in ds.snssais():
         assert admit_prbs(orch, ds, s, 20).admitted
     orch.allocate_prbs(273)
-    calls = []
-    for name in ("du_vcpu_consumption", "cu_vcpu_consumption"):
-        def counted(load, params, fn=getattr(orch_mod, name)):
-            calls.append(load)
-            return fn(load, params)
-        monkeypatch.setattr(orch_mod, name, counted)
+    evaluated = count_evaluations(monkeypatch, orch)
     project = orch._project
     projections = []
 
@@ -813,11 +810,55 @@ def test_observation_reuses_the_allocation_projection(monkeypatch):
 
     monkeypatch.setattr(orch, "_project", counted_project)
     snapshot = orch.observe_utilization()
-    assert calls == [] and projections == []
+    assert evaluated == [] and projections == []
     assert snapshot == project(orch._allocated_map())
     # The hand-off is used once: the next observation projects afresh.
     assert orch.observe_utilization() == snapshot
     assert len(projections) == 1
+
+
+@pytest.mark.parametrize("op, reprojects", [
+    ("reject", False), ("admit", True), ("depart", True), ("depart-unknown", False),
+    ("scale", True), ("instantiate", True), ("clock", False),
+])
+def test_only_a_state_change_drops_the_hand_off(monkeypatch, ds_three_slices, op, reprojects):
+    # s2, two of three subnets live and loaded: a lifecycle operation that
+    # changes state between allocate_prbs and observe_utilization makes
+    # observation project afresh; one that changes nothing does not.
+    orch = make_orch(ds_three_slices, scenario=Scenario.S2_ALL_SHARED, instantiate=False)
+    embb, third, urllc = ds_three_slices.snssais()
+    for s in (embb, urllc):
+        orch.instantiate_subnet(s)
+        assert admit_prbs(orch, ds_three_slices, s, 20).admitted
+    orch.allocate_prbs(273)
+    projections = []
+    project = orch._project
+    monkeypatch.setattr(orch, "_project", lambda *a, **k: projections.append(a) or project(*a, **k))
+    if op == "reject":
+        assert not admit_prbs(orch, ds_three_slices, embb, 200, drb_id="big").admitted
+    elif op == "admit":
+        assert admit_prbs(orch, ds_three_slices, embb, 5, drb_id="small").admitted
+    elif op.startswith("depart"):
+        drb_id = orch.subnets[embb].admitted_drbs[0].drb.drb_id
+        assert orch.depart_drb(embb, "nobody" if op == "depart-unknown" else drb_id) \
+            == (op == "depart")
+    elif op == "scale":
+        orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
+    elif op == "instantiate":
+        orch.instantiate_subnet(third)
+    else:
+        orch.advance_clock()
+    snapshot = orch.observe_utilization()
+    assert len(projections) == reprojects
+    assert (orch._checked is snapshot) == (not reprojects)
+
+
+def test_params_are_fixed_at_construction(ds_two_slices):
+    # The loads and the hand-off rely on parameters that cannot change.
+    orch = make_orch(ds_two_slices)
+    with pytest.raises(AttributeError):
+        orch.params = ResourceModelParams()
+    assert orch.params is PARAMS
 
 
 def recounted_violations(orch, snapshot) -> int:
@@ -829,8 +870,9 @@ def recounted_violations(orch, snapshot) -> int:
 def test_an_edit_before_observation_is_reprojected_and_counted(ds_two_slices):
     # s2: the hand-off projection passed allocation's isolation check and
     # counts no violation unchecked. Allocations raised by hand between
-    # allocate_prbs and observe_utilization miss the hand-off, so the
-    # snapshot is projected afresh and its violations are counted.
+    # allocate_prbs and observe_utilization, followed by the reset hook
+    # that hand edits need, miss the hand-off, so the snapshot is
+    # projected afresh and its violations are counted.
     orch = make_orch(ds_two_slices, scenario=Scenario.S2_ALL_SHARED)
     for s in ds_two_slices.snssais():
         assert admit_prbs(orch, ds_two_slices, s, 40).admitted
@@ -840,6 +882,7 @@ def test_an_edit_before_observation_is_reprojected_and_counted(ds_two_slices):
     orch.allocate_prbs(273)
     for sub in orch.subnets.values():
         sub.allocated_prbs = 273
+    orch._relayout()
     snapshot = orch.observe_utilization()
     assert all(i.prbs == 273 * len(i.owners) for i in snapshot)
     assert recounted_violations(orch, snapshot) > 0

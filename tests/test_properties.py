@@ -1,14 +1,16 @@
 """Property tests of the scaling-unit model, of the scoped admission
-check, of the pool index and of the projection memos: random sequences
-of scale, admit, depart and tick operations, under every sharing
-scenario, some of them also editing state by hand between allocation
-and observation or instantiating a subnet midway, the unit records
-against a frozen copy of the tuple-keyed policy, and subnets following
-a shared-DU scaling against a frozen copy of their two-search IL choice.
-Then properties over generated deployments and loads: a pool's head
-decides admission for its pool, and allocation stays within demand,
-budget and isolation. Last, the isolation predicate and the modulation
-snap against frozen copies of their first versions."""
+check, of the pool index and of the allocation hand-off: random
+sequences of scale, admit, depart and tick operations, under every
+sharing scenario, some of them also editing state by hand (then calling
+the orchestrator's reset hook) between allocation and observation or
+instantiating a subnet midway, the unit records against a frozen copy
+of the tuple-keyed policy, and subnets following a shared-DU scaling
+against a frozen copy of their two-search IL choice. Then properties
+over generated deployments and loads: the closed-form loads equal the
+consumption models, a pool's head decides admission for its pool, and
+allocation stays within demand, budget and isolation. Last, the
+isolation predicate and the modulation snap against frozen copies of
+their first versions."""
 
 from __future__ import annotations
 
@@ -79,30 +81,27 @@ def op_lists(max_mbps: float, *more, min_size: int = 0):
 
 OPS = op_lists(60.0)
 
-# Every parameter change moves some consumption; the last is equal to
-# PARAMS but another object.
-PARAM_EDITS = (replace(PARAMS, k=0.002), replace(PARAMS, beta=0.3),
-               replace(PARAMS, cu_scale=0.5), replace(PARAMS, c0=0.01), replace(PARAMS))
+# Model parameters, fixed at construction: PARAMS or one that moves
+# some consumption.
+PARAM_DRAWS = st.sampled_from((PARAMS, replace(PARAMS, k=0.002), replace(PARAMS, beta=0.3),
+                               replace(PARAMS, cu_scale=0.5), replace(PARAMS, c0=0.01)))
 
-# State edited by hand: a DRB appended to a subnet's DRBs, one removed
-# from among them, one replaced by a DRB of equal PRB estimate at another
-# MCS, the DRBs turned into a list (then edited in place), a scale level
-# (or the auxiliary IL) or a subnet's allocated PRBs set directly, the
-# model parameters replaced.
+# State edited by hand, each edit followed by the reset hook: a DRB
+# appended to a subnet's DRBs, one removed from among them, one replaced
+# by a DRB of equal PRB estimate at another MCS, a scale level (or the
+# auxiliary IL) or a subnet's allocated PRBs set directly.
 EDITS = st.one_of(
     st.tuples(st.just("append"), st.integers(0, 2), st.integers(1, 120),
               st.sampled_from(MCS)),
     st.tuples(st.just("remove"), st.integers(0, 2), st.integers(0, 1000)),
     st.tuples(st.just("remcs"), st.integers(0, 2), st.integers(0, 1000), st.sampled_from(MCS)),
-    st.tuples(st.just("list"), st.integers(0, 2)),
     st.tuples(st.just("level"), st.sampled_from(("cu", "du")), st.integers(0, 2),
               st.integers(0, 2)),
     st.tuples(st.just("prbs"), st.integers(0, 2), st.integers(0, 273)),
-    st.tuples(st.just("params"), st.sampled_from(PARAM_EDITS)),
 )
 # Allocation and observation as separate steps, with one edit in between
-# ("handoff": allocate, the edit, observe), so that an edit the hand-off
-# key misses is not masked by another edit, or with edits anywhere.
+# ("handoff": allocate, the edit, observe), so that an edit the reset
+# hook misses is not masked by another edit, or with edits anywhere.
 STATE_EDITS = (
     st.tuples(st.just("handoff"), EDITS),
     st.just(("allocate",)),
@@ -263,7 +262,8 @@ def as_rows(projected: list[Instance]) -> list[tuple]:
 
 
 def edit_by_hand(orch: Orchestrator, edit: tuple, step: int, live: list) -> None:
-    """Apply one of EDITS to the orchestrator's state directly."""
+    """Apply one of EDITS to the orchestrator's state directly, then call
+    the reset hook that a hand edit needs."""
     slices = list(orch.subnets)
     if edit[0] == "append":
         _, i, prbs, (m, cr) = edit
@@ -282,13 +282,7 @@ def edit_by_hand(orch: Orchestrator, edit: tuple, step: int, live: list) -> None
             else:
                 m, cr = edit[3]
                 drbs[j] = replace(drbs[j], modulation_order=m, code_rate=cr)
-            if isinstance(sub.admitted_drbs, list):
-                sub.admitted_drbs[:] = drbs         # in place
-            else:
-                sub.admitted_drbs = tuple(drbs)
-    elif edit[0] == "list":
-        sub = orch.subnets[slices[edit[1] % len(slices)]]
-        sub.admitted_drbs = list(sub.admitted_drbs)
+            sub.admitted_drbs = tuple(drbs)
     elif edit[0] == "level":
         _, kind, i, j = edit
         s = slices[i % len(slices)]
@@ -302,11 +296,9 @@ def edit_by_hand(orch: Orchestrator, edit: tuple, step: int, live: list) -> None
         else:
             levels = nsd.sa_du.sl_ids()
             orch.subnets[s].du_sl = levels[j % len(levels)]
-        orch._instances = None      # levels change only as scale() does it
-    elif edit[0] == "prbs":
-        orch.subnets[slices[edit[1] % len(slices)]].allocated_prbs = edit[2]
     else:
-        orch.params = edit[1]
+        orch.subnets[slices[edit[1] % len(slices)]].allocated_prbs = edit[2]
+    orch._relayout()
 
 
 def observe_and_check(orch: Orchestrator) -> None:
@@ -326,18 +318,18 @@ def observe_and_check(orch: Orchestrator) -> None:
 # Large DRBs, and 4-vCPU DUs, so that the CU (a shared CU's isolation
 # or a CU's vNIC, which carries the slice's whole load) rejects too.
 @given(n_slices=st.integers(1, 3), n_start=st.integers(1, 3), du_vcpus=st.sampled_from((1, 4)),
-       scenario=st.sampled_from(Scenario),
+       scenario=st.sampled_from(Scenario), params=PARAM_DRAWS,
        ops=op_lists(200.0, *STATE_EDITS, st.just(("instantiate",)), min_size=4))
 # A shared CU that only the arriving DRB's own PRBs push over its cap,
 # under a DU head that holds.
-@example(n_slices=2, n_start=1, du_vcpus=1, scenario=Scenario.S3_CU_SHARED,
+@example(n_slices=2, n_start=1, du_vcpus=1, scenario=Scenario.S3_CU_SHARED, params=PARAMS,
          ops=[("tick",), ("instantiate",), ("admit", 0, 12.0, (6, 0.75)),
               ("admit", 0, 75.0, (8, 0.9))])
-def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, n_start,
-                                                                     du_vcpus, scenario, ops):
+def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, n_start, du_vcpus,
+                                                                     scenario, params, ops):
     # Subnets after the first ``n_start`` are instantiated by an op.
     ds = descriptor_set(n_slices, du_vcpus)
-    orch = Orchestrator(ds, scenario, PARAMS, BUDGET, THRESHOLDS, vnic_delay_cap_s=5e-3)
+    orch = Orchestrator(ds, scenario, params, BUDGET, THRESHOLDS, vnic_delay_cap_s=5e-3)
     waiting = list(ds.snssais())
     live: list[tuple] = []
     for step, op in enumerate((("instantiate",),) * n_start + tuple(ops)):
@@ -377,7 +369,7 @@ def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, n
             orch.allocate_prbs(273)
         elif op[0] == "observe":
             observe_and_check(orch)
-        elif op[0] in ("append", "remove", "remcs", "list", "level", "prbs", "params"):
+        elif op[0] in ("append", "remove", "remcs", "level", "prbs"):
             edit_by_hand(orch, op, step, live)
         fresh = orch._build_instances({})[0]
         assert orch.instances() == fresh
@@ -385,6 +377,58 @@ def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, n
         assert {s: (list(dus), [cu]) for s, (dus, cu) in orch.pools().items()} == \
             owner_scan(fresh)
         assert_loads_match_the_reference(orch)
+
+
+# Lifecycle operations only: admissions large enough to be rejected too,
+# departures (some of an unknown DRB), scalings and instantiations.
+LIFECYCLE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("admit"), st.integers(0, 2), st.floats(0.5, 200.0), st.sampled_from(MCS)),
+    st.tuples(st.just("depart"), st.integers(0, 1000), st.booleans()),
+    st.tuples(st.just("scale"),
+              st.sampled_from((ScaleTarget.CU, ScaleTarget.DU, ScaleTarget.SHARED_DU)),
+              st.sampled_from(Direction), st.integers(0, 2)),
+    st.just(("instantiate",)),
+), max_size=4)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n_slices=st.integers(1, 3), du_vcpus=st.sampled_from((1, 4)),
+       scenario=st.sampled_from(Scenario), params=PARAM_DRAWS,
+       rounds=st.lists(LIFECYCLE_OPS, min_size=1, max_size=8))
+def test_lifecycle_operations_between_allocation_and_observation_keep_it_exact(
+        n_slices, du_vcpus, scenario, params, rounds):
+    # Each round allocates, runs its lifecycle operations, then observes:
+    # the snapshot, the hand-off or a fresh projection, equals the
+    # reference projection at the allocations. One subnet starts live.
+    ds = descriptor_set(n_slices, du_vcpus)
+    orch = Orchestrator(ds, scenario, params, BUDGET, THRESHOLDS, vnic_delay_cap_s=5e-3)
+    waiting = list(ds.snssais())
+    orch.instantiate_subnet(waiting.pop(0))
+    live: list[tuple] = []
+    for r, ops in enumerate(rounds):
+        orch.allocate_prbs(273)
+        for step, op in enumerate(ops):
+            here = list(orch.subnets)
+            if op[0] == "admit":
+                _, i, mbps, (m, cr) = op
+                s = here[i % len(here)]
+                drb = Drb(f"d{r}-{step}", s, DrbQos(mbps, 20.0, 0.99))
+                if orch.admit_drb(s, drb, m, cr).admitted:
+                    live.append((s, drb.drb_id))
+            elif op[0] == "depart":
+                if live and op[2]:
+                    assert orch.depart_drb(*live.pop(op[1] % len(live)))
+                else:
+                    assert not orch.depart_drb(here[op[1] % len(here)], "unknown")
+            elif op[0] == "scale":
+                _, target, direction, i = op
+                try:
+                    orch.scale(target, direction, here[i % len(here)])
+                except OrchestrationError:
+                    pass
+            elif waiting:
+                orch.instantiate_subnet(waiting.pop(0))
+        observe_and_check(orch)
 
 
 class TupleKeyedPolicy(Orchestrator):
@@ -481,25 +525,26 @@ def assert_histories_match(orch: Orchestrator, ref: TupleKeyedPolicy) -> None:
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(n_slices=st.integers(1, 3), n_start=st.integers(1, 3), du_vcpus=st.sampled_from((1, 4)),
-       scenario=st.sampled_from(Scenario),
+       scenario=st.sampled_from(Scenario), params=PARAM_DRAWS,
        ops=op_lists(200.0, *STATE_EDITS, st.just(("instantiate",)), min_size=4))
 # A shared CU above one subnet's own CU level; a unit set rebuilt after
 # the first subnet's units have a history; a DU pool resized by hand.
-@example(n_slices=2, n_start=2, du_vcpus=4, scenario=Scenario.S2_ALL_SHARED,
+@example(n_slices=2, n_start=2, du_vcpus=4, scenario=Scenario.S2_ALL_SHARED, params=PARAMS,
          ops=[("scale", ScaleTarget.CU, Direction.UP, 0), ("admit", 0, 50.0, (6, 0.75)),
               ("admit", 1, 50.0, (6, 0.75)), ("tick",)])
-@example(n_slices=2, n_start=1, du_vcpus=4, scenario=Scenario.S4_DU_SHARED,
+@example(n_slices=2, n_start=1, du_vcpus=4, scenario=Scenario.S4_DU_SHARED, params=PARAMS,
          ops=[("admit", 0, 50.0, (6, 0.75)), ("tick",), ("instantiate",), ("tick",)])
-@example(n_slices=2, n_start=2, du_vcpus=1, scenario=Scenario.S1_DEDICATED,
+@example(n_slices=2, n_start=2, du_vcpus=1, scenario=Scenario.S1_DEDICATED, params=PARAMS,
          ops=[("admit", 0, 50.0, (6, 0.75)), ("tick",),
               ("handoff", ("level", "du", 0, 2)), ("tick",)])
-def test_unit_records_match_the_tuple_keyed_policy(n_slices, n_start, du_vcpus, scenario, ops):
+def test_unit_records_match_the_tuple_keyed_policy(n_slices, n_start, du_vcpus, scenario,
+                                                   params, ops):
     # Two orchestrators in lockstep, the second running the frozen
     # policy. Subnets after the first ``n_start`` are instantiated by an
     # op, which rebuilds the unit set between observations.
     ds = descriptor_set(n_slices, du_vcpus)
     slices = ds.snssais()
-    orch, ref = (cls(ds, scenario, PARAMS, BUDGET, THRESHOLDS, vnic_delay_cap_s=5e-3)
+    orch, ref = (cls(ds, scenario, params, BUDGET, THRESHOLDS, vnic_delay_cap_s=5e-3)
                  for cls in (Orchestrator, TupleKeyedPolicy))
     both = (orch, ref)
     waiting = list(slices)
@@ -550,32 +595,11 @@ def test_unit_records_match_the_tuple_keyed_policy(n_slices, n_start, du_vcpus, 
             assert orch.allocate_prbs(273) == ref.allocate_prbs(273)
         elif op[0] == "observe":
             assert as_rows(orch.observe_utilization()) == as_rows(ref.observe_utilization())
-        elif op[0] in ("append", "remove", "remcs", "list", "level", "prbs", "params"):
+        elif op[0] in ("append", "remove", "remcs", "level", "prbs"):
             edit_by_hand(ref, op, step, live.copy())
             edit_by_hand(orch, op, step, live)
         assert_histories_match(orch, ref)
     assert orch.events == ref.events
-
-
-def test_load_memo_sees_changes_made_to_the_drb_list_directly(ds_two_slices):
-    orch = Orchestrator(ds_two_slices, Scenario.S1_DEDICATED, PARAMS, BUDGET)
-    s = ds_two_slices.snssais()[0]
-    sub = orch.instantiate_subnet(s)
-
-    def drb(i: int, prbs: int, m: int, cr: float) -> AdmittedDrb:
-        return AdmittedDrb(Drb(f"d{i}", s, DrbQos(10.0, 20.0, 0.99)), prbs, m, cr)
-
-    def load():
-        return (sub.demand_prbs(), *orch.subnets[s].mcs())
-
-    assert load() == (0, 2, 1.0)
-    sub.admitted_drbs += (drb(0, 30, 8, 0.9),)
-    sub.admitted_drbs += (drb(1, 10, 2, 0.3),)
-    assert load() == reference_load(orch, s) == (40, 6, (30 * 0.9 + 10 * 0.3) / 40)
-    sub.admitted_drbs = (sub.admitted_drbs[0], drb(2, 50, 4, 0.5))  # same length
-    assert load() == reference_load(orch, s)
-    sub.admitted_drbs = ()
-    assert sub.demand_prbs() == 0 and orch.subnets[s].mcs() == (2, 1.0)
 
 
 # Any PRB estimate, modulation order and code rate for a DRB set by hand.
@@ -590,7 +614,6 @@ DRB_LOADS = st.tuples(st.integers(0, 10**6), st.sampled_from(MODULATION_ORDERS),
     st.tuples(st.just("depart"), st.integers(0, 1000)),
     st.tuples(st.just("append"), DRB_LOADS),
     st.tuples(st.just("replace"), st.integers(0, 1000), DRB_LOADS),
-    st.just(("list",)),
 ), max_size=40), probe=DRB_LOADS)
 def test_continued_folds_equal_a_refold_and_the_reference(ops, probe):
     # One slice with room for many DRBs: admissions continue the fold,
@@ -612,23 +635,21 @@ def test_continued_folds_equal_a_refold_and_the_reference(ops, probe):
             if decision.admitted:
                 # The memo was continued by the DRB, not refolded.
                 assert sub._memo[0] is sub.admitted_drbs
-                assert sub._memo[1] == _fold(tuple(sub.admitted_drbs))
+                assert sub._memo[1] == _fold(sub.admitted_drbs)
             else:
                 assert sub.admitted_drbs is before[0] and sub._memo[1] == before[1]
         elif op[0] == "depart" and sub.admitted_drbs:
             drbs = sub.admitted_drbs
             assert orch.depart_drb(s, drbs[op[1] % len(drbs)].drb.drb_id)
         elif op[0] == "append":
-            sub.admitted_drbs += (drb(step, op[1]),)    # in place on a list
+            sub.admitted_drbs += (drb(step, op[1]),)
         elif op[0] == "replace" and sub.admitted_drbs:
             drbs = list(sub.admitted_drbs)
             drbs[op[1] % len(drbs)] = drb(step, op[2])
-            sub.admitted_drbs = type(sub.admitted_drbs)(drbs)
-        elif op[0] == "list":
-            sub.admitted_drbs = list(sub.admitted_drbs)
+            sub.admitted_drbs = tuple(drbs)
         demand, m, cr = reference_load(orch, s)
         assert (sub.demand_prbs(), *sub.mcs()) == (demand, m, cr)
-        assert sub._folded() == _fold(tuple(sub.admitted_drbs))
+        assert sub._folded() == _fold(sub.admitted_drbs)
         # One more DRB continues the kept fold as a refold would.
         extra = drb(-1, probe)
         assert sub._folded(extra) == _fold((*sub.admitted_drbs, extra))
@@ -787,8 +808,34 @@ def deployments(draw, max_c0: float = 0.6) -> Orchestrator:
     if orch.aux is not None:
         orch.aux.current_il = draw(st.sampled_from(
             [il.id for il in ds.aux_nsds[orch.aux.aux_nsd_ref].ils]))
-    orch._instances = None          # levels change only as scale() does it
+    orch._relayout()                # the reset hook that hand edits need
     return orch
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(orch=deployments(), prbs=st.lists(st.integers(0, 4000), min_size=4, max_size=4),
+       drbs=st.lists(st.lists(st.tuples(st.integers(1, 1000), st.sampled_from(MODULATION_ORDERS),
+                                        st.floats(0.0, 1.0, exclude_min=True)),
+                              max_size=3), min_size=4, max_size=4))
+def test_closed_form_loads_equal_the_consumption_models(orch, prbs, drbs):
+    # Each slice's DRBs replaced by hand with ones at any MCS (code rates
+    # down to the smallest float); every load _loads_on computes equals
+    # the consumption model's at the owner's share and MCS, to the bit.
+    split = {}
+    for s, load, mine in zip(orch._slices, prbs, drbs):
+        orch.subnets[s].admitted_drbs = tuple(
+            AdmittedDrb(Drb(f"h{j}", s, DrbQos(1.0, 20.0, 0.99)), *d) for j, d in enumerate(mine))
+        split[s] = load
+    orch._relayout()
+    for inst, per_slice, vnic in orch._loads_on(orch.instances(), split, {}):
+        consumption = du_vcpu_consumption if inst.kind == "du" else cu_vcpu_consumption
+        shares = {s: split[s] // inst.pool + (inst.index < split[s] % inst.pool)
+                  for s in inst.owners}
+        # SliceLoad refuses a code rate outside (0, 1], so the weighted
+        # means stay inside it.
+        assert per_slice == {s: consumption(SliceLoad(s, shares[s], *orch.subnets[s].mcs()),
+                                            orch.params) for s in inst.owners}
+        assert vnic == sum(shares.values())
 
 
 def first_limit(orch: Orchestrator, insts) -> Decision | None:

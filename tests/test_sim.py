@@ -162,6 +162,7 @@ def test_violation_counts_match_an_independent_recount(monkeypatch, overload):
             alloc = allocate(self, total_prbs)
             for sub in self.subnets.values():
                 sub.allocated_prbs = total_prbs
+            self._relayout()        # the reset hook that hand edits need
             return alloc
 
         monkeypatch.setattr(Orchestrator, "allocate_prbs", allocate_then_overload)
