@@ -10,7 +10,7 @@ re-selected from the demand its CU carries).
 
 All mutating operations run on one logical thread (single-writer);
 read-only snapshots are safe to take concurrently. State changes only
-through the lifecycle operations; the tick path trusts that (_relayout).
+through the lifecycle operations; the tick path trusts that (see _relayout).
 """
 
 from __future__ import annotations

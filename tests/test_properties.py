@@ -812,7 +812,7 @@ def deployments(draw, max_c0: float = 0.6) -> Orchestrator:
     return orch
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(orch=deployments(), prbs=st.lists(st.integers(0, 4000), min_size=4, max_size=4),
        drbs=st.lists(st.lists(st.tuples(st.integers(1, 1000), st.sampled_from(MODULATION_ORDERS),
                                         st.floats(0.0, 1.0, exclude_min=True)),
