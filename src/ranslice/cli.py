@@ -62,7 +62,6 @@ def _validated_descriptors(directory: str) -> DescriptorSet:
     ds = _load_descriptors(directory)
     report = validate(ds)
     if not report.ok:
-        print(report, file=sys.stderr)
         raise DescriptorInvalidError(report)
     return ds
 

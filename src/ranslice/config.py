@@ -26,7 +26,7 @@ Errors carry the path of the offending field.
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping
+from typing import Any, Mapping, TypeVar
 
 import yaml
 
@@ -35,6 +35,8 @@ from .orchestrator import ScalingThresholds
 from .resources import CapacityBudget, ResourceModelParams
 from .sim import ConfigError, DemandProfile, McsAtom, SimConfig
 from .topology import DrbQos, Scenario
+
+T = TypeVar("T")
 
 
 def _need_map(obj: Any, path: str) -> Mapping[str, Any]:
@@ -63,6 +65,14 @@ def _int(m: Mapping[str, Any], key: str, path: str, default: int | None = None) 
     return v
 
 
+def _made(path: str, cls: type[T], **fields: Any) -> T:
+    """``cls(**fields)``; a ValueError it raises is a ConfigError at ``path``."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def _snssai(obj: Any, path: str) -> Snssai:
     try:
         return parse_snssai(obj, "config", "")
@@ -72,17 +82,13 @@ def _snssai(obj: Any, path: str) -> Snssai:
 
 def resource_params_from_dict(m: Mapping[str, Any], path: str = "resource") -> ResourceModelParams:
     defaults = ResourceModelParams()
-    try:
-        return ResourceModelParams(
-            c0=_num(m, "c0", path, defaults.c0),
-            k=_num(m, "k", path, defaults.k),
-            beta=_num(m, "beta", path, defaults.beta),
-            cu_scale=_num(m, "cu_scale", path, defaults.cu_scale),
-            vnic_service_rate=_num(m, "vnic_mu", path, defaults.vnic_service_rate),
-            pkt_per_prb=_num(m, "pkt_per_prb", path, defaults.pkt_per_prb),
-        )
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    return _made(path, ResourceModelParams,
+                 c0=_num(m, "c0", path, defaults.c0),
+                 k=_num(m, "k", path, defaults.k),
+                 beta=_num(m, "beta", path, defaults.beta),
+                 cu_scale=_num(m, "cu_scale", path, defaults.cu_scale),
+                 vnic_service_rate=_num(m, "vnic_mu", path, defaults.vnic_service_rate),
+                 pkt_per_prb=_num(m, "pkt_per_prb", path, defaults.pkt_per_prb))
 
 
 def resource_params_to_dict(p: ResourceModelParams) -> dict[str, float]:
@@ -91,65 +97,47 @@ def resource_params_to_dict(p: ResourceModelParams) -> dict[str, float]:
 
 
 def _profile_from_dict(m: Mapping[str, Any], path: str) -> DemandProfile:
-    qos_map = _need_map(m.get("qos"), f"{path}.qos")
-    try:
-        qos = DrbQos(
-            throughput_mbps=_num(qos_map, "throughput_mbps", f"{path}.qos"),
-            latency_ms=_num(qos_map, "latency_ms", f"{path}.qos"),
-            reliability=_num(qos_map, "reliability", f"{path}.qos"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}.qos", str(exc)) from exc
+    qos_path = f"{path}.qos"
+    qos_map = _need_map(m.get("qos"), qos_path)
+    qos = _made(qos_path, DrbQos,
+                throughput_mbps=_num(qos_map, "throughput_mbps", qos_path),
+                latency_ms=_num(qos_map, "latency_ms", qos_path),
+                reliability=_num(qos_map, "reliability", qos_path))
     atoms = []
     raw_mcs = m.get("mcs")
     if not isinstance(raw_mcs, list) or not raw_mcs:
         raise ConfigError(f"{path}.mcs", "expected a non-empty list")
     for i, raw in enumerate(raw_mcs):
-        am = _need_map(raw, f"{path}.mcs[{i}]")
-        try:
-            atoms.append(McsAtom(
-                modulation_order=_int(am, "modulation_order", f"{path}.mcs[{i}]"),
-                code_rate=_num(am, "code_rate", f"{path}.mcs[{i}]"),
-                p=_num(am, "p", f"{path}.mcs[{i}]", default=1.0),
-            ))
-        except ValueError as exc:
-            raise ConfigError(f"{path}.mcs[{i}]", str(exc)) from exc
-    try:
-        return DemandProfile(
-            snssai=_snssai(m.get("snssai"), f"{path}.snssai"),
-            drb_arrival_rate=_num(m, "drb_arrival_rate", path),
-            qos=qos,
-            mean_holding=_num(m, "mean_holding", path),
-            mcs_distribution=tuple(atoms),
-            seed=_int(m, "seed", path, default=0),
-            initial_drbs=_int(m, "initial_drbs", path, default=0),
-        )
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
+        where = f"{path}.mcs[{i}]"
+        am = _need_map(raw, where)
+        atoms.append(_made(where, McsAtom,
+                           modulation_order=_int(am, "modulation_order", where),
+                           code_rate=_num(am, "code_rate", where),
+                           p=_num(am, "p", where, default=1.0)))
+    return _made(path, DemandProfile,
+                 snssai=_snssai(m.get("snssai"), f"{path}.snssai"),
+                 drb_arrival_rate=_num(m, "drb_arrival_rate", path),
+                 qos=qos,
+                 mean_holding=_num(m, "mean_holding", path),
+                 mcs_distribution=tuple(atoms),
+                 seed=_int(m, "seed", path, default=0),
+                 initial_drbs=_int(m, "initial_drbs", path, default=0))
 
 
 def sim_config_from_dict(raw: Mapping[str, Any]) -> SimConfig:
     root = _need_map(raw, "config")
     budget_map = _need_map(root.get("budget", {}), "budget")
-    try:
-        budget = CapacityBudget(
-            vcpu_capacity=_num(budget_map, "vcpu_capacity", "budget", default=1.0),
-            per_slice_cap=_num(budget_map, "per_slice_cap", "budget", default=0.9),
-        )
-    except ValueError as exc:
-        raise ConfigError("budget", str(exc)) from exc
+    budget = _made("budget", CapacityBudget,
+                   vcpu_capacity=_num(budget_map, "vcpu_capacity", "budget", default=1.0),
+                   per_slice_cap=_num(budget_map, "per_slice_cap", "budget", default=0.9))
     params = resource_params_from_dict(_need_map(root.get("resource", {}), "resource"))
     scaling_map = _need_map(root.get("scaling", {}), "scaling")
     defaults = ScalingThresholds()
-    try:
-        thresholds = ScalingThresholds(
-            hi=_num(scaling_map, "hi", "scaling", defaults.hi),
-            lo=_num(scaling_map, "lo", "scaling", defaults.lo),
-            window=_int(scaling_map, "window", "scaling", defaults.window),
-            cooldown=_int(scaling_map, "cooldown", "scaling", defaults.cooldown),
-        )
-    except ValueError as exc:
-        raise ConfigError("scaling", str(exc)) from exc
+    thresholds = _made("scaling", ScalingThresholds,
+                       hi=_num(scaling_map, "hi", "scaling", defaults.hi),
+                       lo=_num(scaling_map, "lo", "scaling", defaults.lo),
+                       window=_int(scaling_map, "window", "scaling", defaults.window),
+                       cooldown=_int(scaling_map, "cooldown", "scaling", defaults.cooldown))
     admission_map = _need_map(root.get("admission", {}), "admission")
 
     scenario = None

@@ -290,7 +290,7 @@ class DescriptorSet:
             return None
         return self.vnfds.get(nsd.du_vnfd_ref)
 
-    def sl_total_vcpus(self, nsd: GnbNsd, sl: ScaleLevel, vnfd: Vnfd | None) -> int | None:
+    def sl_total_vcpus(self, sl: ScaleLevel, vnfd: Vnfd | None) -> int | None:
         """Total vCPUs a scale level provisions; None if a flavour is
         unresolved (the validator reports that separately)."""
         if vnfd is None:

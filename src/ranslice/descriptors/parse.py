@@ -12,7 +12,7 @@ RLC mode, HARQ target), whose membership is part of the schema.
 
 from __future__ import annotations
 
-from typing import IO, Any, Iterable, Mapping, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import yaml
 
@@ -91,6 +91,23 @@ def _as_list(obj: Any, doc: str, path: str) -> list[Any]:
     return list(obj)
 
 
+def _entries(m: Mapping[str, Any], key: str, doc: str,
+             path: str) -> Iterator[tuple[Mapping[str, Any], str]]:
+    """Each entry of the list field ``key`` of ``m`` (none if absent),
+    checked to be a mapping, with its path ``{path}.{key}[{i}]``."""
+    for i, entry in enumerate(_as_list(m.get(key, []), doc, f"{path}.{key}")):
+        where = f"{path}.{key}[{i}]"
+        yield _as_map(entry, doc, where), where
+
+
+def _optional(m: Mapping[str, Any], key: str, parse: Callable[..., Any], doc: str,
+              path: str, *args: Any) -> Any:
+    """``parse`` of the sub-record ``key`` of ``m`` at ``{path}.{key}``
+    (with ``args`` after the path), or None where it is absent."""
+    v = m.get(key)
+    return None if v is None else parse(v, doc, f"{path}.{key}", *args)
+
+
 _EXPECTED = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
 
 
@@ -126,7 +143,7 @@ def parse_snssai(obj: Any, doc: str, path: str) -> Snssai:
     return Snssai(service_type=service_type, subtype=subtype)
 
 
-def _parse_slice_profile(obj: Any, snssai: Snssai | None, doc: str, path: str) -> SliceProfile:
+def _parse_slice_profile(obj: Any, doc: str, path: str, snssai: Snssai | None) -> SliceProfile:
     m = _as_map(obj, doc, path)
     if snssai is None:
         raise DescriptorSyntaxError(doc, f"{path}: slice_profile requires a snssai on the NSST")
@@ -159,61 +176,44 @@ def _parse_fcaps(obj: Any, doc: str, path: str) -> dict[str, Any]:
 def _parse_nsst(m: Mapping[str, Any], doc: str) -> RanNsst:
     nsst_id = _get(m, "id", str, doc, "ran_nsst", required=True)
     path = f"ran_nsst[{nsst_id}]"
-    snssai = None
-    if m.get("snssai") is not None:
-        snssai = parse_snssai(m["snssai"], doc, f"{path}.snssai")
-    profile = None
-    if m.get("slice_profile") is not None:
-        profile = _parse_slice_profile(m["slice_profile"], snssai, doc, f"{path}.slice_profile")
+    snssai = _optional(m, "snssai", parse_snssai, doc, path)
     return RanNsst(
         id=nsst_id,
         snssai=snssai,
-        slice_profile=profile,
+        slice_profile=_optional(m, "slice_profile", _parse_slice_profile, doc, path, snssai),
         fcaps=_parse_fcaps(m.get("fcaps"), doc, f"{path}.fcaps"),
         gnb_nsd_ref=_get(m, "gnb_nsd_ref", str, doc, path),
     )
 
 
-def _parse_scale_level(obj: Any, doc: str, path: str) -> ScaleLevel:
-    m = _as_map(obj, doc, path)
+def _parse_scale_level(m: Mapping[str, Any], doc: str, path: str) -> ScaleLevel:
     sl_id = _get(m, "id", str, doc, path, required=True)
-    constituents = []
-    for i, c in enumerate(_as_list(m.get("constituents", []), doc, f"{path}.constituents")):
-        cpath = f"{path}.constituents[{i}]"
-        cm = _as_map(c, doc, cpath)
-        constituents.append(ConstituentSpec(
-            constituent_ref=_get(cm, "constituent_ref", str, doc, cpath, required=True),
-            instance_count=_get(cm, "instance_count", int, doc, cpath, required=True),
-            flavour_ref=_get(cm, "flavour_ref", str, doc, cpath, required=True),
-        ))
-    return ScaleLevel(id=sl_id, constituents=tuple(constituents))
+    constituents = tuple(ConstituentSpec(
+        constituent_ref=_get(cm, "constituent_ref", str, doc, cpath, required=True),
+        instance_count=_get(cm, "instance_count", int, doc, cpath, required=True),
+        flavour_ref=_get(cm, "flavour_ref", str, doc, cpath, required=True),
+    ) for cm, cpath in _entries(m, "constituents", doc, path))
+    return ScaleLevel(id=sl_id, constituents=constituents)
 
 
 def _parse_scaling_aspect(obj: Any, doc: str, path: str) -> ScalingAspect:
     m = _as_map(obj, doc, path)
     sa_id = _get(m, "id", str, doc, path, required=True)
-    sls = tuple(_parse_scale_level(sl, doc, f"{path}.sls[{i}]")
-                for i, sl in enumerate(_as_list(m.get("sls", []), doc, f"{path}.sls")))
+    sls = tuple(_parse_scale_level(slm, doc, slpath)
+                for slm, slpath in _entries(m, "sls", doc, path))
     return ScalingAspect(id=sa_id, sls=sls)
 
 
 def _parse_gnb_nsd(m: Mapping[str, Any], doc: str) -> GnbNsd:
     nsd_id = _get(m, "id", str, doc, "gnb_nsd", required=True)
     path = f"gnb_nsd[{nsd_id}]"
-    sa_cu = None
-    if m.get("sa_cu") is not None:
-        sa_cu = _parse_scaling_aspect(m["sa_cu"], doc, f"{path}.sa_cu")
-    sa_du = None
-    if m.get("sa_du") is not None:
-        sa_du = _parse_scaling_aspect(m["sa_du"], doc, f"{path}.sa_du")
-    ils = []
-    for i, il in enumerate(_as_list(m.get("ils", []), doc, f"{path}.ils")):
-        ilm = _as_map(il, doc, f"{path}.ils[{i}]")
-        ils.append(InstantiationLevel(
-            id=_get(ilm, "id", str, doc, f"{path}.ils[{i}]", required=True),
-            cu_sl=_get(ilm, "cu_sl", str, doc, f"{path}.ils[{i}]"),
-            du_sl=_get(ilm, "du_sl", str, doc, f"{path}.ils[{i}]"),
-        ))
+    sa_cu = _optional(m, "sa_cu", _parse_scaling_aspect, doc, path)
+    sa_du = _optional(m, "sa_du", _parse_scaling_aspect, doc, path)
+    ils = tuple(InstantiationLevel(
+        id=_get(ilm, "id", str, doc, ilpath, required=True),
+        cu_sl=_get(ilm, "cu_sl", str, doc, ilpath),
+        du_sl=_get(ilm, "du_sl", str, doc, ilpath),
+    ) for ilm, ilpath in _entries(m, "ils", doc, path))
     ru_refs = tuple(
         r if isinstance(r, str) else _bad_ref(doc, f"{path}.ru_pnfd_refs")
         for r in _as_list(m.get("ru_pnfd_refs", []), doc, f"{path}.ru_pnfd_refs")
@@ -224,7 +224,7 @@ def _parse_gnb_nsd(m: Mapping[str, Any], doc: str) -> GnbNsd:
         cu_id=cu_id,
         sa_cu=sa_cu,
         sa_du=sa_du,
-        ils=tuple(ils),
+        ils=ils,
         cu_vnfd_ref=_get(m, "cu_vnfd_ref", str, doc, path),
         du_vnfd_ref=_get(m, "du_vnfd_ref", str, doc, path),
         ru_pnfd_refs=ru_refs,
@@ -239,47 +239,38 @@ def _bad_ref(doc: str, path: str):
 def _parse_vnfd(m: Mapping[str, Any], doc: str) -> Vnfd:
     vnfd_id = _get(m, "id", str, doc, "vnfd", required=True)
     path = f"vnfd[{vnfd_id}]"
-    flavours = []
-    for i, fl in enumerate(_as_list(m.get("ils", []), doc, f"{path}.ils")):
-        flm = _as_map(fl, doc, f"{path}.ils[{i}]")
-        flavours.append(VmFlavour(
-            id=_get(flm, "id", str, doc, f"{path}.ils[{i}]", required=True),
-            vcpus=_get(flm, "vcpus", int, doc, f"{path}.ils[{i}]", required=True),
-            cpu_ghz=_get(flm, "cpu_ghz", float, doc, f"{path}.ils[{i}]", required=True),
-            mem_gb=_get(flm, "mem_gb", float, doc, f"{path}.ils[{i}]", required=True),
-        ))
+    flavours = tuple(VmFlavour(
+        id=_get(flm, "id", str, doc, flpath, required=True),
+        vcpus=_get(flm, "vcpus", int, doc, flpath, required=True),
+        cpu_ghz=_get(flm, "cpu_ghz", float, doc, flpath, required=True),
+        mem_gb=_get(flm, "mem_gb", float, doc, flpath, required=True),
+    ) for flm, flpath in _entries(m, "ils", doc, path))
     return Vnfd(
         id=vnfd_id,
         shared=_get(m, "shared", bool, doc, path, default=False),
-        ils=tuple(flavours),
+        ils=flavours,
     )
 
 
 def _parse_pnfd(m: Mapping[str, Any], doc: str) -> Pnfd:
     pnfd_id = _get(m, "id", str, doc, "pnfd", required=True)
     path = f"pnfd[{pnfd_id}]"
-    cps = []
-    for i, cp in enumerate(_as_list(m.get("cps", []), doc, f"{path}.cps")):
-        cpm = _as_map(cp, doc, f"{path}.cps[{i}]")
-        cps.append(ConnectivityPoint(
-            name=_get(cpm, "name", str, doc, f"{path}.cps[{i}]", required=True),
-            gbps=_get(cpm, "gbps", float, doc, f"{path}.cps[{i}]", required=True),
-        ))
-    return Pnfd(id=pnfd_id, cps=tuple(cps))
+    cps = tuple(ConnectivityPoint(
+        name=_get(cpm, "name", str, doc, cppath, required=True),
+        gbps=_get(cpm, "gbps", float, doc, cppath, required=True),
+    ) for cpm, cppath in _entries(m, "cps", doc, path))
+    return Pnfd(id=pnfd_id, cps=cps)
 
 
 def _parse_aux_nsd(m: Mapping[str, Any], doc: str) -> AuxiliaryNsd:
     aux_id = _get(m, "id", str, doc, "aux_nsd", required=True)
     path = f"aux_nsd[{aux_id}]"
-    ils = []
-    for i, il in enumerate(_as_list(m.get("ils", []), doc, f"{path}.ils")):
-        ilm = _as_map(il, doc, f"{path}.ils[{i}]")
-        ils.append(AuxIl(
-            id=_get(ilm, "id", str, doc, f"{path}.ils[{i}]", required=True),
-            du_count=_get(ilm, "du_count", int, doc, f"{path}.ils[{i}]", required=True),
-            du_il_ref=_get(ilm, "du_il_ref", str, doc, f"{path}.ils[{i}]", required=True),
-        ))
-    return AuxiliaryNsd(id=aux_id, ils=tuple(ils))
+    ils = tuple(AuxIl(
+        id=_get(ilm, "id", str, doc, ilpath, required=True),
+        du_count=_get(ilm, "du_count", int, doc, ilpath, required=True),
+        du_il_ref=_get(ilm, "du_il_ref", str, doc, ilpath, required=True),
+    ) for ilm, ilpath in _entries(m, "ils", doc, path))
+    return AuxiliaryNsd(id=aux_id, ils=ils)
 
 
 _PARSERS = {
@@ -343,20 +334,21 @@ def parse_descriptor_set(documents: Iterable[str | Mapping[str, Any]],
                          pnfds=pnfds, aux_nsds=aux_nsds)
 
 
+def _present(**fields: Any) -> dict[str, Any]:
+    """``fields`` in order, without the absent (None) ones."""
+    return {k: v for k, v in fields.items() if v is not None}
+
+
 def _snssai_to_dict(s: Snssai) -> dict[str, Any]:
-    out: dict[str, Any] = {"service_type": s.service_type.value}
-    if s.subtype is not None:
-        out["subtype"] = s.subtype
-    return out
+    return _present(service_type=s.service_type.value, subtype=s.subtype)
 
 
 def _nsst_to_dict(n: RanNsst) -> dict[str, Any]:
-    out: dict[str, Any] = {"id": n.id}
-    if n.snssai is not None:
-        out["snssai"] = _snssai_to_dict(n.snssai)
-    if n.slice_profile is not None:
-        p = n.slice_profile
-        out["slice_profile"] = {
+    p = n.slice_profile
+    return _present(
+        id=n.id,
+        snssai=None if n.snssai is None else _snssai_to_dict(n.snssai),
+        slice_profile=None if p is None else {
             "pdcp_duplication": p.pdcp_duplication,
             "pdcp_ciphering": p.pdcp_ciphering,
             "rlc_mode": p.rlc_mode.value,
@@ -364,12 +356,10 @@ def _nsst_to_dict(n: RanNsst) -> dict[str, Any]:
             "numerology_index": p.numerology_index,
             "harq_target": p.harq_target.value,
             "dl_ul_symbol_ratio": p.dl_ul_symbol_ratio,
-        }
-    if n.fcaps:
-        out["fcaps"] = dict(n.fcaps)
-    if n.gnb_nsd_ref is not None:
-        out["gnb_nsd_ref"] = n.gnb_nsd_ref
-    return out
+        },
+        fcaps=dict(n.fcaps) or None,
+        gnb_nsd_ref=n.gnb_nsd_ref,
+    )
 
 
 def _sa_to_dict(sa: ScalingAspect) -> dict[str, Any]:
@@ -391,29 +381,17 @@ def _sa_to_dict(sa: ScalingAspect) -> dict[str, Any]:
 
 
 def _nsd_to_dict(n: GnbNsd) -> dict[str, Any]:
-    out: dict[str, Any] = {"id": n.id, "cu_id": n.cu_id}
-    if n.sa_cu is not None:
-        out["sa_cu"] = _sa_to_dict(n.sa_cu)
-    if n.sa_du is not None:
-        out["sa_du"] = _sa_to_dict(n.sa_du)
-    ils = []
-    for il in n.ils:
-        ild: dict[str, Any] = {"id": il.id}
-        if il.cu_sl is not None:
-            ild["cu_sl"] = il.cu_sl
-        if il.du_sl is not None:
-            ild["du_sl"] = il.du_sl
-        ils.append(ild)
-    out["ils"] = ils
-    if n.cu_vnfd_ref is not None:
-        out["cu_vnfd_ref"] = n.cu_vnfd_ref
-    if n.du_vnfd_ref is not None:
-        out["du_vnfd_ref"] = n.du_vnfd_ref
-    if n.ru_pnfd_refs:
-        out["ru_pnfd_refs"] = list(n.ru_pnfd_refs)
-    if n.aux_nsd_ref is not None:
-        out["aux_nsd_ref"] = n.aux_nsd_ref
-    return out
+    return _present(
+        id=n.id,
+        cu_id=n.cu_id,
+        sa_cu=None if n.sa_cu is None else _sa_to_dict(n.sa_cu),
+        sa_du=None if n.sa_du is None else _sa_to_dict(n.sa_du),
+        ils=[_present(id=il.id, cu_sl=il.cu_sl, du_sl=il.du_sl) for il in n.ils],
+        cu_vnfd_ref=n.cu_vnfd_ref,
+        du_vnfd_ref=n.du_vnfd_ref,
+        ru_pnfd_refs=list(n.ru_pnfd_refs) or None,
+        aux_nsd_ref=n.aux_nsd_ref,
+    )
 
 
 def _vnfd_to_dict(v: Vnfd) -> dict[str, Any]:

@@ -98,8 +98,8 @@ def _check_nssts(ds: DescriptorSet, report: ValidationReport) -> None:
                        f"gnb_nsd_ref {nsst.gnb_nsd_ref!r} does not resolve")
 
 
-def _check_scaling_aspect(ds: DescriptorSet, nsd: GnbNsd, sa: ScalingAspect,
-                          vnfd: Vnfd | None, subject: str, report: ValidationReport) -> None:
+def _check_scaling_aspect(ds: DescriptorSet, sa: ScalingAspect, vnfd: Vnfd | None,
+                          subject: str, report: ValidationReport) -> None:
     if not sa.sls:
         report.add(EMPTY_SCALING_ASPECT, subject, "scale level list is empty")
         return
@@ -117,7 +117,7 @@ def _check_scaling_aspect(ds: DescriptorSet, nsd: GnbNsd, sa: ScalingAspect,
             if vnfd is not None and vnfd.flavour(c.flavour_ref) is None:
                 report.add(UNKNOWN_FLAVOUR, sl_subject,
                            f"flavour_ref {c.flavour_ref!r} not an IL of vnfd[{vnfd.id}]")
-        capacities.append(ds.sl_total_vcpus(nsd, sl, vnfd))
+        capacities.append(ds.sl_total_vcpus(sl, vnfd))
     known = [c for c in capacities if c is not None]
     if len(known) == len(capacities):
         for prev, cur in zip(known, known[1:]):
@@ -127,41 +127,38 @@ def _check_scaling_aspect(ds: DescriptorSet, nsd: GnbNsd, sa: ScalingAspect,
                 break
 
 
+def _vnfd_ref(ds: DescriptorSet, nsd: GnbNsd, field: str, referrers: dict[str, list[str]],
+              subject: str, report: ValidationReport) -> Vnfd | None:
+    """The VNFD that ``nsd``'s ``field`` (cu_vnfd_ref or du_vnfd_ref)
+    names, with ``nsd`` added to its ``referrers``; None, with a finding,
+    if the reference is missing or does not resolve."""
+    ref = getattr(nsd, field)
+    if ref is None:
+        report.add(MISSING_FIELD, subject, f"{field} missing")
+    elif ref not in ds.vnfds:
+        report.add(UNRESOLVED_REF, subject, f"{field} {ref!r} does not resolve")
+    else:
+        referrers.setdefault(ref, []).append(nsd.id)
+        return ds.vnfds[ref]
+    return None
+
+
 def _check_gnb_nsds(ds: DescriptorSet, report: ValidationReport) -> None:
     cu_refs: dict[str, list[str]] = {}
     du_refs: dict[str, list[str]] = {}
     for nsd in ds.gnb_nsds.values():
         subject = f"gnb_nsd[{nsd.id}]"
-        cu_vnfd = None
-        du_vnfd = None
-        if nsd.cu_vnfd_ref is None:
-            report.add(MISSING_FIELD, subject, "cu_vnfd_ref missing")
-        elif nsd.cu_vnfd_ref not in ds.vnfds:
-            report.add(UNRESOLVED_REF, subject,
-                       f"cu_vnfd_ref {nsd.cu_vnfd_ref!r} does not resolve")
-        else:
-            cu_vnfd = ds.vnfds[nsd.cu_vnfd_ref]
-            cu_refs.setdefault(nsd.cu_vnfd_ref, []).append(nsd.id)
-        if nsd.du_vnfd_ref is None:
-            report.add(MISSING_FIELD, subject, "du_vnfd_ref missing")
-        elif nsd.du_vnfd_ref not in ds.vnfds:
-            report.add(UNRESOLVED_REF, subject,
-                       f"du_vnfd_ref {nsd.du_vnfd_ref!r} does not resolve")
-        else:
-            du_vnfd = ds.vnfds[nsd.du_vnfd_ref]
-            du_refs.setdefault(nsd.du_vnfd_ref, []).append(nsd.id)
+        cu_vnfd = _vnfd_ref(ds, nsd, "cu_vnfd_ref", cu_refs, subject, report)
+        du_vnfd = _vnfd_ref(ds, nsd, "du_vnfd_ref", du_refs, subject, report)
         for ref in nsd.ru_pnfd_refs:
             if ref not in ds.pnfds:
                 report.add(UNRESOLVED_REF, subject, f"ru_pnfd_ref {ref!r} does not resolve")
 
-        if nsd.sa_cu is None:
-            report.add(MISSING_FIELD, subject, "sa_cu missing")
-        else:
-            _check_scaling_aspect(ds, nsd, nsd.sa_cu, cu_vnfd, f"{subject}.sa_cu", report)
-        if nsd.sa_du is None:
-            report.add(MISSING_FIELD, subject, "sa_du missing")
-        else:
-            _check_scaling_aspect(ds, nsd, nsd.sa_du, du_vnfd, f"{subject}.sa_du", report)
+        for name, sa, vnfd in (("sa_cu", nsd.sa_cu, cu_vnfd), ("sa_du", nsd.sa_du, du_vnfd)):
+            if sa is None:
+                report.add(MISSING_FIELD, subject, f"{name} missing")
+            else:
+                _check_scaling_aspect(ds, sa, vnfd, f"{subject}.{name}", report)
 
         if not nsd.ils:
             report.add(EMPTY_ILS, subject, "no instantiation levels declared")

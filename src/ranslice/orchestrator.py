@@ -339,9 +339,9 @@ class Orchestrator:
         self.ds = ds
         self.scenario = scenario
         self._params = params
-        self.budget = budget
-        self.thresholds = thresholds
-        self.vnic_delay_cap_s = vnic_delay_cap_s
+        self._budget = budget
+        self._thresholds = thresholds
+        self._vnic_delay_cap_s = vnic_delay_cap_s
         self.clock = 0
         self.subnets: dict[Snssai, SubnetInstance] = {}
         self.aux: AuxServiceInstance | None = None
@@ -358,7 +358,8 @@ class Orchestrator:
         self._pools: Pools = {}
         # exp(beta * m) per modulation order, the MCS factor of _loads_on.
         self._exp = {m: math.exp(params.beta * m) for m in MODULATION_ORDERS}
-        self._budgets: dict[tuple[float, float], CapacityBudget] = {}
+        # Isolation budgets by instance capacity (the per-slice cap is fixed).
+        self._budgets: dict[float, CapacityBudget] = {}
         # Lifecycle operations that changed state, counted (the
         # generation); allocate_prbs hands (generation, projection) over.
         self._generation = 0
@@ -370,16 +371,31 @@ class Orchestrator:
         """The model parameters, fixed at construction."""
         return self._params
 
+    @property
+    def budget(self) -> CapacityBudget:
+        """The capacity budget, fixed at construction."""
+        return self._budget
+
+    @property
+    def thresholds(self) -> ScalingThresholds:
+        """The scaling thresholds, fixed at construction."""
+        return self._thresholds
+
+    @property
+    def vnic_delay_cap_s(self) -> float:
+        """The vNIC mean-wait cap admission enforces, fixed at construction."""
+        return self._vnic_delay_cap_s
+
     # -- descriptor lookups -------------------------------------------------
 
     def _nsd(self, snssai: Snssai) -> GnbNsd:
         return self.ds.gnb_nsds[self.subnets[snssai].nsd_ref]
 
     def _cu_capacity_of(self, nsd: GnbNsd, cu_sl: str) -> int:
-        return self.ds.sl_total_vcpus(nsd, nsd.sa_cu.sl(cu_sl), self.ds.cu_vnfd(nsd))
+        return self.ds.sl_total_vcpus(nsd.sa_cu.sl(cu_sl), self.ds.cu_vnfd(nsd))
 
     def _il_capacity(self, nsd: GnbNsd, il) -> int:
-        du = self.ds.sl_total_vcpus(nsd, nsd.sa_du.sl(il.du_sl), self.ds.du_vnfd(nsd))
+        du = self.ds.sl_total_vcpus(nsd.sa_du.sl(il.du_sl), self.ds.du_vnfd(nsd))
         return self._cu_capacity_of(nsd, il.cu_sl) + du
 
     # -- lifecycle ----------------------------------------------------------
@@ -597,10 +613,10 @@ class Orchestrator:
         else:
             per_slice, prbs = loads
         if inst.shared:
-            key = (inst.capacity, self.budget.per_slice_cap)
-            budget = self._budgets.get(key)
+            budget = self._budgets.get(inst.capacity)
             if budget is None:
-                budget = self._budgets[key] = CapacityBudget(*key)
+                budget = self._budgets[inst.capacity] = CapacityBudget(
+                    inst.capacity, self._budget.per_slice_cap)
             result = check_isolation(per_slice, budget)
             if not result.ok:
                 return Decision(False, reason=REJECT_VCPU_CAP,
@@ -611,10 +627,10 @@ class Orchestrator:
             except VnicSaturatedError as exc:
                 return Decision(False, reason=REJECT_VNIC_SATURATED,
                                 detail=f"{inst.instance_id}: {exc}")
-            if wait > self.vnic_delay_cap_s:
+            if wait > self._vnic_delay_cap_s:
                 return Decision(False, reason=REJECT_VNIC_DELAY,
                                 detail=f"{inst.instance_id}: mean wait {wait * 1e3:.3f} ms "
-                                       f"exceeds cap {self.vnic_delay_cap_s * 1e3:.3f} ms")
+                                       f"exceeds cap {self._vnic_delay_cap_s * 1e3:.3f} ms")
         return None
 
     def depart_drb(self, snssai: Snssai, drb_id: str) -> bool:
@@ -674,7 +690,7 @@ class Orchestrator:
                 raise BaselineOverloadError(
                     f"{inst.instance_id}: isolation fails with no PRBs allocated; slice "
                     f"baselines sum to {inst.consumption:.4f} vCPU against capacity "
-                    f"{inst.capacity:.4f}, per-slice cap {self.budget.per_slice_cap:g}")
+                    f"{inst.capacity:.4f}, per-slice cap {self._budget.per_slice_cap:g}")
             victim = max(reducible, key=lambda s: (alloc[s], s.key()))
             alloc[victim] -= 1
 
@@ -716,7 +732,7 @@ class Orchestrator:
                 caps = {sl: self._cu_capacity_of(nsd, sl) for sl in levels}
             rec = self._unit_recs[(target, snssai)] = _UnitRecord(
                 target, snssai, holder, attr, levels, caps,
-                deque(maxlen=max(self.thresholds.window, 1)))
+                deque(maxlen=max(self._thresholds.window, 1)))
         return rec
 
     def _units(self) -> list[_UnitRecord]:
@@ -879,7 +895,7 @@ class Orchestrator:
         for rec in self._units():
             if not rec.hist:
                 continue
-            decision = evaluate_scaling_policy(rec.hist, self.thresholds,
+            decision = evaluate_scaling_policy(rec.hist, self._thresholds,
                                                last_event=rec.last, now=self.clock)
             if decision is None:
                 continue

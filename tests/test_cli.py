@@ -249,6 +249,26 @@ def test_calibrate_bad_snssai_exit_two(tmp_path, capsys, snssai, message):
     assert err.count(str(path)) == 1 and err.count(".snssai") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--scenario", "s1"], ["compare", "--scenarios", "s1,s2"]],
+    ids=["simulate", "compare"])
+def test_descriptor_findings_are_printed_once(tmp_path, capsys, command):
+    loaded = [yaml.safe_load(t) for t in build_documents()]
+    for doc in loaded:
+        if "vnfd" in doc:
+            for flavour in doc["vnfd"]["ils"]:
+                flavour["vcpus"] = 0
+    d = write_descriptors(tmp_path, loaded)
+    rc = main([command[0], "--descriptors", str(d), "--config", str(write_config(tmp_path)),
+               *command[1:], "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    findings = [line for line in err if line.startswith("BadVcpuCount: ")]
+    assert findings
+    for line in findings:
+        assert err.count(line) == 1, line
+
+
 def test_compare_writes_summary(tmp_path):
     d = write_descriptors(tmp_path)
     cfg = write_config(tmp_path)

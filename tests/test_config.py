@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 
 import pytest
@@ -112,3 +113,27 @@ def test_load_rejects_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(ConfigError):
         load_sim_config(str(path))
+
+
+@pytest.mark.parametrize("section, field, value, path, message", [
+    (("budget",), "per_slice_cap", 2.0, "budget", "per_slice_cap must be in (0, 1]"),
+    (("resource",), "cu_scale", 1.5, "resource", "cu_scale must be in (0, 1)"),
+    (("scaling",), "lo", 0.9, "scaling", "thresholds must satisfy 0 < lo < hi <= 1"),
+    (("profiles", 0, "qos"), "reliability", 2.0, "profiles[0].qos",
+     "reliability must be in (0, 1]"),
+    (("profiles", 0, "mcs", 0), "code_rate", 2.0, "profiles[0].mcs[0]",
+     "code_rate must be in (0, 1]"),
+    (("profiles", 0), "drb_arrival_rate", -1, "profiles[0]",
+     "drb_arrival_rate must be in [0, 700] DRBs/tick"),
+], ids=["budget", "resource", "scaling", "qos", "mcs-atom", "profile"])
+def test_an_out_of_range_value_is_a_config_error_at_its_record(section, field, value,
+                                                                path, message):
+    raw = copy.deepcopy(BASE)
+    record = raw
+    for key in section:
+        record = record[key]
+    record[field] = value
+    with pytest.raises(ConfigError) as excinfo:
+        sim_config_from_dict(raw)
+    assert excinfo.value.path == path
+    assert str(excinfo.value) == f"{path}: {message}"

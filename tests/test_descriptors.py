@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import os
 import pickle
 import subprocess
@@ -211,6 +212,83 @@ def test_parse_field_type_error_text(overrides, message):
     assert str(excinfo.value) == message
 
 
+def _sa(**fields):
+    return dict({"id": "sa"}, **fields)
+
+
+# Each list field of the schema: a document holding ``value`` there, the
+# path the field's errors name, and a well-formed entry.
+LIST_FIELDS = {
+    "constituents": (lambda v: {"gnb_nsd": {"id": "g", "sa_cu": _sa(sls=[
+        {"id": "sl", "constituents": v}])}}, "gnb_nsd[g].sa_cu.sls[0].constituents",
+        {"constituent_ref": "cu", "instance_count": 1, "flavour_ref": "fl"}),
+    "sls": (lambda v: {"gnb_nsd": {"id": "g", "sa_du": _sa(sls=v)}}, "gnb_nsd[g].sa_du.sls",
+            {"id": "sl"}),
+    "gnb-nsd-ils": (lambda v: {"gnb_nsd": {"id": "g", "ils": v}}, "gnb_nsd[g].ils",
+                    {"id": "il"}),
+    "vnfd-ils": (lambda v: {"vnfd": {"id": "v", "ils": v}}, "vnfd[v].ils",
+                 {"id": "fl", "vcpus": 1, "cpu_ghz": 1.0, "mem_gb": 1.0}),
+    "cps": (lambda v: {"pnfd": {"id": "p", "cps": v}}, "pnfd[p].cps",
+            {"name": "cp", "gbps": 1.0}),
+    "aux-nsd-ils": (lambda v: {"aux_nsd": {"id": "a", "ils": v}}, "aux_nsd[a].ils",
+                    {"id": "il", "du_count": 1, "du_il_ref": "fl"}),
+}
+
+
+@pytest.mark.parametrize("field", LIST_FIELDS)
+def test_a_list_field_that_is_not_a_list_names_its_path(field):
+    make, path, _ = LIST_FIELDS[field]
+    with pytest.raises(DescriptorSyntaxError) as excinfo:
+        parse_descriptor_set([yaml.safe_dump(make(3))])
+    assert str(excinfo.value) == f"doc-0: {path}: expected a list, got int"
+
+
+@pytest.mark.parametrize("field", LIST_FIELDS)
+def test_a_list_entry_that_is_not_a_mapping_names_its_index(field):
+    make, path, entry = LIST_FIELDS[field]
+    with pytest.raises(DescriptorSyntaxError) as excinfo:
+        parse_descriptor_set([yaml.safe_dump(make([3]))])
+    assert str(excinfo.value) == f"doc-0: {path}[0]: expected a mapping, got int"
+    with pytest.raises(DescriptorSyntaxError) as excinfo:
+        parse_descriptor_set([yaml.safe_dump(make([entry, 3]))])
+    assert str(excinfo.value) == f"doc-0: {path}[1]: expected a mapping, got int"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"ran_nsst": {"id": "n", "snssai": 0}},
+     "doc-0: ran_nsst[n].snssai: expected a mapping, got int"),
+    ({"ran_nsst": {"id": "n", "snssai": {"service_type": "eMBB"}, "slice_profile": "x"}},
+     "doc-0: ran_nsst[n].slice_profile: expected a mapping, got str"),
+    ({"gnb_nsd": {"id": "g", "sa_cu": 0}}, "doc-0: gnb_nsd[g].sa_cu: expected a mapping, got int"),
+    ({"gnb_nsd": {"id": "g", "sa_du": False}},
+     "doc-0: gnb_nsd[g].sa_du: expected a mapping, got bool"),
+], ids=["snssai", "slice_profile", "sa_cu", "sa_du"])
+def test_a_scalar_optional_sub_record_is_a_syntax_error(doc, message):
+    # A falsy scalar is present, not absent: only None (or no key) is.
+    with pytest.raises(DescriptorSyntaxError) as excinfo:
+        parse_descriptor_set([yaml.safe_dump(doc)])
+    assert str(excinfo.value) == message
+
+
+def test_serialize_omits_every_absent_field_of_a_sparse_set():
+    # No subtype, fcaps, refs, profile or scaling aspects; an empty
+    # ru_pnfd_refs; an IL without du_sl; a VNFD with no ILs. An empty IL
+    # list is kept. The text comparison pins the key order too.
+    ds = parse_descriptor_set([yaml.safe_dump({
+        "ran_nsst": {"id": "n", "snssai": {"service_type": "eMBB"}},
+        "gnb_nsd": [{"id": "g", "ils": [{"id": "il-1", "cu_sl": "cu-1"}], "ru_pnfd_refs": []},
+                    {"id": "g2"}],
+        "vnfd": {"id": "v"},
+    })])
+    expected = {
+        "ran_nsst": [{"id": "n", "snssai": {"service_type": "eMBB"}}],
+        "gnb_nsd": [{"id": "g", "cu_id": "g-cu", "ils": [{"id": "il-1", "cu_sl": "cu-1"}]},
+                    {"id": "g2", "cu_id": "g2-cu", "ils": []}],
+        "vnfd": [{"id": "v", "shared": False, "ils": []}],
+    }
+    assert json.dumps(serialize_descriptor_set(ds)) == json.dumps(expected)
+
+
 def test_parse_reads_numbers_as_float_and_defaults_absent_bools():
     ds = parse_descriptor_set([_vnfd_doc(cpu_ghz=3, shared=None)])
     flavour = ds.vnfds["v"].ils[0]
@@ -230,6 +308,25 @@ def test_parse_keeps_unresolved_refs_symbolic():
 def test_validate_two_slice_set_is_clean(ds_two_slices):
     report = validate(ds_two_slices)
     assert report.ok, str(report)
+
+
+def test_unresolved_vnfd_refs_and_missing_aspects_are_reported_in_order():
+    ds = parse_descriptor_set([yaml.safe_dump({"gnb_nsd": [
+        {"id": "g1", "cu_vnfd_ref": "nowhere"},
+        {"id": "g2", "du_vnfd_ref": "elsewhere", "sa_cu": {"id": "sa"}},
+    ]})])
+    assert str(validate(ds)).splitlines() == [
+        "UnresolvedRef: gnb_nsd[g1]: cu_vnfd_ref 'nowhere' does not resolve",
+        "MissingField: gnb_nsd[g1]: du_vnfd_ref missing",
+        "MissingField: gnb_nsd[g1]: sa_cu missing",
+        "MissingField: gnb_nsd[g1]: sa_du missing",
+        "EmptyIls: gnb_nsd[g1]: no instantiation levels declared",
+        "MissingField: gnb_nsd[g2]: cu_vnfd_ref missing",
+        "UnresolvedRef: gnb_nsd[g2]: du_vnfd_ref 'elsewhere' does not resolve",
+        "EmptyScalingAspect: gnb_nsd[g2].sa_cu: scale level list is empty",
+        "MissingField: gnb_nsd[g2]: sa_du missing",
+        "EmptyIls: gnb_nsd[g2]: no instantiation levels declared",
+    ]
 
 
 def test_validate_shared_du_without_aux():

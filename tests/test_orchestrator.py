@@ -853,12 +853,22 @@ def test_only_a_state_change_drops_the_hand_off(monkeypatch, ds_three_slices, op
     assert (orch._checked is snapshot) == (not reprojects)
 
 
-def test_params_are_fixed_at_construction(ds_two_slices):
-    # The loads and the hand-off rely on parameters that cannot change.
-    orch = make_orch(ds_two_slices)
+VNIC_CAP_S = 5e-3
+
+
+@pytest.mark.parametrize("name, value, other", [
+    ("params", PARAMS, ResourceModelParams()),
+    ("budget", BUDGET, CapacityBudget(1.0, 0.1)),
+    ("thresholds", TH, ScalingThresholds()),
+    ("vnic_delay_cap_s", VNIC_CAP_S, 1.0),
+], ids=["params", "budget", "thresholds", "vnic_delay_cap_s"])
+def test_params_are_fixed_at_construction(ds_two_slices, name, value, other):
+    # The loads, the admission limits and the hand-off rely on settings
+    # that cannot change: the hand-off snapshot was checked against them.
+    orch = make_orch(ds_two_slices, thresholds=TH, vnic_delay_cap_s=VNIC_CAP_S)
     with pytest.raises(AttributeError):
-        orch.params = ResourceModelParams()
-    assert orch.params is PARAMS
+        setattr(orch, name, other)
+    assert getattr(orch, name) is value
 
 
 def recounted_violations(orch, snapshot) -> int:
