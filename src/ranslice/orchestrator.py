@@ -226,8 +226,9 @@ class Instance:
     """One VNF instance: its kind, the slices it serves, its flavour
     capacity (vCPUs) and its position ``index`` in a pool of ``pool``
     instances that split each owner's PRBs evenly (a CU is a pool of
-    one). A projection fills in its load: each owner's vCPU use and the
-    PRBs through its vNIC."""
+    one). A projection fills in its load: each owner's vCPU use, the
+    PRBs through its vNIC and ``consumption``, their sum, summed once
+    there as ``sum(per_slice.values())``."""
 
     instance_id: str
     kind: str                    # "cu" | "du"
@@ -237,6 +238,7 @@ class Instance:
     pool: int = 1
     per_slice: Mapping[Snssai, float] = field(default_factory=dict)
     prbs: int = 0
+    consumption: float = 0.0
 
     @property
     def shared(self) -> bool:
@@ -244,10 +246,6 @@ class Instance:
         instance degenerates to a dedicated one: there is no other slice
         for the cap to protect."""
         return len(self.owners) > 1
-
-    @property
-    def consumption(self) -> float:
-        return sum(self.per_slice.values())
 
     @property
     def utilization(self) -> float:
@@ -288,6 +286,49 @@ def _snap_modulation(value: float) -> int:
         if d < gap:
             best, gap = m, d
     return best
+
+
+def _vnic_threshold(params: ResourceModelParams, cap: float) -> int:
+    """The fewest vNIC PRBs at which vnic_mean_wait saturates, exceeds
+    ``cap`` or raises OverflowError (a PRB count beyond any float): below
+    it the vNIC limits hold, at and above it one breaks or the call raises.
+
+    Exact, because that outcome is monotone in the PRBs, float rounding
+    included. The arrival rate ``pkt_per_prb * n`` does not fall as n
+    grows, since rounding is monotone; saturation (rate >= service rate)
+    and the conversion overflow then persist. Below saturation the gap to
+    the service rate does not grow, so the wait 1/gap - 1/service rate
+    does not fall, or is NaN for every such n where 1/service rate
+    overflows, which no cap rejects. So the closed form, the rate at
+    which the wait reaches the cap, only starts the search: the count is
+    bracketed by steps that double away from it and bisected against
+    vnic_mean_wait itself."""
+    def breaks(n: int) -> bool:
+        try:
+            return vnic_mean_wait(n, params) > cap
+        except (VnicSaturatedError, OverflowError):
+            return True
+
+    mu = params.vnic_service_rate
+    guess = (mu - 1 / (cap + 1 / mu)) / params.pkt_per_prb
+    n = int(min(max(guess, 0.0), 2.0 ** 1023))
+    step = 1
+    if breaks(n):                   # lo holds (or is -1), hi breaks
+        lo, hi = n - 1, n
+        while lo >= 0 and breaks(lo):
+            lo, hi, step = lo - 2 * step, lo, 2 * step
+        lo = max(lo, -1)
+    else:
+        lo, hi = n, n + 1
+        while not breaks(hi):
+            lo, hi, step = hi, hi + 2 * step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if breaks(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 class _Demand(dict):
@@ -333,6 +374,8 @@ class Orchestrator:
                  budget: CapacityBudget,
                  thresholds: ScalingThresholds = ScalingThresholds(),
                  vnic_delay_cap_s: float = 2e-3):
+        if not vnic_delay_cap_s > 0:     # NaN fails too
+            raise ValueError("vnic_delay_cap_s must be > 0")
         report = validate(ds)
         if not report.ok:
             raise DescriptorInvalidError(report)
@@ -358,6 +401,8 @@ class Orchestrator:
         self._pools: Pools = {}
         # exp(beta * m) per modulation order, the MCS factor of _loads_on.
         self._exp = {m: math.exp(params.beta * m) for m in MODULATION_ORDERS}
+        # The fewest vNIC PRBs at which a vNIC limit binds (see _vnic_threshold).
+        self._vnic_prbs = _vnic_threshold(params, vnic_delay_cap_s)
         # Isolation budgets by instance capacity (the per-slice cap is fixed).
         self._budgets: dict[float, CapacityBudget] = {}
         # Lifecycle operations that changed state, counted (the
@@ -515,7 +560,7 @@ class Orchestrator:
         """Copies of ``insts`` (default: the live instances) with their
         load filled in for a PRB split naming every owner (_loads_on)."""
         return [Instance(inst.instance_id, inst.kind, inst.owners, inst.capacity,
-                         inst.index, inst.pool, per_slice, prbs)
+                         inst.index, inst.pool, per_slice, prbs, sum(per_slice.values()))
                 for inst, per_slice, prbs in self._loads_on(
                     self.instances() if insts is None else insts, prbs_by_slice, {})]
 
@@ -546,9 +591,6 @@ class Orchestrator:
                 prbs += share
             yield inst, per_slice, prbs
 
-    def _demand_map(self) -> dict[Snssai, int]:
-        return {s: self.subnets[s].demand_prbs() for s in self._slices}
-
     def _allocated_map(self) -> dict[Snssai, int]:
         return {s: self.subnets[s].allocated_prbs for s in self._slices}
 
@@ -560,7 +602,10 @@ class Orchestrator:
         demand, isolation holds on each shared instance the DRB touches
         and no touched vNIC saturates or exceeds the delay cap. Checked on
         the pool heads that decide it (see _owned_by), DU head first, up
-        to the first break, each owner's demand read from its memo."""
+        to the first break, each owner's demand read from its memo. A head
+        with one owner has no isolation check and carries ceil(demand /
+        pool) vNIC PRBs, so below the vNIC threshold its loads are not
+        computed."""
         if modulation_order not in MODULATION_ORDERS:
             raise ValueError(f"modulation_order must be one of {MODULATION_ORDERS}")
         if not 0 < code_rate <= 1:     # NaN fails too
@@ -573,14 +618,17 @@ class Orchestrator:
                             profile.numerology_index, profile.dl_ul_symbol_ratio)
         entry = AdmittedDrb(drb, est, modulation_order, code_rate)
         after = subnet._folded(entry)
-        demand = _Demand(self.subnets)
-        demand[snssai] = after[0]
-        m, cr = after[3]
-        entries = {snssai: (cr, self._exp[m])}
-        for head, per_slice, prbs in self._loads_on(self._owned_by(snssai), demand, entries):
-            reject = self._limit(head, loads=(per_slice, prbs))
-            if reject is not None:
-                return reject
+        heads = [h for h in self._owned_by(snssai)
+                 if h.shared or -(-after[0] // h.pool) >= self._vnic_prbs]
+        if heads:
+            demand = _Demand(self.subnets)
+            demand[snssai] = after[0]
+            m, cr = after[3]
+            entries = {snssai: (cr, self._exp[m])}
+            for head, per_slice, prbs in self._loads_on(heads, demand, entries):
+                reject = self._limit(head, loads=(per_slice, prbs))
+                if reject is not None:
+                    return reject
         subnet.admitted_drbs = drbs = (*subnet.admitted_drbs, entry)
         subnet._memo = (drbs, after)
         self._generation += 1
@@ -607,7 +655,9 @@ class Orchestrator:
                loads: tuple[Mapping[Snssai, float], int] | None = None) -> Decision | None:
         """The first limit ``inst`` breaks, or None: isolation if the
         instance is shared, then (with ``vnic``) vNIC saturation and the
-        vNIC delay cap, at ``loads`` (per-slice vCPU, vNIC PRBs) if given."""
+        vNIC delay cap, at ``loads`` (per-slice vCPU, vNIC PRBs) if given.
+        The vNIC wait is computed only at or above the vNIC threshold,
+        where it breaks a limit (see _vnic_threshold)."""
         if loads is None:
             per_slice, prbs = inst.per_slice, inst.prbs
         else:
@@ -621,7 +671,7 @@ class Orchestrator:
             if not result.ok:
                 return Decision(False, reason=REJECT_VCPU_CAP,
                                 detail=f"{inst.instance_id}: {'; '.join(result.violations)}")
-        if vnic:
+        if vnic and prbs >= self._vnic_prbs:
             try:
                 wait = vnic_mean_wait(prbs, self._params)
             except VnicSaturatedError as exc:
@@ -647,12 +697,14 @@ class Orchestrator:
 
     # -- PRB allocation ---------------------------------------------------------
 
-    def _feasible(self, prbs_by_slice: Mapping[Snssai, int]) -> list[Instance] | None:
-        """The full projection at ``prbs_by_slice`` if isolation holds on
-        every instance, else None."""
-        projected = self._project(prbs_by_slice)
-        if all(self._limit(inst, vnic=False) is None for inst in projected):
-            return projected
+    def _first_break(self, heads: Sequence[Instance], prbs_by_slice: Mapping[Snssai, int],
+                     entries: dict) -> tuple[Instance, Mapping[Snssai, float]] | None:
+        """The first of ``heads`` that breaks isolation at ``prbs_by_slice``
+        with its per-slice loads, or None if none does (``entries`` as in
+        _loads_on)."""
+        for head, per_slice, prbs in self._loads_on(heads, prbs_by_slice, entries):
+            if self._limit(head, vnic=False, loads=(per_slice, prbs)) is not None:
+                return head, per_slice
         return None
 
     def allocate_prbs(self, total_prbs: int) -> dict[Snssai, int]:
@@ -663,13 +715,17 @@ class Orchestrator:
         Deterministic; allocations never exceed a slice's demand. Raises
         BaselineOverloadError when isolation fails even at zero PRBs.
 
-        The projection at the final split is handed to the next
-        observe_utilization, which uses it only if no lifecycle operation
-        changed state in between (the generation is unchanged)."""
+        Isolation is checked on the shared pool heads alone (``index ==
+        0``, several owners): only a shared instance has an isolation
+        check, and a head breaks it whenever an instance of its pool does,
+        the head first (see _owned_by). The live instances are projected
+        once, at the final split, and that projection is handed to the
+        next observe_utilization, which uses it only if no lifecycle
+        operation changed state in between (the generation is unchanged)."""
         if total_prbs < 0:
             raise ValueError("total_prbs must be >= 0")
         slices = self._slices
-        demand = self._demand_map()
+        demand = {s: self.subnets[s].demand_prbs() for s in slices}
         total_demand = sum(demand.values())
 
         if total_demand <= total_prbs:
@@ -682,15 +738,16 @@ class Orchestrator:
             for s in by_remainder[:leftover]:
                 alloc[s] += 1
 
-        while (projected := self._feasible(alloc)) is None:
+        heads = [inst for inst in self.instances() if inst.index == 0 and inst.shared]
+        entries: dict[Snssai, tuple[float, float]] = {}
+        while (broken := self._first_break(heads, alloc, entries)) is not None:
             reducible = [s for s in slices if alloc[s] > 0]
             if not reducible:
-                inst = next(i for i in self._project(alloc)
-                            if self._limit(i, vnic=False) is not None)
+                head, per_slice = broken
                 raise BaselineOverloadError(
-                    f"{inst.instance_id}: isolation fails with no PRBs allocated; slice "
-                    f"baselines sum to {inst.consumption:.4f} vCPU against capacity "
-                    f"{inst.capacity:.4f}, per-slice cap {self._budget.per_slice_cap:g}")
+                    f"{head.instance_id}: isolation fails with no PRBs allocated; slice "
+                    f"baselines sum to {sum(per_slice.values()):.4f} vCPU against capacity "
+                    f"{head.capacity:.4f}, per-slice cap {self._budget.per_slice_cap:g}")
             victim = max(reducible, key=lambda s: (alloc[s], s.key()))
             alloc[victim] -= 1
 
@@ -702,14 +759,13 @@ class Orchestrator:
                     continue
                 trial = dict(alloc)
                 trial[s] += 1
-                feasible = self._feasible(trial)
-                if feasible is not None:
-                    alloc, projected = trial, feasible
+                if self._first_break(heads, trial, entries) is None:
+                    alloc = trial
                     changed = True
 
         for s in slices:
             self.subnets[s].allocated_prbs = alloc[s]
-        self._handoff = (self._generation, projected)
+        self._handoff = (self._generation, self._project(alloc))
         return alloc
 
     # -- scaling ------------------------------------------------------------------
@@ -868,11 +924,13 @@ class Orchestrator:
         return insts
 
     def isolation_violations(self, snapshot: Sequence[Instance]) -> int:
-        """How many instances of ``snapshot`` break isolation; 0 unchecked
-        for the hand-off projection, which allocate_prbs has checked."""
+        """How many instances of ``snapshot`` break isolation, which only a
+        shared one has; 0 unchecked for the hand-off projection, which
+        allocate_prbs has checked."""
         if snapshot is self._checked:
             return 0
-        return sum(self._limit(inst, vnic=False) is not None for inst in snapshot)
+        return sum(self._limit(inst, vnic=False) is not None
+                   for inst in snapshot if inst.shared)
 
     def _down_feasible(self, rec: _UnitRecord, level: str) -> bool:
         """Whether the unit's own instances, projected at the current

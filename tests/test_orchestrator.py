@@ -26,7 +26,13 @@ from ranslice.orchestrator import (
     UnknownSnssaiError,
     evaluate_scaling_policy,
 )
-from ranslice.resources import CapacityBudget, ResourceModelParams, check_isolation
+from ranslice.resources import (
+    CapacityBudget,
+    ResourceModelParams,
+    VnicSaturatedError,
+    check_isolation,
+    vnic_mean_wait,
+)
 from ranslice.topology import Drb, DrbQos, Scenario
 
 # k chosen so one PRB at (m=6, cr=0.75) consumes exactly 0.01 vCPU;
@@ -183,6 +189,14 @@ def test_admission_rejects_vnic_delay_cap():
     decision = admit_prbs(orch, ds, embb, 798)
     assert not decision.admitted
     assert decision.reason == REJECT_VNIC_DELAY
+
+
+@pytest.mark.parametrize("cap_s", [0.0, -2e-3, -math.inf, math.nan])
+def test_vnic_delay_cap_must_be_positive(ds_two_slices, cap_s):
+    # SimConfig refuses these caps; the orchestrator took them, and under
+    # a NaN cap the delay limit never bound.
+    with pytest.raises(ValueError, match="vnic_delay_cap_s"):
+        make_orch(ds_two_slices, vnic_delay_cap_s=cap_s, instantiate=False)
 
 
 def test_admission_requires_instantiated_subnet(ds_two_slices):
@@ -706,9 +720,24 @@ def test_fuzz_all_scenarios_hold_invariants():
                 assert (il.cu_sl, il.du_sl) == (sub.cu_sl, sub.du_sl)
 
 
+def vnic_threshold(params, cap_s) -> int:
+    """The fewest vNIC PRBs that vnic_mean_wait rejects, found by counting
+    up from 0."""
+    n = 0
+    while True:
+        try:
+            if vnic_mean_wait(n, params) > cap_s:
+                return n
+        except VnicSaturatedError:
+            return n
+        n += 1
+
+
 def test_admission_evaluates_only_the_arriving_slices_instances(monkeypatch):
     # s1, 4 slices, all with admitted load: admitting to one slice
-    # evaluates only that slice's CU and the head of its DU pool.
+    # evaluates only that slice's CU and the head of its DU pool, and of
+    # those only a head at or above the vNIC threshold: a dedicated head
+    # has no isolation check, so below it no limit can bind.
     ds = build_descriptor_set(n_slices=4, du_counts=(1, 2), du_vcpus=4)
     orch = make_orch(ds, scenario=Scenario.S1_DEDICATED)
     slices = ds.snssais()
@@ -716,14 +745,45 @@ def test_admission_evaluates_only_the_arriving_slices_instances(monkeypatch):
         orch.scale(ScaleTarget.DU, Direction.UP, s)
         assert admit_prbs(orch, ds, s, 20).admitted
     evaluated = count_evaluations(monkeypatch, orch)
+    threshold = vnic_threshold(PARAMS, 2e-3)
+    assert orch._vnic_prbs == threshold == 797
 
     arriving = slices[2]
+    # 25 PRBs split over a pool of 2 DUs: shares 13 and 12. The head
+    # carries the larger one and decides for the pool; the CU carries 25.
+    # Both are below the threshold, so no load is computed.
     assert admit_prbs(orch, ds, arriving, 5, drb_id="arrival").admitted
-    assert {s for _, s, _ in evaluated} == {arriving}
-    # 25 PRBs split over a pool of 2 DUs: shares 13 and 12; the head
-    # carries the larger one and decides for the pool. Each instance has
-    # one owner, so its vNIC PRBs are the owner's share.
-    assert sorted(evaluated) == [("cu", arriving, 25), ("du", arriving, 13)]
+    assert evaluated == []
+    # 1,592 PRBs: the DU head's 796 stay below the threshold, the CU's
+    # 1,592 do not and saturate its vNIC.
+    decision = admit_prbs(orch, ds, arriving, 1567)
+    assert decision.reason == REJECT_VNIC_SATURATED
+    assert evaluated == [("cu", arriving, 1592)]
+    # The DU head at the threshold breaks the delay cap, above it
+    # saturates; the check stops there and the CU is not computed.
+    for prbs, head_prbs, reason in ((1569, threshold, REJECT_VNIC_DELAY),
+                                    (1595, 810, REJECT_VNIC_SATURATED)):
+        evaluated.clear()
+        decision = admit_prbs(orch, ds, arriving, prbs)
+        assert decision.reason == reason
+        assert decision.detail.startswith(f"du-{arriving.key()}-1: ")
+        assert evaluated == [("du", arriving, head_prbs)]
+
+
+def test_admission_computes_a_shared_du_head_and_no_dedicated_cu(monkeypatch):
+    # s4, 3 loaded slices: the shared DU head has an isolation check, so
+    # its loads are computed for every owner; the arriving slice's
+    # dedicated CU is below the vNIC threshold and is not.
+    ds = build_descriptor_set(n_slices=3, du_vcpus=4)
+    orch = make_orch(ds, scenario=Scenario.S4_DU_SHARED)
+    slices = ds.snssais()
+    for s in slices:
+        assert admit_prbs(orch, ds, s, 20).admitted
+    evaluated = count_evaluations(monkeypatch, orch)
+    arriving = slices[1]
+    assert admit_prbs(orch, ds, arriving, 5, drb_id="arrival").admitted
+    assert sorted((kind, s.key(), prbs) for kind, s, prbs in evaluated) == sorted(
+        ("du", s.key(), 65) for s in slices)
 
 
 def test_admission_reads_only_the_arriving_slices_demand(monkeypatch):

@@ -7,14 +7,18 @@ instantiating a subnet midway, the unit records against a frozen copy
 of the tuple-keyed policy, and subnets following a shared-DU scaling
 against a frozen copy of their two-search IL choice. Then properties
 over generated deployments and loads: the closed-form loads equal the
-consumption models, a pool's head decides admission for its pool, and
-allocation stays within demand, budget and isolation. Last, the
+consumption models, a pool's head decides admission for its pool,
+allocation stays within demand, budget and isolation and, checked on
+the shared pool heads alone, equals a frozen copy of the allocation
+that projected every trial split in full, and the vNIC threshold splits
+the PRB counts the vNIC limits accept from those they reject. Last, the
 isolation predicate and the modulation snap against frozen copies of
 their first versions."""
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import replace
 from functools import lru_cache
@@ -40,6 +44,7 @@ from ranslice.orchestrator import (
     ScalingEvent,
     ScalingThresholds,
     _fold,
+    _vnic_threshold,
     evaluate_scaling_policy,
     _snap_modulation,
 )
@@ -53,6 +58,8 @@ from ranslice.resources import (
     cu_vcpu_consumption,
     du_vcpu_consumption,
     estimate_prbs,
+    vnic_mean_wait,
+    VnicSaturatedError,
 )
 from ranslice.sim import McsAtom, run
 from ranslice.topology import Drb, DrbQos, Scenario
@@ -907,6 +914,105 @@ def test_allocation_stays_within_demand_budget_and_isolation(orch, total_prbs):
     assert all(0 <= alloc[s] <= demand[s] for s in alloc)
     assert sum(alloc.values()) <= total_prbs
     assert isolated(alloc)
+
+
+def reference_allocation(orch: Orchestrator, total_prbs: int) -> tuple[dict, list[Instance]]:
+    """allocate_prbs as first written, with every trial split projected
+    in full (reference_projection) and isolation checked on every shared
+    instance: the split and its final projection. Raises
+    BaselineOverloadError as it did. Mutates nothing."""
+    slices = orch._slices
+    demand = {s: reference_load(orch, s)[0] for s in slices}
+    total_demand = sum(demand.values())
+    per_slice_cap = orch.budget.per_slice_cap
+
+    def breaking(split) -> list[Instance]:
+        return [i for i in reference_projection(orch, split) if i.shared and not check_isolation(
+            i.per_slice, CapacityBudget(i.capacity, per_slice_cap)).ok]
+
+    if total_demand <= total_prbs:
+        alloc = dict(demand)
+    else:
+        shares = {s: total_prbs * demand[s] / total_demand for s in slices}
+        alloc = {s: int(shares[s]) for s in slices}
+        leftover = total_prbs - sum(alloc.values())
+        by_remainder = sorted(slices, key=lambda s: (-(shares[s] - alloc[s]), s.key()))
+        for s in by_remainder[:leftover]:
+            alloc[s] += 1
+    while broken := breaking(alloc):
+        reducible = [s for s in slices if alloc[s] > 0]
+        if not reducible:
+            inst = broken[0]
+            raise BaselineOverloadError(
+                f"{inst.instance_id}: isolation fails with no PRBs allocated; slice "
+                f"baselines sum to {sum(inst.per_slice.values()):.4f} vCPU against capacity "
+                f"{inst.capacity:.4f}, per-slice cap {per_slice_cap:g}")
+        victim = max(reducible, key=lambda s: (alloc[s], s.key()))
+        alloc[victim] -= 1
+    changed = True
+    while changed:
+        changed = False
+        for s in slices:
+            if alloc[s] >= demand[s] or sum(alloc.values()) >= total_prbs:
+                continue
+            trial = dict(alloc)
+            trial[s] += 1
+            if not breaking(trial):
+                alloc = trial
+                changed = True
+    return alloc, reference_projection(orch, alloc)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+# Baselines up to 1.5 vCPU, so that some deployments overload at zero
+# PRBs, and budgets below and above demand, so that splits are trimmed
+# and slack is handed back.
+@given(orch=deployments(max_c0=1.5), total_prbs=st.integers(0, 400))
+def test_allocation_on_shared_heads_equals_the_full_projection(orch, total_prbs):
+    try:
+        expected = reference_allocation(orch, total_prbs)
+    except BaselineOverloadError as exc:
+        with pytest.raises(BaselineOverloadError) as raised:
+            orch.allocate_prbs(total_prbs)
+        assert str(raised.value) == str(exc)
+        return
+    alloc = orch.allocate_prbs(total_prbs)
+    assert alloc == expected[0]
+    # The hand-off: every live instance projected once, at the split,
+    # each summed once into its consumption.
+    handoff = orch.observe_utilization()
+    assert [(*row, u.consumption) for row, u in zip(as_rows(handoff), handoff)] == [
+        (*row, sum(u.per_slice.values())) for row, u in zip(as_rows(expected[1]), expected[1])]
+    # A projection made afresh fills the same sums in.
+    orch._relayout()
+    for u in orch.observe_utilization() + orch._project({s: total_prbs for s in orch._slices}):
+        assert u.consumption == sum(u.per_slice.values())
+
+
+# Service rates and packet rates from the smallest subnormal to the
+# largest float, so that the arrival rate or 1/service rate overflows
+# and the threshold reaches PRB counts beyond any float.
+EXTREMES = (5e-324, 1e-300, 1e-9, 1.0, 1e9, 1e300, sys.float_info.max)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mu=st.sampled_from(EXTREMES) | st.floats(1e-3, 1e7),
+       pkt=st.sampled_from(EXTREMES) | st.floats(1e-3, 1e4),
+       cap=st.sampled_from((5e-324, 1e-300, 1e300, math.inf)) | st.floats(1e-7, 1.0))
+def test_the_vnic_threshold_splits_accepts_from_rejects(mu, pkt, cap):
+    params = replace(PARAMS, vnic_service_rate=mu, pkt_per_prb=pkt)
+    threshold = _vnic_threshold(params, cap)
+
+    def accepts(n: int) -> bool:
+        # What _limit makes of vnic_mean_wait's outcome at n PRBs.
+        try:
+            return not vnic_mean_wait(n, params) > cap
+        except (VnicSaturatedError, OverflowError):
+            return False
+
+    for n in {0, *range(threshold - 3, threshold + 4)}:
+        if n >= 0:
+            assert accepts(n) == (n < threshold), n
 
 
 def reference_check_isolation(consumptions, budget: CapacityBudget) -> IsolationResult:
