@@ -261,10 +261,12 @@ def evaluate_scaling_policy(history: Sequence[float], thresholds: ScalingThresho
     history is shorter). Returns None between thresholds, or when the
     opposite of the last decision falls inside the cooldown.
     """
-    if not history:
+    n = len(history)
+    if not n:
         raise ValueError("history must be non-empty")
-    n = min(len(history), thresholds.window)
-    mean = sum(islice(history, len(history) - n, None)) / n
+    if n > thresholds.window:
+        history, n = islice(history, n - thresholds.window, None), thresholds.window
+    mean = sum(history) / n
     if mean > thresholds.hi:
         decision = Direction.UP
     elif mean < thresholds.lo:
@@ -399,6 +401,14 @@ class Orchestrator:
         self._policy_order: list[_UnitRecord] | None = None
         self._instances: tuple[Instance, ...] | None = None
         self._pools: Pools = {}
+        # Tick work that is constant over a layout, built with it (see
+        # instances): the shared pool heads allocation checks, and per
+        # scaling unit in policy order what observation samples: its
+        # history, then for a CU its slice, its CU's position and the vCPUs
+        # of the subnet's CU level, for a DU pool None, the pool's
+        # positions and their summed capacity.
+        self._heads: list[Instance] = []
+        self._observed: list[tuple] = []
         # exp(beta * m) per modulation order, the MCS factor of _loads_on.
         self._exp = {m: math.exp(params.beta * m) for m in MODULATION_ORDERS}
         # The fewest vNIC PRBs at which a vNIC limit binds (see _vnic_threshold).
@@ -490,9 +500,10 @@ class Orchestrator:
         return subnet
 
     def _relayout(self) -> None:
-        """Drop the instance layout and count a change of state, so that a
-        hand-off made before is not used. Code that edits levels, DRBs or
-        allocations by hand must call it after the edit."""
+        """Drop the instance layout, and with it the tick work built over
+        it, and count a change of state, so that a hand-off made before is
+        not used. Code that edits levels, DRBs or allocations by hand must
+        call it after the edit."""
         self._instances = None
         self._generation += 1
 
@@ -502,9 +513,23 @@ class Orchestrator:
         """The live VNF instances: the shared DU pool or each subnet's
         dedicated DU pool, then the shared CU or each subnet's CU (see
         _build_instances). Built on the first read after instantiate_subnet
-        or scale, the only places where levels change."""
+        or scale, the only places where levels change, together with the
+        tick work that is constant over them: the shared pool heads
+        (``index == 0``, several owners) that allocate_prbs checks, and
+        per scaling unit the positions and capacity divisor
+        observe_utilization samples."""
         if self._instances is None:
-            self._instances, self._pools = self._build_instances({})
+            insts, pools = self._build_instances({})
+            self._heads = [inst for inst in insts if inst.index == 0 and inst.shared]
+            observed = []
+            for rec in self._units():
+                own = _own(rec, pools)
+                if rec.target is ScaleTarget.CU:
+                    observed.append((rec.hist, rec.snssai, own[0], rec.caps[rec.holder.cu_sl]))
+                else:
+                    observed.append((rec.hist, None, own, sum(insts[j].capacity for j in own)))
+            self._observed = observed
+            self._instances, self._pools = insts, pools
         return self._instances
 
     def pools(self) -> Pools:
@@ -738,7 +763,8 @@ class Orchestrator:
             for s in by_remainder[:leftover]:
                 alloc[s] += 1
 
-        heads = [inst for inst in self.instances() if inst.index == 0 and inst.shared]
+        self.instances()
+        heads = self._heads
         entries: dict[Snssai, tuple[float, float]] = {}
         while (broken := self._first_break(heads, alloc, entries)) is not None:
             reducible = [s for s in slices if alloc[s] > 0]
@@ -828,21 +854,22 @@ class Orchestrator:
 
         CU and DU (a dedicated pool) scale the subnet ``snssai``: its
         other level stays and its current IL becomes the declared IL for
-        the new pair. SHARED_DU scales the shared pool exactly once, on
-        the auxiliary service; every referencing subnet then follows with
-        a SUBNET_IL event (see _follow_aux). Any other unit that is not
-        live raises: a slice that is not instantiated (one given with
-        SHARED_DU too), a shared DU without an auxiliary service, a DU
+        the new pair. SHARED_DU, given no ``snssai``, scales the shared
+        pool exactly once, on the auxiliary service; every referencing
+        subnet then follows with a SUBNET_IL event (see _follow_aux). Any
+        other unit that is not live raises: a slice that is not
+        instantiated (UnknownSnssaiError, with SHARED_DU too), SHARED_DU
+        given a slice, a shared DU without an auxiliary service, a DU
         under a shared DU and SUBNET_IL."""
         shared = target is ScaleTarget.SHARED_DU
         if snssai not in self.subnets and not (shared and snssai is None):
             raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
         self._units()               # every live unit has its record
-        rec = self._unit_recs.get((target, None if shared else snssai))
+        rec = self._unit_recs.get((target, snssai))
         if rec is None:
-            raise OrchestrationError(f"no live {target.value} unit under scenario "
+            whose = "" if snssai is None else f" for {snssai}"
+            raise OrchestrationError(f"no live {target.value} unit{whose} under scenario "
                                      f"{self.scenario.value}")
-        snssai = rec.snssai
         current, level = self._step(rec, direction)
         who = "auxiliary service" if snssai is None else f"{target.value} of {snssai}"
         if level is None:
@@ -912,15 +939,12 @@ class Orchestrator:
         else:
             insts = self._project(self._allocated_map())
             self._checked = None
-        pools = self.pools()
-        for rec in self._units():
-            own = _own(rec, pools)
-            if rec.target is ScaleTarget.CU:
-                util = insts[own[0]].per_slice[rec.snssai] / rec.caps[rec.holder.cu_sl]
+        self.instances()
+        for hist, cu_of, at, capacity in self._observed:
+            if cu_of is not None:
+                hist.append(insts[at].per_slice[cu_of] / capacity)
             else:
-                util = (sum(insts[j].consumption for j in own)
-                        / sum(insts[j].capacity for j in own))
-            rec.hist.append(util)
+                hist.append(sum([insts[j].consumption for j in at]) / capacity)
         return insts
 
     def isolation_violations(self, snapshot: Sequence[Instance]) -> int:

@@ -141,9 +141,16 @@ class SliceRow:
 
 @dataclass(slots=True)
 class TickRow:
+    """One tick of a run. ``layout`` is the instance tuple
+    ``Orchestrator.instances()`` returned at observation, before the
+    tick's scalings: the same object on every row until a relayout, so
+    rows share it. ``consumptions`` holds each instance's vCPU
+    consumption that tick, in layout order."""
+
     tick: int
     slices: tuple[SliceRow, ...]
-    instances: tuple[Instance, ...]
+    layout: tuple[Instance, ...]
+    consumptions: tuple[float, ...]
     events: tuple[ScalingEvent, ...]
     vm_count: int
     isolation_violations: int
@@ -179,6 +186,23 @@ def _object(members: list[str]) -> str:
     return "{" + ",".join(members) + "\n      }" if members else "{}"
 
 
+def _layout_template(layout: Sequence[Instance]) -> tuple[str, tuple[int, ...]]:
+    """A layout's instance mapping as a %-format template with one ``%s``
+    per instance for its consumption, and the layout positions that fill
+    them in turn: ids sorted, a duplicate id keeping its last entry."""
+    last = {inst.instance_id: j for j, inst in enumerate(layout)}
+    order = tuple(last[k] for k in sorted(last))
+    members = []
+    for j in order:
+        inst = layout[j]
+        head = (f'\n        {_str(inst.instance_id)}: {{'
+                f'\n          "capacity": {_value(inst.capacity)},'
+                '\n          "consumption": ')
+        tail = f',\n          "kind": {_value(inst.kind)}\n        }}'
+        members.append(head.replace("%", "%%") + "%s" + tail.replace("%", "%%"))
+    return _object(members), order
+
+
 @dataclass
 class SimTrace:
     scenario: Scenario
@@ -202,10 +226,10 @@ class SimTrace:
                     "instances": {
                         inst.instance_id: {
                             "kind": inst.kind,
-                            "consumption": inst.consumption,
+                            "consumption": consumption,
                             "capacity": inst.capacity,
                         }
-                        for inst in row.instances
+                        for inst, consumption in zip(row.layout, row.consumptions)
                     },
                     "slices": {
                         sr.snssai.key(): {
@@ -230,42 +254,57 @@ class SimTrace:
         straight from ``rows``: the fixed keys of a tick, an instance and
         a slice are literals in sorted order. Instance ids and slice keys
         are strings, sorted per tick; as in ``to_json_obj``, a duplicate
-        keeps its last entry."""
+        keeps its last entry. Each distinct layout is rendered once (see
+        _layout_template) and each row splices its consumptions in. Exact
+        ints and finite floats are written inline with their repr, which
+        is json's text for them; anything else goes through _value."""
         out = ['{\n  "findings": ', _block(list(self.findings), "  "),
                ',\n  "scenario": ', _value(self.scenario.value, "  "),
                ',\n  "ticks": ']
+        layouts: dict[int, tuple[str, tuple[int, ...]]] = {}
         ticks = []
         for row in self.rows:
             events = ("[" + ",".join("\n        " + _str(str(e)) for e in row.events)
                       + "\n      ]") if row.events else "[]"
-            by_id = {i.instance_id: i for i in row.instances}
-            insts = [
-                f'\n        {_str(k)}: {{'
-                f'\n          "capacity": {_value(i.capacity)},'
-                f'\n          "consumption": {_value(i.consumption)},'
-                f'\n          "kind": {_value(i.kind)}'
-                '\n        }'
-                for k, i in sorted(by_id.items())]
+            layout = row.layout
+            rendered = layouts.get(id(layout))
+            if rendered is None:
+                rendered = layouts[id(layout)] = _layout_template(layout)
+            template, order = rendered
+            cons = row.consumptions
+            # x - x == 0 holds for a finite float alone.
+            insts = template % tuple([
+                repr(c) if type(c) is float and c - c == 0 else _value(c)
+                for c in [cons[j] for j in order]])
             by_key = {sr.snssai.key(): sr for sr in row.slices}
-            slices = [
-                f'\n        {_str(k)}: {{'
-                f'\n          "admitted": {_value(sr.admitted)},'
-                f'\n          "arrived": {_value(sr.arrived)},'
-                f'\n          "cu_util": {_value(sr.cu_util)},'
-                f'\n          "du_util": {_value(sr.du_util)},'
-                f'\n          "prbs": {_value(sr.prbs)},'
-                f'\n          "rejected": {_value(sr.rejected)},'
-                f'\n          "vnic_wait_ms": {_value(sr.vnic_wait_s * 1e3)}'
-                '\n        }'
-                for k, sr in sorted(by_key.items())]
+            slices = []
+            for k, sr in sorted(by_key.items()):
+                admitted, arrived, prbs, rejected = sr.admitted, sr.arrived, sr.prbs, sr.rejected
+                cu, du, wait = sr.cu_util, sr.du_util, sr.vnic_wait_s * 1e3
+                slices.append(
+                    f'\n        {_str(k)}: {{'
+                    f'\n          "admitted": '
+                    f'{admitted if type(admitted) is int else _value(admitted)},'
+                    f'\n          "arrived": {arrived if type(arrived) is int else _value(arrived)},'
+                    f'\n          "cu_util": '
+                    f'{cu if type(cu) is float and cu - cu == 0 else _value(cu)},'
+                    f'\n          "du_util": '
+                    f'{du if type(du) is float and du - du == 0 else _value(du)},'
+                    f'\n          "prbs": {prbs if type(prbs) is int else _value(prbs)},'
+                    f'\n          "rejected": '
+                    f'{rejected if type(rejected) is int else _value(rejected)},'
+                    f'\n          "vnic_wait_ms": '
+                    f'{wait if type(wait) is float and wait - wait == 0 else _value(wait)}'
+                    '\n        }')
+            tick, vms, violations = row.tick, row.vm_count, row.isolation_violations
             ticks.append(
                 f'\n    {{\n      "events": {events},'
-                f'\n      "instances": {_object(insts)},'
+                f'\n      "instances": {insts},'
                 '\n      "isolation_violations": '
-                f'{_value(row.isolation_violations, _TICK_PAD)},'
+                f'{violations if type(violations) is int else _value(violations, _TICK_PAD)},'
                 f'\n      "slices": {_object(slices)},'
-                f'\n      "tick": {_value(row.tick, _TICK_PAD)},'
-                f'\n      "vm_count": {_value(row.vm_count, _TICK_PAD)}'
+                f'\n      "tick": {tick if type(tick) is int else _value(tick, _TICK_PAD)},'
+                f'\n      "vm_count": {vms if type(vms) is int else _value(vms, _TICK_PAD)}'
                 '\n    }')
         out += ["[" + ",".join(ticks) + "\n  ]" if ticks else "[]",
                 ',\n  "topology": ', _block(self.topology, "  "),
@@ -430,42 +469,40 @@ def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
     trace = SimTrace(scenario=config.scenario, total_prbs=config.total_prbs,
                      topology=build_instance_graph(ds, orch.instances()))
 
-    rngs = {s: random.Random(f"{config.seed}:{profiles[s].seed}:{s.key()}")
-            for s in slices}
+    # Each slice's profile and its own seeded stream, in slice order.
+    draws = [(s, profiles[s], random.Random(f"{config.seed}:{profiles[s].seed}:{s.key()}"))
+             for s in slices]
     departures: dict[int, list[tuple[Snssai, str]]] = {}
     waits: dict[int, float] = {}    # a DU's vNIC wait per PRB count
+    layout = None
 
     for tick in range(config.ticks):
         for snssai, drb_id in departures.pop(tick, []):
             orch.depart_drb(snssai, drb_id)
 
-        admitted_count = {s: 0 for s in slices}
-        rejected_count = {s: 0 for s in slices}
-        arrived_count = {s: 0 for s in slices}
-        for s in slices:
-            profile = profiles[s]
-            rng = rngs[s]
+        counts = []                 # per slice: (arrived, admitted)
+        for s, profile, rng in draws:
             n = _poisson(rng, profile.drb_arrival_rate)
             if tick == 0:
                 n += profile.initial_drbs
+            admitted = 0
             for i in range(n):
                 atom = _sample_mcs(rng, profile.mcs_distribution)
                 holding = _holding_ticks(rng, profile.mean_holding)
                 drb = Drb(drb_id=f"{s.key()}:{tick}:{i}", snssai=s, qos=profile.qos)
-                decision = orch.admit_drb(s, drb, atom.modulation_order, atom.code_rate)
-                arrived_count[s] += 1
-                if decision.admitted:
-                    admitted_count[s] += 1
+                if orch.admit_drb(s, drb, atom.modulation_order, atom.code_rate).admitted:
+                    admitted += 1
                     if holding is not None:
                         departures.setdefault(tick + holding, []).append((s, drb.drb_id))
-                else:
-                    rejected_count[s] += 1
+            counts.append((n, admitted))
 
         alloc = orch.allocate_prbs(config.total_prbs)
         snapshot = orch.observe_utilization()
-        # Where each slice's DUs and CU sit in the snapshot, read before a
-        # scaling replaces the instances.
-        pools = orch.pools()
+        # The instances the snapshot projects and where each slice's DUs
+        # and CU sit in them, read before a scaling replaces the layout.
+        if orch.instances() is not layout:
+            layout = orch.instances()
+            places = [(s, *orch.pools()[s]) for s in slices]
         events = orch.apply_scaling_policies()
         violations = orch.isolation_violations(snapshot)
 
@@ -473,24 +510,14 @@ def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
         for i in snapshot:
             if i.kind == "du" and i.prbs not in waits:
                 waits[i.prbs] = _safe_wait(i.prbs, config.params)
-        slice_rows = []
-        for s in slices:
-            dus, cu = pools[s]
-            slice_rows.append(SliceRow(
-                snssai=s,
-                prbs=alloc[s],
-                du_util=max(utils[j] for j in dus),
-                cu_util=utils[cu],
-                vnic_wait_s=max(waits[snapshot[j].prbs] for j in dus),
-                arrived=arrived_count[s],
-                admitted=admitted_count[s],
-                rejected=rejected_count[s],
-            ))
-
         trace.rows.append(TickRow(
             tick=tick,
-            slices=tuple(slice_rows),
-            instances=tuple(snapshot),
+            slices=tuple([
+                SliceRow(s, alloc[s], max([utils[j] for j in dus]), utils[cu],
+                         max([waits[snapshot[j].prbs] for j in dus]), n, admitted, n - admitted)
+                for (s, dus, cu), (n, admitted) in zip(places, counts)]),
+            layout=layout,
+            consumptions=tuple([i.consumption for i in snapshot]),
             events=tuple(events),
             vm_count=orch.live_vm_count(),
             isolation_violations=violations,
@@ -511,8 +538,7 @@ def summarize(trace: SimTrace) -> ScenarioSummary:
         scenario=trace.scenario,
         ticks=ticks,
         mean_vm_count=sum(row.vm_count for row in trace.rows) / ticks,
-        total_vcpu_ticks=sum(inst.consumption for row in trace.rows
-                             for inst in row.instances),
+        total_vcpu_ticks=sum(c for row in trace.rows for c in row.consumptions),
         arrived=arrived,
         admitted=admitted,
         rejected=rejected,

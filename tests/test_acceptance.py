@@ -83,12 +83,12 @@ def test_criterion_1_sharing_gain_reproduction():
     violations = 0
     for scenario in (Scenario.S1_DEDICATED, Scenario.S2_ALL_SHARED):
         trace = run(dataclasses.replace(config, scenario=scenario), ds)
-        counts = {len([i for i in row.instances if i.kind == "du"])
+        counts = {len([i for i in row.layout if i.kind == "du"])
                   for row in trace.rows}
         du_vm_counts[scenario] = counts
         violations += sum(row.isolation_violations for row in trace.rows)
         if scenario is Scenario.S2_ALL_SHARED:
-            shared_levels = {round(sum(i.consumption for i in row.instances
+            shared_levels = {round(sum(c for i, c in zip(row.layout, row.consumptions)
                                        if i.kind == "du"), 9)
                              for row in trace.rows}
             assert shared_levels == {round(0.65 + 0.15, 9)}

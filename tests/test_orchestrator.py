@@ -453,8 +453,9 @@ def test_scale_shared_du_at_boundary(ds_two_slices):
     (Scenario.S4_DU_SHARED, ScaleTarget.SUBNET_IL, 0, OrchestrationError),
     (Scenario.S4_DU_SHARED, ScaleTarget.CU, 1, UnknownSnssaiError),
     (Scenario.S4_DU_SHARED, ScaleTarget.SHARED_DU, 1, UnknownSnssaiError),
+    (Scenario.S4_DU_SHARED, ScaleTarget.SHARED_DU, 0, OrchestrationError),
 ], ids=["shared-du-in-s1", "du-in-s4", "subnet-il-in-s4", "cu-of-a-stranger",
-        "shared-du-for-a-stranger"])
+        "shared-du-for-a-stranger", "shared-du-for-a-live-slice"])
 def test_scale_refuses_a_unit_that_is_not_live(ds_two_slices, scenario, target,
                                                slice_index, error):
     # Only the first slice is instantiated; the second is not.

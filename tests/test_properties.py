@@ -2,21 +2,24 @@
 check, of the pool index and of the allocation hand-off: random
 sequences of scale, admit, depart and tick operations, under every
 sharing scenario, some of them also editing state by hand (then calling
-the orchestrator's reset hook) between allocation and observation or
-instantiating a subnet midway, the unit records against a frozen copy
-of the tuple-keyed policy, and subnets following a shared-DU scaling
-against a frozen copy of their two-search IL choice. Then properties
-over generated deployments and loads: the closed-form loads equal the
-consumption models, a pool's head decides admission for its pool,
-allocation stays within demand, budget and isolation and, checked on
-the shared pool heads alone, equals a frozen copy of the allocation
-that projected every trial split in full, and the vNIC threshold splits
-the PRB counts the vNIC limits accept from those they reject. Last, the
-isolation predicate and the modulation snap against frozen copies of
-their first versions."""
+the orchestrator's reset hook) between allocation and observation,
+putting a dedicated pool head at the vNIC threshold or one PRB either
+side of it, or instantiating a subnet midway; allocations after
+scalings against a frozen copy of the allocation, the unit records
+against a frozen copy of the tuple-keyed policy, and subnets following
+a shared-DU scaling against a frozen copy of their two-search IL
+choice. Then properties over generated deployments and loads: the
+closed-form loads equal the consumption models, a pool's head decides
+admission for its pool, allocation stays within demand, budget and
+isolation and, checked on the shared pool heads alone, equals a frozen
+copy of the allocation that projected every trial split in full, and
+the vNIC threshold splits the PRB counts the vNIC limits accept from
+those they reject. Last, the isolation predicate and the modulation
+snap against frozen copies of their first versions."""
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from collections import deque
@@ -88,6 +91,13 @@ def op_lists(max_mbps: float, *more, min_size: int = 0):
 
 OPS = op_lists(60.0)
 
+
+def unit_slice(target: ScaleTarget, slices: list, i: int):
+    """The slice a drawn scale op names: none for the shared DU pool, the
+    one unit of every slice (scale refuses it a slice)."""
+    return None if target is ScaleTarget.SHARED_DU else slices[i % len(slices)]
+
+
 # Model parameters, fixed at construction: PARAMS or one that moves
 # some consumption.
 PARAM_DRAWS = st.sampled_from((PARAMS, replace(PARAMS, k=0.002), replace(PARAMS, beta=0.3),
@@ -115,6 +125,10 @@ STATE_EDITS = (
     st.just(("observe",)),
     EDITS,
 )
+# A slice's DRBs set by hand so that the next arrival, admitted or not,
+# puts its dedicated pool head (a shared one in s2) at the vNIC
+# threshold -1, 0 or +1 PRBs (see to_vnic_threshold).
+EDGES = st.tuples(st.just("edge"), st.integers(0, 2), st.integers(-1, 1), st.sampled_from(MCS))
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +180,7 @@ def test_scaling_units_keep_their_invariants(n_slices, scenario, ops):
         if op[0] == "scale":
             _, target, direction, i = op
             try:
-                orch.scale(target, direction, slices[i % n_slices])
+                orch.scale(target, direction, unit_slice(target, slices, i))
             except OrchestrationError:
                 pass
         elif op[0] == "admit":
@@ -247,18 +261,39 @@ def owner_scan(insts) -> dict:
 def reference_admission(orch: Orchestrator, snssai, drb, m: int, cr: float) -> Decision:
     """Unscoped admission check: project every live instance with the
     slice at its post-admission demand, then check the instances the
-    slice owns. Mutates nothing."""
+    slice owns, each with the vNIC wait computed at any PRB count (no
+    vNIC threshold). Mutates nothing."""
     profile = orch.ds.nssts[orch.subnets[snssai].nsst_ref].slice_profile
     est = estimate_prbs(drb.qos.throughput_mbps, m, cr,
                         profile.numerology_index, profile.dl_ul_symbol_ratio)
     demand = {s: reference_load(orch, s)[0] for s in orch.subnets}
     demand[snssai] += est
+    no_threshold = copy.copy(orch)
+    no_threshold._vnic_prbs = 0
     for util in reference_projection(orch, demand, (snssai, est, m, cr)):
         if snssai in util.owners:
-            reject = orch._limit(util)
+            reject = no_threshold._limit(util)
             if reject is not None:
                 return reject
     return Decision(True, est_prbs=est)
+
+
+def to_vnic_threshold(orch: Orchestrator, s, drb, m: int, cr: float, delta: int,
+                      step: int) -> None:
+    """Replace slice ``s``'s DRBs by hand with one, sized so that admitting
+    ``drb`` next puts the slice's first dedicated pool head (its DU head,
+    else its CU, else its shared DU head) at the vNIC threshold plus
+    ``delta`` PRBs, then call the reset hook."""
+    profile = orch.ds.nssts[orch.subnets[s].nsst_ref].slice_profile
+    est = estimate_prbs(drb.qos.throughput_mbps, m, cr,
+                        profile.numerology_index, profile.dl_ul_symbol_ratio)
+    heads = orch._owned_by(s)
+    head = next((h for h in heads if not h.shared), heads[0])
+    prbs = (orch._vnic_prbs + delta) * head.pool - est
+    assert prbs > 0
+    orch.subnets[s].admitted_drbs = (
+        AdmittedDrb(Drb(f"d{step}-edge", s, DrbQos(1.0, 20.0, 0.99)), prbs, 6, 0.75),)
+    orch._relayout()
 
 
 def as_rows(projected: list[Instance]) -> list[tuple]:
@@ -326,12 +361,20 @@ def observe_and_check(orch: Orchestrator) -> None:
 # or a CU's vNIC, which carries the slice's whole load) rejects too.
 @given(n_slices=st.integers(1, 3), n_start=st.integers(1, 3), du_vcpus=st.sampled_from((1, 4)),
        scenario=st.sampled_from(Scenario), params=PARAM_DRAWS,
-       ops=op_lists(200.0, *STATE_EDITS, st.just(("instantiate",)), min_size=4))
+       ops=op_lists(200.0, *STATE_EDITS, st.just(("instantiate",)), EDGES, min_size=4))
 # A shared CU that only the arriving DRB's own PRBs push over its cap,
 # under a DU head that holds.
 @example(n_slices=2, n_start=1, du_vcpus=1, scenario=Scenario.S3_CU_SHARED, params=PARAMS,
          ops=[("tick",), ("instantiate",), ("admit", 0, 12.0, (6, 0.75)),
               ("admit", 0, 75.0, (8, 0.9))])
+# Dedicated heads one PRB below, at and one above the vNIC threshold: a
+# DU pool of one with its CU, and a DU pool of two under a shared CU.
+@example(n_slices=1, n_start=1, du_vcpus=1, scenario=Scenario.S1_DEDICATED, params=PARAMS,
+         ops=[("edge", 0, -1, (6, 0.75)), ("edge", 0, 0, (6, 0.75)),
+              ("edge", 0, 1, (6, 0.75))])
+@example(n_slices=2, n_start=2, du_vcpus=1, scenario=Scenario.S3_CU_SHARED, params=PARAMS,
+         ops=[("scale", ScaleTarget.DU, Direction.UP, 1), ("edge", 1, -1, (4, 0.5)),
+              ("edge", 1, 0, (4, 0.5)), ("edge", 1, 1, (4, 0.5))])
 def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, n_start, du_vcpus,
                                                                      scenario, params, ops):
     # Subnets after the first ``n_start`` are instantiated by an op.
@@ -347,13 +390,15 @@ def test_scoped_admission_and_memoised_instances_match_the_reference(n_slices, n
         elif op[0] == "scale":
             _, target, direction, i = op
             try:
-                orch.scale(target, direction, here[i % len(here)])
+                orch.scale(target, direction, unit_slice(target, here, i))
             except OrchestrationError:
                 pass
-        elif op[0] == "admit":
-            _, i, mbps, (m, cr) = op
+        elif op[0] in ("admit", "edge"):
+            _, i, x, (m, cr) = op
             s = here[i % len(here)]
-            drb = Drb(f"d{step}", s, DrbQos(mbps, 20.0, 0.99))
+            drb = Drb(f"d{step}", s, DrbQos(12.0 if op[0] == "edge" else x, 20.0, 0.99))
+            if op[0] == "edge":
+                to_vnic_threshold(orch, s, drb, m, cr, x, step)
             expected = reference_admission(orch, s, drb, m, cr)
             # Every other arrival names its slice by a newly constructed
             # Snssai, which interning makes the subnet's own object.
@@ -402,18 +447,29 @@ LIFECYCLE_OPS = st.lists(st.one_of(
 @given(n_slices=st.integers(1, 3), du_vcpus=st.sampled_from((1, 4)),
        scenario=st.sampled_from(Scenario), params=PARAM_DRAWS,
        rounds=st.lists(LIFECYCLE_OPS, min_size=1, max_size=8))
+# Shared pool heads built at one DU, then the pool scaled to two and
+# admitted past what one DU holds: the next allocation must check the
+# new heads, not those of the layout before.
+@example(n_slices=2, du_vcpus=1, scenario=Scenario.S4_DU_SHARED, params=PARAMS,
+         rounds=[[("instantiate",), ("admit", 0, 20.0, (6, 0.75)),
+                  ("scale", ScaleTarget.SHARED_DU, Direction.UP, 0),
+                  ("admit", 0, 20.0, (6, 0.75))],
+                 [("admit", 0, 20.0, (6, 0.75)), ("admit", 0, 20.0, (6, 0.75))], []])
 def test_lifecycle_operations_between_allocation_and_observation_keep_it_exact(
         n_slices, du_vcpus, scenario, params, rounds):
     # Each round allocates, runs its lifecycle operations, then observes:
     # the snapshot, the hand-off or a fresh projection, equals the
     # reference projection at the allocations. One subnet starts live.
+    # Each allocation, on the layout the last round's scalings and
+    # instantiations left, equals the reference allocation.
     ds = descriptor_set(n_slices, du_vcpus)
     orch = Orchestrator(ds, scenario, params, BUDGET, THRESHOLDS, vnic_delay_cap_s=5e-3)
     waiting = list(ds.snssais())
     orch.instantiate_subnet(waiting.pop(0))
     live: list[tuple] = []
     for r, ops in enumerate(rounds):
-        orch.allocate_prbs(273)
+        expected = reference_allocation(orch, 273)[0]
+        assert orch.allocate_prbs(273) == expected
         for step, op in enumerate(ops):
             here = list(orch.subnets)
             if op[0] == "admit":
@@ -430,7 +486,7 @@ def test_lifecycle_operations_between_allocation_and_observation_keep_it_exact(
             elif op[0] == "scale":
                 _, target, direction, i = op
                 try:
-                    orch.scale(target, direction, here[i % len(here)])
+                    orch.scale(target, direction, unit_slice(target, here, i))
                 except OrchestrationError:
                     pass
             elif waiting:
@@ -569,7 +625,7 @@ def test_unit_records_match_the_tuple_keyed_policy(n_slices, n_start, du_vcpus, 
             outcomes = []
             for o in both:
                 try:
-                    outcomes.append(o.scale(target, direction, here[i % len(here)]))
+                    outcomes.append(o.scale(target, direction, unit_slice(target, here, i)))
                 except OrchestrationError as exc:
                     outcomes.append(type(exc))
             assert outcomes[0] == outcomes[1]
@@ -765,7 +821,7 @@ def test_subnets_follow_the_shared_du_as_with_two_il_searches(n_slices, declared
             outcomes = []
             for o in both:
                 try:
-                    outcomes.append(o.scale(target, direction, slices[i % n_slices]))
+                    outcomes.append(o.scale(target, direction, unit_slice(target, slices, i)))
                 except OrchestrationError as exc:
                     outcomes.append(type(exc))
             assert outcomes[0] == outcomes[1]

@@ -106,6 +106,22 @@ def test_conservation_admitted_plus_rejected(ds_two_slices):
             assert sr.admitted + sr.rejected == sr.arrived
 
 
+def test_rows_share_one_layout_until_a_scaling():
+    # The demo under s1 scales during the run. A row holds the layout its
+    # snapshot projects, read before the tick's scalings, so the layout
+    # object changes exactly on the row after one with events, and the
+    # trace holds one layout object per relayout plus the first.
+    ds = _load_descriptors(str(DEMO / "descriptors"))
+    config = load_sim_config(str(DEMO / "config.yaml"))
+    trace = run(dataclasses.replace(config, scenario=Scenario.S1_DEDICATED), ds)
+    relayouts = sum(bool(row.events) for row in trace.rows[:-1])
+    assert relayouts > 0
+    assert len({id(row.layout) for row in trace.rows}) == 1 + relayouts
+    assert [row.layout is not prev.layout for prev, row in zip(trace.rows, trace.rows[1:])] == [
+        bool(prev.events) for prev in trace.rows[:-1]]
+    assert all(len(row.consumptions) == len(row.layout) for row in trace.rows)
+
+
 def test_vm_count_matches_next_snapshot(ds_two_slices):
     # The row's vm_count is the post-scaling state, which is exactly the
     # instance set projected at the start of the next tick.
@@ -114,7 +130,7 @@ def test_vm_count_matches_next_snapshot(ds_two_slices):
                          params=ResourceModelParams(c0=0.02, k=2e-3, beta=0.35))
     trace = run(config, ds_two_slices)
     for row, nxt in zip(trace.rows, trace.rows[1:]):
-        assert row.vm_count == len(nxt.instances)
+        assert row.vm_count == len(nxt.layout)
 
 
 def test_shared_run_never_uses_more_vcpu_ticks(ds_two_slices):
@@ -151,10 +167,19 @@ def _violation_cases():
 
 @pytest.mark.parametrize("overload", [False, True], ids=["allocated", "overloaded"])
 def test_violation_counts_match_an_independent_recount(monkeypatch, overload):
-    # Each row's isolation_violations against a recount of its instances
-    # with check_isolation. "overloaded" gives every slice the whole cell
+    # Each row's isolation_violations against a recount of that tick's
+    # snapshot with check_isolation; the row keeps the snapshot's layout
+    # and consumptions. "overloaded" gives every slice the whole cell
     # after allocation, so observation projects afresh and finds
     # violations.
+    snapshots = []
+    observe = Orchestrator.observe_utilization
+
+    def recording_observe(self):
+        snapshots.append(observe(self))
+        return snapshots[-1]
+
+    monkeypatch.setattr(Orchestrator, "observe_utilization", recording_observe)
     if overload:
         allocate = Orchestrator.allocate_prbs
 
@@ -169,12 +194,17 @@ def test_violation_counts_match_an_independent_recount(monkeypatch, overload):
     found = 0
     for ds, config in _violation_cases():
         for scenario in Scenario:
+            snapshots.clear()
             trace = run(dataclasses.replace(config, scenario=scenario), ds)
             cap = config.budget.per_slice_cap
-            for row in trace.rows:
+            assert len(snapshots) == len(trace.rows)
+            for row, snapshot in zip(trace.rows, snapshots):
+                assert [(i.instance_id, i.kind, i.capacity) for i in snapshot] == [
+                    (i.instance_id, i.kind, i.capacity) for i in row.layout]
+                assert row.consumptions == tuple(i.consumption for i in snapshot)
                 recount = sum(
                     not check_isolation(i.per_slice, CapacityBudget(i.capacity, cap)).ok
-                    for i in row.instances if i.shared)
+                    for i in snapshot if i.shared)
                 assert row.isolation_violations == recount
                 found += recount
     assert (found > 0) == overload
@@ -280,7 +310,7 @@ def test_trace_topology_is_the_tick_zero_instance_view():
     ds = parse_descriptor_set(docs)
     for scenario in (Scenario.S1_DEDICATED, Scenario.S3_CU_SHARED):
         trace = run(make_config(ds, ticks=1, scenario=scenario), ds)
-        tick0 = [i.instance_id for i in trace.rows[0].instances if i.kind == "du"]
+        tick0 = [i.instance_id for i in trace.rows[0].layout if i.kind == "du"]
         assert tick0 == ["du-eMBB-1", "du-uRLLC-1", "du-uRLLC-2"]
         assert trace.topology["du_instances"] == tick0
         assert trace.rows[0].vm_count == len(tick0) + len(trace.topology["cu_instances"])

@@ -78,26 +78,52 @@ def events(draw) -> ScalingEvent:
 
 SLICE_ROWS = st.builds(SliceRow, snssai=SNSSAIS, prbs=INTS, du_util=REALS, cu_util=REALS,
                        vnic_wait_s=FLOATS, arrived=INTS, admitted=INTS, rejected=INTS)
-# An instance's consumption is the sum of its per-slice loads, so -0.0
-# and values that are not numbers reach the writer through its capacity
-# and the slice rows instead.
+# The writer reads a layout instance's id, kind and capacity alone.
 INSTANCES = st.builds(Instance, instance_id=NAMES, kind=st.one_of(NAMES, OTHER),
-                      owners=st.just(()), capacity=REALS,
-                      per_slice=st.dictionaries(SNSSAIS, FLOATS, max_size=2))
-TICK_ROWS = st.builds(TickRow, tick=INTS,
-                      slices=st.lists(SLICE_ROWS, max_size=4).map(tuple),
-                      instances=st.lists(INSTANCES, max_size=5).map(tuple),
-                      events=st.lists(events(), max_size=12).map(tuple),
-                      vm_count=INTS, isolation_violations=INTS)
-TRACES = st.builds(SimTrace, scenario=st.sampled_from(Scenario), total_prbs=INTS,
-                   rows=st.lists(TICK_ROWS, max_size=4),
-                   topology=st.dictionaries(TEXT, JSON_VALUES, max_size=3),
-                   findings=st.lists(TEXT, max_size=3))
+                      owners=st.just(()), capacity=REALS)
+LAYOUTS = st.lists(INSTANCES, max_size=5).map(tuple)
+
+
+@st.composite
+def tick_rows(draw, layouts: list) -> TickRow:
+    """A row holding one of ``layouts`` by identity, as the rows between
+    two relayouts share one, with one consumption per instance."""
+    layout = draw(st.sampled_from(layouts))
+    return TickRow(tick=draw(INTS), slices=tuple(draw(st.lists(SLICE_ROWS, max_size=4))),
+                   layout=layout, consumptions=tuple(draw(REALS) for _ in layout),
+                   events=tuple(draw(st.lists(events(), max_size=12))),
+                   vm_count=draw(INTS), isolation_violations=draw(INTS))
+
+
+@st.composite
+def traces(draw) -> SimTrace:
+    # Up to two more layouts, of any length or of the first one's, so
+    # that rendering keyed on anything but the layout object mixes them up.
+    first = draw(LAYOUTS)
+    same_length = st.lists(INSTANCES, min_size=len(first), max_size=len(first)).map(tuple)
+    layouts = [first, *draw(st.lists(st.one_of(LAYOUTS, same_length), max_size=2))]
+    return SimTrace(scenario=draw(st.sampled_from(Scenario)), total_prbs=draw(INTS),
+                    rows=draw(st.lists(tick_rows(layouts), max_size=4)),
+                    topology=draw(st.dictionaries(TEXT, JSON_VALUES, max_size=3)),
+                    findings=draw(st.lists(TEXT, max_size=3)))
+
+
+# Two rows on one layout with a duplicate id, so the second reuses the
+# rendered layout, then a row on another layout of the same length;
+# consumptions that are not finite floats.
+SHARED_LAYOUT = (Instance("du-1", "du", (), 4.0), Instance("cu-1", "cu", (), 2.0),
+                 Instance("du-1", "du", (), 1))
+NEXT_LAYOUT = (Instance("du-1", "du", (), 4.0), Instance("du-2", "du", (), 4.0),
+               Instance("cu-1", "cu", (), 2.0))
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(trace=TRACES)
+@given(trace=traces())
 @example(trace=SimTrace(Scenario.S1_DEDICATED, 273))
+@example(trace=SimTrace(Scenario.S2_ALL_SHARED, 273, rows=[
+    TickRow(0, (), SHARED_LAYOUT, (0.5, math.nan, 1), (), 3, 0),
+    TickRow(1, (), SHARED_LAYOUT, (math.inf, -0.0, True), (), 3, 0),
+    TickRow(2, (), NEXT_LAYOUT, (0.5, 0.25, -math.inf), (), 3, 0)]))
 def test_trace_json_equals_the_generic_encoder(trace):
     assert trace.to_json() == generic(trace)
 
