@@ -128,7 +128,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, ticks=args.ticks)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    scenarios = [Scenario.from_str(s.strip()) for s in args.scenarios.split(",") if s.strip()]
+    try:
+        scenarios = [Scenario.from_str(s.strip()) for s in args.scenarios.split(",") if s.strip()]
+    except ValueError as exc:
+        raise ConfigError("scenarios", str(exc)) from exc
     table = compare_scenarios(config, ds, scenarios)
     export(table, args.format, args.out)
     print(f"wrote {args.format} summary ({len(table.summaries)} scenarios) to {args.out}")

@@ -20,10 +20,9 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _str
 from typing import Any, Sequence
 
-from .descriptors import DescriptorSet, Snssai, validate
+from .descriptors import DescriptorSet, Snssai, validate  # perfbench/tracing.py patches validate
 from .errors import RansliceError
 from .orchestrator import (
-    DescriptorInvalidError,
     Instance,
     Orchestrator,
     ScalingEvent,
@@ -453,15 +452,12 @@ def _safe_wait(prbs: int, params: ResourceModelParams) -> float:
 def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
     """Drive the orchestrator for ``config.ticks`` ticks and record the
     trace. Deterministic for identical (config, ds)."""
-    report = validate(ds)
-    if not report.ok:
-        raise DescriptorInvalidError(report)
+    # Validates the descriptors (a finding beats a config error); stores the scenario unread.
+    orch = Orchestrator(ds, config.scenario, config.params, config.budget,
+                        config.thresholds, config.vnic_delay_cap_ms * 1e-3)
     if config.scenario is None:
         raise ConfigError("scenario", "no scenario selected")
     profiles = _check_profiles(config, ds)
-
-    orch = Orchestrator(ds, config.scenario, config.params, config.budget,
-                        config.thresholds, config.vnic_delay_cap_ms * 1e-3)
     slices = ds.snssais()
     for s in slices:
         orch.instantiate_subnet(s)

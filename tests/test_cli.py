@@ -13,7 +13,9 @@ import yaml
 from helpers import build_documents, slice_plan
 
 import ranslice
+from ranslice import cli, orchestrator, sim
 from ranslice.cli import main
+from ranslice.descriptors import validate
 
 
 def write_descriptors(tmp_path, docs=None, subdir="descriptors"):
@@ -279,6 +281,32 @@ def test_compare_writes_summary(tmp_path):
     assert rc == 0
     summaries = json.loads(out.read_text())
     assert [s["scenario"] for s in summaries] == ["s1", "s2", "s3", "s4"]
+
+
+def test_compare_unknown_scenario_exit_two(tmp_path, capsys):
+    d = write_descriptors(tmp_path)
+    rc = main(["compare", "--descriptors", str(d), "--config", str(write_config(tmp_path)),
+               "--scenarios", "s1,s5", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scenarios: unknown scenario 's5' (expected s1, s2, s3 or s4)"]
+
+
+@pytest.mark.parametrize("command, calls", [
+    (["simulate", "--scenario", "s4"], 2), (["compare", "--scenarios", "s1,s2,s3,s4"], 5)],
+    ids=["simulate", "compare"])
+def test_a_command_validates_once_and_once_per_run(tmp_path, monkeypatch, command, calls):
+    # The command validates the descriptors, then each run's orchestrator
+    # does; sim.run does not again.
+    seen = []
+    for module in (cli, orchestrator, sim):
+        monkeypatch.setattr(module, "validate", lambda ds: seen.append(ds) or validate(ds))
+    demo = Path(__file__).resolve().parent.parent / "demo"
+    rc = main([command[0], "--descriptors", str(demo / "descriptors"),
+               "--config", str(demo / "config.yaml"), *command[1:], "--ticks", "3",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 0
+    assert len(seen) == calls
 
 
 def test_calibrate_fits_anchors(tmp_path, capsys):

@@ -8,7 +8,11 @@ them.
 Orchestrator state changes only through lifecycle operations: in
 ``src/`` and ``perfbench/`` (read, never edited), the DRBs, allocations,
 levels and the generation are assigned only inside those operations and
-constructors."""
+constructors.
+
+The reference orchestrator in ``tests/reference.py`` stays independent
+of the engine: it imports neither ``Orchestrator`` nor any private name
+from ``ranslice``."""
 
 from __future__ import annotations
 
@@ -168,3 +172,27 @@ class Orch:
     assert sorted(w.split(" (")[0] for w in stray_writes([tmp_path])) == [
         "_generation in tick", "_relayout() in tick", "admitted_drbs in tick",
         "allocated_prbs in tick", "cu_sl in tick", "current_il in tick", "du_sl in tick"]
+
+
+def engine_imports(source: str) -> list[str]:
+    """What ``source`` takes from ``ranslice`` that an independent model
+    may not: ``Orchestrator``, a private name or module, ``*``, or a whole
+    module, whose attributes would escape this check."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "ranslice"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ranslice":
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name in ("Orchestrator", "*")
+                      or any(map(_is_private, f"{node.module}.{a.name}".split(".")))]
+    return found
+
+
+def test_the_reference_imports_nothing_of_the_engine_internals():
+    assert engine_imports("from ranslice.orchestrator import Decision, Orchestrator, _fold\n"
+                          "from ranslice._x import y\nfrom ranslice import *\n"
+                          "import ranslice.sim\nfrom os import _exit\n") == [
+        "ranslice.orchestrator.Orchestrator", "ranslice.orchestrator._fold", "ranslice._x.y",
+        "ranslice.*", "ranslice.sim"]
+    assert not engine_imports((ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))

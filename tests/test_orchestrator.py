@@ -662,65 +662,6 @@ def test_event_log_determinism(ds_three_slices):
     assert drive(make_orch(ds), ds) == drive(make_orch(ds), ds)
 
 
-def test_fuzz_all_scenarios_hold_invariants():
-    # Mixed random ops across every scenario and slice count: the
-    # (cu_sl, du_sl) pair always matches the declared current IL, the
-    # live shared pool always matches the auxiliary IL, and no op other
-    # than the declared errors escapes.
-    rng = random.Random(7)
-    mcs_atoms = ((2, 0.3), (4, 0.5), (6, 0.75), (8, 0.9))
-    for trial in range(80):
-        n = rng.choice((1, 2, 3))
-        ds = build_descriptor_set(n_slices=n)
-        scenario = rng.choice(list(Scenario))
-        orch = Orchestrator(ds, scenario,
-                            ResourceModelParams(c0=0.002, k=K_PER_PRB, beta=0.35),
-                            CapacityBudget(rng.choice((1.0, 2.0, 4.0)), 0.9),
-                            vnic_delay_cap_s=5e-3)
-        for s in ds.snssais():
-            orch.instantiate_subnet(s)
-        live = []
-        for step in range(rng.randint(5, 20)):
-            op = rng.choice(("cu_up", "cu_down", "du_up", "du_down",
-                             "sdu_up", "sdu_down", "admit", "depart", "tick"))
-            s = rng.choice(ds.snssais())
-            try:
-                if op == "cu_up":
-                    orch.scale(ScaleTarget.CU, Direction.UP, s)
-                elif op == "cu_down":
-                    orch.scale(ScaleTarget.CU, Direction.DOWN, s)
-                elif op == "du_up":
-                    orch.scale(ScaleTarget.DU, Direction.UP, s)
-                elif op == "du_down":
-                    orch.scale(ScaleTarget.DU, Direction.DOWN, s)
-                elif op == "sdu_up":
-                    orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
-                elif op == "sdu_down":
-                    orch.scale(ScaleTarget.SHARED_DU, Direction.DOWN)
-                elif op == "admit":
-                    drb = Drb(f"fz{trial}-{step}", s,
-                              DrbQos(rng.uniform(0.5, 120.0), 20.0, 0.99))
-                    m, cr = mcs_atoms[rng.randrange(len(mcs_atoms))]
-                    if orch.admit_drb(s, drb, m, cr).admitted:
-                        live.append((s, drb.drb_id))
-                elif op == "depart" and live:
-                    sn, drb_id = live.pop(rng.randrange(len(live)))
-                    orch.depart_drb(sn, drb_id)
-                elif op == "tick":
-                    orch.allocate_prbs(273)
-                    orch.observe_utilization()
-                    orch.apply_scaling_policies()
-                    orch.advance_clock()
-            except (AtBoundaryError, NoMatchingIlError, OrchestrationError):
-                pass
-            if orch.aux is not None:
-                assert {sub.du_sl for sub in orch.subnets.values()} \
-                    == {orch.aux.current_il}
-            for sub in orch.subnets.values():
-                il = ds.gnb_nsds[sub.nsd_ref].il(sub.current_il)
-                assert (il.cu_sl, il.du_sl) == (sub.cu_sl, sub.du_sl)
-
-
 def vnic_threshold(params, cap_s) -> int:
     """The fewest vNIC PRBs that vnic_mean_wait rejects, found by counting
     up from 0."""
