@@ -301,29 +301,18 @@ def _vnic_threshold(params: ResourceModelParams, cap: float) -> int:
     and the conversion overflow then persist. Below saturation the gap to
     the service rate does not grow, so the wait 1/gap - 1/service rate
     does not fall, or is NaN for every such n where 1/service rate
-    overflows, which no cap rejects. So the closed form, the rate at
-    which the wait reaches the cap, only starts the search: the count is
-    bracketed by steps that double away from it and bisected against
-    vnic_mean_wait itself."""
+    overflows, which no cap rejects. 0 PRBs break nothing (the wait is 0
+    or NaN), so the count is bracketed by doubling from 1 and bisected
+    against vnic_mean_wait itself."""
     def breaks(n: int) -> bool:
         try:
             return vnic_mean_wait(n, params) > cap
         except (VnicSaturatedError, OverflowError):
             return True
 
-    mu = params.vnic_service_rate
-    guess = (mu - 1 / (cap + 1 / mu)) / params.pkt_per_prb
-    n = int(min(max(guess, 0.0), 2.0 ** 1023))
-    step = 1
-    if breaks(n):                   # lo holds (or is -1), hi breaks
-        lo, hi = n - 1, n
-        while lo >= 0 and breaks(lo):
-            lo, hi, step = lo - 2 * step, lo, 2 * step
-        lo = max(lo, -1)
-    else:
-        lo, hi = n, n + 1
-        while not breaks(hi):
-            lo, hi, step = hi, hi + 2 * step, 2 * step
+    lo, hi = 0, 1
+    while not breaks(hi):
+        lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if breaks(mid):
@@ -331,17 +320,6 @@ def _vnic_threshold(params: ResourceModelParams, cap: float) -> int:
         else:
             lo = mid
     return hi
-
-
-class _Demand(dict):
-    """Post-admission demand PRBs by slice: the arriving slice's as set,
-    any other slice's read from its subnet's memo when looked up."""
-
-    def __init__(self, subnets: Mapping[Snssai, SubnetInstance]):
-        self.subnets = subnets
-
-    def __missing__(self, s: Snssai) -> int:
-        return self.subnets[s].demand_prbs()
 
 
 @dataclass(eq=False, slots=True)
@@ -646,7 +624,7 @@ class Orchestrator:
         heads = [h for h in self._owned_by(snssai)
                  if h.shared or -(-after[0] // h.pool) >= self._vnic_prbs]
         if heads:
-            demand = _Demand(self.subnets)
+            demand = {s: self.subnets[s].demand_prbs() for h in heads for s in h.owners}
             demand[snssai] = after[0]
             m, cr = after[3]
             entries = {snssai: (cr, self._exp[m])}
@@ -663,15 +641,20 @@ class Orchestrator:
         """The heads (``index == 0``) of the pools ``snssai`` owns: the
         first instance of its DU pool and its CU.
 
-        Checking the heads alone gives the same Decision as checking every
-        owned instance. A pool's split of an owner's PRBs (_loads_on) gives
-        the remainder to the lowest indices, so a head carries at least the
-        PRBs of every other instance of its pool, per owner and through its
-        vNIC. Every limit is non-decreasing in PRBs, float rounding
-        included: the consumption models (k > 0), their sum, the per-slice
-        cap, vNIC saturation and the delay cap. So any instance of a pool
-        that breaks a limit has a head that breaks one too, and the head
-        comes first in the pool."""
+        The pool-head rule, on which admission, allocation (the shared
+        heads), scale-down (_down_feasible) and sim.run's trace rows rest:
+        a pool's head is its most-loaded instance. A pool's split of an
+        owner's PRBs (_loads_on) gives the remainder to the lowest indices,
+        so a head carries at least the PRBs of every other instance of its
+        pool, per owner and through its vNIC, and a pool's instances share
+        one flavour, so one capacity. Every load and limit is
+        non-decreasing in PRBs, float rounding included: the consumption
+        models (k > 0), their sum and its utilization, the per-slice cap,
+        the vNIC wait, vNIC saturation and the delay cap. So a head's
+        utilization and vNIC wait are its pool's maxima, to the bit, and
+        any instance of a pool that breaks a limit has a head that breaks
+        one too, the head first in the pool: checking the heads alone gives
+        the same Decision as checking every owned instance."""
         insts = self.instances()
         dus, cu = self._pools[snssai]
         return [insts[dus[0]], insts[cu]]
@@ -742,11 +725,11 @@ class Orchestrator:
 
         Isolation is checked on the shared pool heads alone (``index ==
         0``, several owners): only a shared instance has an isolation
-        check, and a head breaks it whenever an instance of its pool does,
-        the head first (see _owned_by). The live instances are projected
-        once, at the final split, and that projection is handed to the
-        next observe_utilization, which uses it only if no lifecycle
-        operation changed state in between (the generation is unchanged)."""
+        check, and a head decides for its pool (see _owned_by). The live
+        instances are projected once, at the final split, and that
+        projection is handed to the next observe_utilization, which uses
+        it only if no lifecycle operation changed state in between (the
+        generation is unchanged)."""
         if total_prbs < 0:
             raise ValueError("total_prbs must be >= 0")
         slices = self._slices
@@ -860,7 +843,10 @@ class Orchestrator:
         other unit that is not live raises: a slice that is not
         instantiated (UnknownSnssaiError, with SHARED_DU too), SHARED_DU
         given a slice, a shared DU without an auxiliary service, a DU
-        under a shared DU and SUBNET_IL."""
+        under a shared DU and SUBNET_IL. So does a ``direction`` that is
+        not a Direction."""
+        if not isinstance(direction, Direction):
+            raise OrchestrationError(f"direction must be a Direction, got {direction!r}")
         shared = target is ScaleTarget.SHARED_DU
         if snssai not in self.subnets and not (shared and snssai is None):
             raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
@@ -959,14 +945,12 @@ class Orchestrator:
     def _down_feasible(self, rec: _UnitRecord, level: str) -> bool:
         """Whether the unit's own instances, projected at the current
         allocations with the unit at ``level``, stay within capacity,
-        isolation and (DU pools only) the vNIC limits."""
-        vnic = rec.target is not ScaleTarget.CU
+        isolation and (DU pools only) the vNIC limits. Checked on the
+        head of the unit's own instances alone (see _owned_by)."""
         over, pools = self._build_instances({(rec.target, rec.snssai): level})
-        return not any(
-            (not inst.shared and inst.consumption > inst.capacity)
-            or self._limit(inst, vnic=vnic) is not None
-            for inst in self._project(self._allocated_map(),
-                                      insts=[over[j] for j in _own(rec, pools)]))
+        [head] = self._project(self._allocated_map(), insts=[over[_own(rec, pools)[0]]])
+        return not ((not head.shared and head.consumption > head.capacity)
+                    or self._limit(head, vnic=rec.target is not ScaleTarget.CU) is not None)
 
     def apply_scaling_policies(self) -> list[ScalingEvent]:
         """Evaluate the threshold policy per scaling unit and apply the

@@ -112,6 +112,10 @@ class SimConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        for name in ("ticks", "total_prbs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(name, f"expected an integer, got {value!r}")
         if self.ticks < 1:
             raise ConfigError("ticks", f"must be >= 1, got {self.ticks}")
         if self.total_prbs < 0:
@@ -469,7 +473,7 @@ def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
     draws = [(s, profiles[s], random.Random(f"{config.seed}:{profiles[s].seed}:{s.key()}"))
              for s in slices]
     departures: dict[int, list[tuple[Snssai, str]]] = {}
-    waits: dict[int, float] = {}    # a DU's vNIC wait per PRB count
+    waits: dict[int, float] = {}    # a DU-pool head's vNIC wait per PRB count
     layout = None
 
     for tick in range(config.ticks):
@@ -494,24 +498,26 @@ def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
 
         alloc = orch.allocate_prbs(config.total_prbs)
         snapshot = orch.observe_utilization()
-        # The instances the snapshot projects and where each slice's DUs
-        # and CU sit in them, read before a scaling replaces the layout.
+        # The instances the snapshot projects and where each slice's DU-pool
+        # head and CU sit in them, read before a scaling replaces the layout.
+        # A head's utilization and vNIC wait are its pool's maxima (see
+        # Orchestrator._owned_by).
         if orch.instances() is not layout:
-            layout = orch.instances()
-            places = [(s, *orch.pools()[s]) for s in slices]
+            layout, pools = orch.instances(), orch.pools()
+            places = [(s, pools[s][0][0], pools[s][1]) for s in slices]
         events = orch.apply_scaling_policies()
         violations = orch.isolation_violations(snapshot)
 
-        utils = [i.utilization for i in snapshot]
-        for i in snapshot:
-            if i.kind == "du" and i.prbs not in waits:
-                waits[i.prbs] = _safe_wait(i.prbs, config.params)
+        slice_rows = []
+        for (s, du, cu), (n, admitted) in zip(places, counts):
+            head = snapshot[du]
+            if head.prbs not in waits:
+                waits[head.prbs] = _safe_wait(head.prbs, config.params)
+            slice_rows.append(SliceRow(s, alloc[s], head.utilization, snapshot[cu].utilization,
+                                       waits[head.prbs], n, admitted, n - admitted))
         trace.rows.append(TickRow(
             tick=tick,
-            slices=tuple([
-                SliceRow(s, alloc[s], max([utils[j] for j in dus]), utils[cu],
-                         max([waits[snapshot[j].prbs] for j in dus]), n, admitted, n - admitted)
-                for (s, dus, cu), (n, admitted) in zip(places, counts)]),
+            slices=tuple(slice_rows),
             layout=layout,
             consumptions=tuple([i.consumption for i in snapshot]),
             events=tuple(events),

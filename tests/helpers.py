@@ -150,6 +150,19 @@ def build_descriptor_set(**kwargs) -> DescriptorSet:
     return parse_descriptor_set(build_documents(**kwargs))
 
 
+_SYM_MU0 = 12 * 14 * 1000
+
+
+def tput_for_prbs(ds: DescriptorSet, snssai, prbs: int,
+                  m: int = 6, cr: float = 0.75) -> float:
+    """Throughput (Mb/s) that estimates to exactly ``prbs`` PRBs for the
+    slice's numerology and symbol ratio."""
+    profile = ds.nsst_for(snssai).slice_profile
+    ratio = profile.dl_ul_symbol_ratio
+    bits_per_prb = m * cr * _SYM_MU0 * (2 ** profile.numerology_index) * ratio / (1 + ratio)
+    return (bits_per_prb * prbs - 1) / 1e6
+
+
 def make_config(ds: DescriptorSet,
                 ticks: int = 10,
                 total_prbs: int = 273,

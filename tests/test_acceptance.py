@@ -8,7 +8,7 @@ import math
 import random
 import time
 
-from helpers import build_descriptor_set, make_config
+from helpers import build_descriptor_set, make_config, tput_for_prbs
 
 from corpus import CORPUS
 
@@ -32,21 +32,12 @@ from ranslice.resources import (
 from ranslice.sim import McsAtom, run
 from ranslice.topology import Drb, DrbQos, Scenario
 
-_SYM_MU0 = 12 * 14 * 1000
-
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
     print(f"[acceptance] {criterion}: {status}{suffix}")
     assert ok, f"{criterion} failed: {detail}"
-
-
-def _tput(ds, snssai, prbs, m, cr):
-    profile = ds.nsst_for(snssai).slice_profile
-    r = profile.dl_ul_symbol_ratio
-    bits = m * cr * _SYM_MU0 * (2 ** profile.numerology_index) * r / (1 + r)
-    return (bits * prbs - 1) / 1e6
 
 
 def test_criterion_1_sharing_gain_reproduction():
@@ -75,7 +66,7 @@ def test_criterion_1_sharing_gain_reproduction():
                                    (base.profiles[1], prbs_b, mcs_b)):
         profiles.append(dataclasses.replace(
             profile,
-            qos=DrbQos(_tput(ds, profile.snssai, prbs, m, cr), 20.0, 0.99),
+            qos=DrbQos(tput_for_prbs(ds, profile.snssai, prbs, m, cr), 20.0, 0.99),
             mcs_distribution=(McsAtom(m, cr, 1.0),)))
     config = dataclasses.replace(base, profiles=tuple(profiles))
 
@@ -198,7 +189,7 @@ def test_criterion_4_auxiliary_nsd_consistency():
                 elif op == "admit":
                     prbs = rng.randint(1, 40)
                     drb = Drb(f"c4-{round_no}-{step}", s,
-                              DrbQos(_tput(ds, s, prbs, 6, 0.75), 20.0, 0.99))
+                              DrbQos(tput_for_prbs(ds, s, prbs, 6, 0.75), 20.0, 0.99))
                     if orch.admit_drb(s, drb, 6, 0.75).admitted:
                         live.append((s, drb.drb_id))
                 elif op == "depart" and live:
@@ -245,7 +236,7 @@ def test_criterion_5_admission_safety():
             m, cr = atoms[rng.randrange(len(atoms))]
             prbs = rng.randint(1, 140)
             drb = Drb(f"c5-{seq_no}-{i}", s,
-                      DrbQos(_tput(ds, s, prbs, m, cr), 20.0, 0.99))
+                      DrbQos(tput_for_prbs(ds, s, prbs, m, cr), 20.0, 0.99))
             if orch.admit_drb(s, drb, m, cr).admitted:
                 admitted_total += 1
 

@@ -7,9 +7,9 @@ from collections import deque
 
 import pytest
 
-from helpers import build_descriptor_set, build_documents
+from helpers import build_descriptor_set, build_documents, tput_for_prbs
 
-from ranslice.descriptors import DescriptorSet, Snssai, parse_descriptor_set
+from ranslice.descriptors import Snssai, parse_descriptor_set
 from ranslice.orchestrator import (
     AtBoundaryError,
     DescriptorInvalidError,
@@ -40,18 +40,6 @@ from ranslice.topology import Drb, DrbQos, Scenario
 K_PER_PRB = 0.01 / (0.75 * math.exp(0.35 * 6))
 PARAMS = ResourceModelParams(c0=0.0, k=K_PER_PRB, beta=0.35)
 BUDGET = CapacityBudget(vcpu_capacity=1.0, per_slice_cap=0.9)
-
-_SYM_MU0 = 12 * 14 * 1000
-
-
-def tput_for_prbs(ds: DescriptorSet, snssai: Snssai, prbs: int,
-                  m: int = 6, cr: float = 0.75) -> float:
-    """Throughput (Mb/s) that estimates to exactly ``prbs`` PRBs for the
-    slice's numerology and symbol ratio."""
-    profile = ds.nsst_for(snssai).slice_profile
-    ratio = profile.dl_ul_symbol_ratio
-    bits_per_prb = m * cr * _SYM_MU0 * (2 ** profile.numerology_index) * ratio / (1 + ratio)
-    return (bits_per_prb * prbs - 1) / 1e6
 
 
 def make_orch(ds, scenario=Scenario.S4_DU_SHARED, params=PARAMS, budget=BUDGET,
@@ -472,6 +460,22 @@ def test_scale_refuses_a_unit_that_is_not_live(ds_two_slices, scenario, target,
     assert orch.events == [] and orch.findings == []
 
 
+@pytest.mark.parametrize("direction", ["up", "down", None])
+def test_scale_refuses_a_direction_that_is_not_a_direction(ds_two_slices, direction):
+    # eMBB's CU one level above its lowest, the shared pool at its lowest.
+    # Anything but Direction.UP used to read as down: "up" scaled the CU
+    # down, and at the lowest level raised a bare AttributeError.
+    orch = make_orch(ds_two_slices)
+    embb = ds_two_slices.snssais()[0]
+    orch.scale(ScaleTarget.CU, Direction.UP, embb)
+    before = copy.deepcopy((orch.subnets, orch.aux, orch.events))
+    for target, snssai in ((ScaleTarget.CU, embb), (ScaleTarget.SHARED_DU, None)):
+        with pytest.raises(OrchestrationError, match="direction") as info:
+            orch.scale(target, direction, snssai)
+        assert type(info.value) is OrchestrationError
+    assert (orch.subnets, orch.aux, orch.events) == before
+
+
 def test_scale_shared_du_requires_aux(ds_two_slices):
     orch = make_orch(ds_two_slices, scenario=Scenario.S1_DEDICATED)
     with pytest.raises(OrchestrationError):
@@ -625,6 +629,34 @@ def test_scale_down_violating_isolation_is_suppressed(ds_two_slices):
     assert orch.aux.current_il == "du-sl-2"
     # admitted DRBs were never evicted
     assert len(orch.subnets[embb].admitted_drbs) == 1
+
+
+@pytest.mark.parametrize("scenario, target, prbs, limit", [
+    (Scenario.S1_DEDICATED, ScaleTarget.DU, 605, 1.0),
+    (Scenario.S4_DU_SHARED, ScaleTarget.SHARED_DU, 543, 0.9),
+], ids=["dedicated-capacity", "shared-slice-cap"])
+def test_scale_down_that_only_the_pool_head_breaks_is_suppressed(scenario, target, prbs, limit):
+    # eMBB's PRBs at (4, 0.5), 0.0033 vCPU each, sit easily on three
+    # 1-vCPU DUs. On two, the head's share (one PRB more than the last
+    # DU's) breaks a limit: a dedicated DU's capacity, or the per-slice
+    # cap on the shared pool; the last DU's does not. A low history asks
+    # for the scale-down, which must be suppressed.
+    ds = build_descriptor_set(n_slices=2, du_counts=(1, 2, 3))
+    orch = make_orch(ds, scenario=scenario, thresholds=ScalingThresholds(window=1, cooldown=0))
+    embb = ds.snssais()[0]
+    snssai = embb if target is ScaleTarget.DU else None
+    for _ in range(2):
+        orch.scale(target, Direction.UP, snssai)
+    orch.subnets[embb].admitted_drbs += (_raw_drb(embb, prbs, m=4, cr=0.5),)
+    orch.allocate_prbs(prbs)
+    orch.observe_utilization()
+    orch._unit(target, snssai).hist.append(0.1)
+    over, pools = orch._build_instances({(target, snssai): "du-sl-2"})
+    head, last = orch._project(orch._allocated_map(), insts=[over[j] for j in pools[embb][0]])
+    assert head.per_slice[embb] > limit >= last.per_slice[embb]
+    events = orch.apply_scaling_policies()
+    assert all(e.target is not target for e in events)
+    assert len(orch.pools()[embb][0]) == 3
 
 
 def test_scale_down_checks_only_the_units_own_instances():

@@ -8,8 +8,9 @@ hand, and after every step the two must agree on what each call returned
 and on the state left behind. Cases found by hand replay as fixed steps.
 Then properties over generated deployments and loads, each against the
 reference where it has one: folds, closed-form loads, pool heads,
-allocation and the vNIC threshold; and the isolation predicate and the
-modulation snap against copies of their first versions."""
+allocation and the vNIC threshold; the isolation predicate and the
+modulation snap against copies of their first versions; and runs whose
+trace rows must hold each slice's DU-pool maxima."""
 
 from __future__ import annotations
 
@@ -17,13 +18,14 @@ import math
 import sys
 from dataclasses import replace
 from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from helpers import build_descriptor_set, build_documents, make_config
+from helpers import build_descriptor_set, build_documents, make_config, tput_for_prbs
 from reference import Reference, slice_load
 
 from ranslice.descriptors import ServiceType, Snssai, load_yaml, parse_descriptor_set
@@ -762,3 +764,51 @@ def test_a_run_completes_or_raises_a_typed_error(scenario, initial_drbs, loads):
         run(replace(base, profiles=profiles), ds)
     except RansliceError:
         pass
+
+
+@lru_cache(maxsize=None)
+def odd_pool_set(n_slices: int):
+    return build_descriptor_set(n_slices=n_slices, du_counts=(2, 3, 4), cu_vcpus=(1, 2, 4))
+
+
+def wait_or_inf(prbs: int) -> float:
+    try:
+        return vnic_mean_wait(prbs, PARAMS)
+    except VnicSaturatedError:
+        return math.inf
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n_slices=st.integers(1, 3), scenario=st.sampled_from(Scenario),
+       loads=st.lists(st.tuples(st.integers(0, 40).map(lambda n: 2 * n + 1), st.sampled_from(MCS)),
+                      min_size=3, max_size=3),
+       rate=st.floats(0.0, 2.0), total_prbs=st.sampled_from((100, 273)))
+def test_trace_rows_read_the_pool_maxima(n_slices, scenario, loads, rate, total_prbs):
+    # Every DRB of a slice estimates to one odd PRB count, so that pool
+    # splits leave remainders on the heads, and the policy moves the DU
+    # pools between 2, 3 and 4 instances. On every tick each slice's
+    # du_util and vnic_wait_s equal the maxima over every DU it owns in
+    # that tick's snapshot.
+    ds = odd_pool_set(n_slices)
+    base = make_config(ds, ticks=30, total_prbs=total_prbs, params=PARAMS,
+                       thresholds=THRESHOLDS, arrival_rate=rate, initial_drbs=2,
+                       mean_holding=6.0, scenario=scenario)
+    profiles = tuple(
+        replace(p, qos=replace(p.qos, throughput_mbps=tput_for_prbs(ds, p.snssai, prbs, m, cr)),
+                mcs_distribution=(McsAtom(m, cr, 1.0),))
+        for p, (prbs, (m, cr)) in zip(base.profiles, loads))
+    snapshots = []
+    observe = Orchestrator.observe_utilization
+
+    def recorded(orch):
+        snapshots.append(observe(orch))
+        return snapshots[-1]
+
+    with patch.object(Orchestrator, "observe_utilization", recorded):
+        trace = run(replace(base, profiles=profiles), ds)
+    assert len(snapshots) == len(trace.rows)
+    for row, snapshot in zip(trace.rows, snapshots):
+        for sr in row.slices:
+            dus = [i for i in snapshot if i.kind == "du" and sr.snssai in i.owners]
+            assert sr.du_util == max(i.utilization for i in dus)
+            assert sr.vnic_wait_s == max(wait_or_inf(i.prbs) for i in dus)

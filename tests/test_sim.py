@@ -38,6 +38,20 @@ def test_zero_ticks_rejected_at_config_validation(ds_two_slices):
     assert "ticks" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("ticks", 5.5), ("ticks", True), ("ticks", "5"), ("ticks", None),
+    ("total_prbs", 10.5), ("total_prbs", True), ("total_prbs", False),
+    ("total_prbs", 273.0),
+])
+def test_non_integer_ticks_and_prbs_rejected(ds_two_slices, field, value):
+    # A float used to pass and then break range() or run on a fractional
+    # budget; True ran one tick.
+    with pytest.raises(ConfigError) as excinfo:
+        make_config(ds_two_slices, **{field: value})
+    assert excinfo.value.path == field
+    assert "expected an integer" in str(excinfo.value)
+
+
 def test_duplicate_profile_rejected(ds_two_slices):
     config = make_config(ds_two_slices, ticks=1)
     with pytest.raises(ConfigError):
