@@ -36,6 +36,9 @@ MISSING_AUXILIARY_NSD = "MissingAuxiliaryNsd"
 AUX_IL_MISMATCH = "AuxIlMismatch"
 SHARED_VNFD_SINGLE_REF = "SharedVnfdSingleRef"
 NO_CONNECTIVITY_POINTS = "NoConnectivityPoints"
+MULTI_CONSTITUENT_DU_SL = "MultiConstituentDuSl"
+AUX_VNFD_MISMATCH = "AuxVnfdMismatch"
+DUPLICATE_CU_ID = "DuplicateCuId"
 
 
 @dataclass(frozen=True)
@@ -146,8 +149,15 @@ def _vnfd_ref(ds: DescriptorSet, nsd: GnbNsd, field: str, referrers: dict[str, l
 def _check_gnb_nsds(ds: DescriptorSet, report: ValidationReport) -> None:
     cu_refs: dict[str, list[str]] = {}
     du_refs: dict[str, list[str]] = {}
+    cu_ids: dict[str, str] = {}
+    # Per auxiliary NSD, the DU VNFD of its first referrer and that NSD.
+    aux_du_vnfds: dict[str, tuple[str, str]] = {}
     for nsd in ds.gnb_nsds.values():
         subject = f"gnb_nsd[{nsd.id}]"
+        prev = cu_ids.setdefault(nsd.cu_id, nsd.id)
+        if prev != nsd.id:
+            report.add(DUPLICATE_CU_ID, subject,
+                       f"cu_id {nsd.cu_id!r} already used by gnb_nsd[{prev}]")
         cu_vnfd = _vnfd_ref(ds, nsd, "cu_vnfd_ref", cu_refs, subject, report)
         du_vnfd = _vnfd_ref(ds, nsd, "du_vnfd_ref", du_refs, subject, report)
         for ref in nsd.ru_pnfd_refs:
@@ -159,6 +169,12 @@ def _check_gnb_nsds(ds: DescriptorSet, report: ValidationReport) -> None:
                 report.add(MISSING_FIELD, subject, f"{name} missing")
             else:
                 _check_scaling_aspect(ds, sa, vnfd, f"{subject}.{name}", report)
+        # A DU scale level sizes one pool: one constituent, one flavour.
+        if nsd.sa_du is not None:
+            for sl in nsd.sa_du.sls:
+                if len(sl.constituents) > 1:
+                    report.add(MULTI_CONSTITUENT_DU_SL, f"{subject}.sa_du.sls[{sl.id}]",
+                               f"{len(sl.constituents)} constituents, a DU pool takes one")
 
         if not nsd.ils:
             report.add(EMPTY_ILS, subject, "no instantiation levels declared")
@@ -189,15 +205,25 @@ def _check_gnb_nsds(ds: DescriptorSet, report: ValidationReport) -> None:
                     report.add(CU_IL_MISMATCH, subject,
                                "sa_cu scale levels are not one-to-one with the CU VNFD ILs")
 
-        if du_vnfd is not None and du_vnfd.shared:
-            if nsd.aux_nsd_ref is None:
+        # The auxiliary NSD rules hold wherever one is declared: under DU
+        # sharing the engine follows it whatever the DU VNFD is marked.
+        if nsd.aux_nsd_ref is None:
+            if du_vnfd is not None and du_vnfd.shared:
                 report.add(MISSING_AUXILIARY_NSD, subject,
                            f"du_vnfd_ref {du_vnfd.id!r} is shared but no aux_nsd_ref is declared")
-            elif nsd.aux_nsd_ref not in ds.aux_nsds:
-                report.add(UNRESOLVED_REF, subject,
-                           f"aux_nsd_ref {nsd.aux_nsd_ref!r} does not resolve")
-            elif nsd.sa_du is not None:
+        elif nsd.aux_nsd_ref not in ds.aux_nsds:
+            report.add(UNRESOLVED_REF, subject,
+                       f"aux_nsd_ref {nsd.aux_nsd_ref!r} does not resolve")
+        else:
+            if nsd.sa_du is not None:
                 _check_aux_coincidence(ds, nsd, subject, report)
+            # The shared pool takes its flavour from one DU VNFD.
+            if du_vnfd is not None:
+                vnfd_id, first = aux_du_vnfds.setdefault(nsd.aux_nsd_ref, (du_vnfd.id, nsd.id))
+                if vnfd_id != du_vnfd.id:
+                    report.add(AUX_VNFD_MISMATCH, subject,
+                               f"aux_nsd_ref {nsd.aux_nsd_ref!r} already pools DU VNFD "
+                               f"{vnfd_id!r} of gnb_nsd[{first}], not {du_vnfd.id!r}")
 
     _check_vnfd_reference_counts(ds, cu_refs, du_refs, report)
 
@@ -215,9 +241,7 @@ def _check_aux_coincidence(ds: DescriptorSet, nsd: GnbNsd, subject: str,
             report.add(BAD_INSTANCE_COUNT, f"aux_nsd[{aux.id}].ils[{aux_il.id}]",
                        f"du_count {aux_il.du_count} < 1")
         if len(sl.constituents) != 1:
-            report.add(AUX_IL_MISMATCH, subject,
-                       f"sa_du scale level {sl.id!r} must have exactly one DU constituent")
-            continue
+            continue            # reported as EmptyScaleLevel or MultiConstituentDuSl
         c = sl.constituents[0]
         if aux_il.du_count != c.instance_count or aux_il.du_il_ref != c.flavour_ref:
             report.add(AUX_IL_MISMATCH, subject,

@@ -434,9 +434,10 @@ class Orchestrator:
     # -- lifecycle ----------------------------------------------------------
 
     def instantiate_subnet(self, snssai: Snssai) -> SubnetInstance:
-        """Create the subnet at the lowest declared IL of its gNB NSD; in
-        shared-DU scenarios the DU level is pinned to the auxiliary
-        service, created by the first subnet and reused afterwards."""
+        """Create the subnet at the lowest declared IL of its gNB NSD. Under
+        DU sharing the DU level is pinned to the auxiliary service, which
+        the first subnet creates if it declares one; every subnet after the
+        first must reference that live auxiliary NSD."""
         if snssai in self.subnets:
             raise OrchestrationError(f"subnet {snssai} already instantiated")
         nsst = self.ds.nsst_for(snssai)
@@ -444,20 +445,15 @@ class Orchestrator:
             raise UnknownSnssaiError(f"no NSST declares snssai {snssai}")
         nsd = self.ds.gnb_nsd_for(nsst)
 
-        if self.scenario.du_shared and nsd.aux_nsd_ref is None and self.subnets:
-            # A single subnet may "share" its DU without coordination, but
-            # actual sharing across subnets needs the auxiliary service.
+        live = self.aux and self.aux.aux_nsd_ref
+        if self.scenario.du_shared and self.subnets and (live is None or nsd.aux_nsd_ref != live):
             raise OrchestrationError(
-                f"scenario {self.scenario.value} shares the DU across subnets "
-                f"but gnb_nsd[{nsd.id}] declares no auxiliary NSD")
-        if self.scenario.du_shared and nsd.aux_nsd_ref is not None:
-            if self.aux is None:
-                first = self.ds.aux_nsds[nsd.aux_nsd_ref].ils[0]
-                self.aux = AuxServiceInstance(aux_nsd_ref=nsd.aux_nsd_ref, current_il=first.id)
-            elif nsd.aux_nsd_ref != self.aux.aux_nsd_ref:
-                raise OrchestrationError(
-                    f"gnb_nsd[{nsd.id}] references auxiliary NSD "
-                    f"{nsd.aux_nsd_ref!r}, but {self.aux.aux_nsd_ref!r} is live")
+                f"scenario {self.scenario.value} shares the DU across subnets: gnb_nsd[{nsd.id}] "
+                f"references auxiliary NSD {nsd.aux_nsd_ref!r}, the live one is {live!r}")
+        if self.scenario.du_shared and not self.subnets and nsd.aux_nsd_ref is not None:
+            first = self.ds.aux_nsds[nsd.aux_nsd_ref].ils[0]
+            self.aux = AuxServiceInstance(aux_nsd_ref=nsd.aux_nsd_ref, current_il=first.id)
+        if self.aux is not None:
             candidates = [il for il in nsd.ils if il.du_sl == self.aux.current_il]
             if not candidates:
                 raise OrchestrationError(
@@ -537,9 +533,6 @@ class Orchestrator:
             for s in slices:
                 nsd = self._nsd(s)
                 sl = nsd.sa_du.sl(over.get((ScaleTarget.DU, s), self.subnets[s].du_sl))
-                if len(sl.constituents) != 1:
-                    raise OrchestrationError(
-                        f"DU scale level {sl.id!r} must have exactly one constituent")
                 c = sl.constituents[0]
                 vcpus = float(self.ds.du_vnfd(nsd).flavour(c.flavour_ref).vcpus)
                 dus[s] = range(len(insts), len(insts) + c.instance_count)
@@ -730,8 +723,8 @@ class Orchestrator:
         projection is handed to the next observe_utilization, which uses
         it only if no lifecycle operation changed state in between (the
         generation is unchanged)."""
-        if total_prbs < 0:
-            raise ValueError("total_prbs must be >= 0")
+        if type(total_prbs) is not int or total_prbs < 0:
+            raise ValueError(f"total_prbs must be an int >= 0, got {total_prbs!r}")
         slices = self._slices
         demand = {s: self.subnets[s].demand_prbs() for s in slices}
         total_demand = sum(demand.values())
@@ -830,10 +823,10 @@ class Orchestrator:
         return self._nsd(rec.snssai).find_il(*pair)
 
     def scale(self, target: ScaleTarget, direction: Direction,
-              snssai: Snssai | None = None,
-              cause: ScalingCause = ScalingCause.LOAD_INCREASE) -> list[ScalingEvent]:
+              snssai: Snssai | None = None) -> list[ScalingEvent]:
         """Move one scaling unit one level in ``direction`` and return the
-        events, the unit's own first.
+        events, the unit's own first, each with the cause ``direction``
+        gives: a load increase up, a load decrease down.
 
         CU and DU (a dedicated pool) scale the subnet ``snssai``: its
         other level stays and its current IL becomes the declared IL for
@@ -864,6 +857,8 @@ class Orchestrator:
         if il is None:
             raise NoMatchingIlError(
                 f"gnb_nsd[{rec.holder.nsd_ref}] declares no IL putting {who} at {level!r}")
+        cause = (ScalingCause.LOAD_INCREASE if direction is Direction.UP
+                 else ScalingCause.LOAD_DECREASE)
         events = [ScalingEvent(time=self.clock, target=target, snssai=snssai,
                                from_level=current, to_level=level, cause=cause)]
         if shared:
@@ -878,26 +873,25 @@ class Orchestrator:
     def _follow_aux(self, s: Snssai, cause: ScalingCause) -> ScalingEvent | None:
         """Point subnet ``s`` at an IL whose DU level equals the auxiliary
         IL, its CU level re-selected to cover the demand its CU carries:
-        its own, or every subnet's under a shared CU. A subnet with no
-        usable IL keeps its previous view and an InconsistentIl finding is
-        recorded. A subnet already at the chosen IL gets no event."""
+        its own, or every subnet's under a shared CU, whose isolation then
+        holds at any allocation within demand: a level covers it if it
+        holds the total and, shared by several slices, each slice within
+        its cap (the cap 1 for one). A subnet with no usable IL keeps its
+        previous view and an InconsistentIl finding is recorded. A subnet
+        already at the chosen IL gets no event."""
         subnet = self.subnets[s]
         nsd = self._nsd(s)
         new_du_sl = self.aux.current_il
-        if nsd.sa_du.sl(new_du_sl) is None:
-            self.findings.append(
-                f"InconsistentIl: {s}: sa_du has no scale level {new_du_sl!r}")
-            return None
         loaded = self._slices if self.scenario.cu_shared else [s]
-        need = sum(cu_vcpu_consumption(
-            SliceLoad(t, self.subnets[t].demand_prbs(), *self.subnets[t].mcs()), self._params)
-            for t in loaded)
-        covering = [sl.id for sl in nsd.sa_cu.sls if self._cu_capacity_of(nsd, sl.id) >= need]
+        uses = {t: cu_vcpu_consumption(SliceLoad(t, self.subnets[t].demand_prbs(),
+                                                 *self.subnets[t].mcs()), self._params)
+                for t in loaded}
+        cap = self._budget.per_slice_cap if len(uses) > 1 else 1.0
+        covering = [sl.id for sl in nsd.sa_cu.sls if check_isolation(
+            uses, CapacityBudget(self._cu_capacity_of(nsd, sl.id), cap)).ok]
         chosen = nsd.find_il(covering[0] if covering else nsd.sa_cu.sls[-1].id, new_du_sl)
         if chosen is None:
-            candidates = [il for il in nsd.ils
-                          if il.du_sl == new_du_sl and il.cu_sl is not None
-                          and self._cu_capacity_of(nsd, il.cu_sl) >= need]
+            candidates = [il for il in nsd.ils if il.du_sl == new_du_sl and il.cu_sl in covering]
             if not candidates:
                 self.findings.append(
                     f"InconsistentIl: {s}: no declared IL matches du_sl {new_du_sl!r}")
@@ -969,9 +963,7 @@ class Orchestrator:
             if (level is None or self._target_il(rec, level) is None
                     or (decision is Direction.DOWN and not self._down_feasible(rec, level))):
                 continue
-            cause = (ScalingCause.LOAD_INCREASE if decision is Direction.UP
-                     else ScalingCause.LOAD_DECREASE)
-            events += self.scale(rec.target, decision, rec.snssai, cause)
+            events += self.scale(rec.target, decision, rec.snssai)
             rec.last = (self.clock, decision)
         return events
 

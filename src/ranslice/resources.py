@@ -62,6 +62,11 @@ class ResourceModelParams:
         for name in ("k", "beta", "vnic_service_rate", "pkt_per_prb"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
+        try:                        # the MCS factor of the consumption models
+            math.exp(self.beta * max(MODULATION_ORDERS))
+        except OverflowError:
+            raise ValueError(f"beta {self.beta:g} overflows exp(beta * "
+                             f"{max(MODULATION_ORDERS)})") from None
         if not 0 < self.cu_scale < 1:
             raise ValueError("cu_scale must be in (0, 1)")
 

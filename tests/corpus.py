@@ -13,6 +13,7 @@ from helpers import build_documents
 
 from ranslice.descriptors.validate import (
     AUX_IL_MISMATCH,
+    AUX_VNFD_MISMATCH,
     BAD_FLAVOUR,
     BAD_INSTANCE_COUNT,
     BAD_NUMEROLOGY,
@@ -20,6 +21,7 @@ from ranslice.descriptors.validate import (
     BAD_VCPU_COUNT,
     CU_IL_MISMATCH,
     CU_VNFD_MULTI_REF,
+    DUPLICATE_CU_ID,
     DUPLICATE_SNSSAI,
     EMPTY_ILS,
     EMPTY_SCALE_LEVEL,
@@ -28,6 +30,7 @@ from ranslice.descriptors.validate import (
     INCOMPLETE_IL,
     MISSING_AUXILIARY_NSD,
     MISSING_FIELD,
+    MULTI_CONSTITUENT_DU_SL,
     NO_CONNECTIVITY_POINTS,
     SHARED_CU_VNFD,
     SHARED_VNFD_SINGLE_REF,
@@ -232,6 +235,63 @@ def _entry_empty_scale_level():
     return loaded
 
 
+def _entry_unresolved_aux_on_unshared_du():
+    # An auxiliary NSD is followed under DU sharing whatever the DU VNFD
+    # is marked, so its reference must resolve on an unshared one too.
+    loaded = _load(build_documents(n_slices=2, shared_du=False))
+    for nsd in _nsds(loaded):
+        nsd["aux_nsd_ref"] = "nope"
+    return loaded
+
+
+def _entry_aux_flavour_on_unshared_du():
+    # The auxiliary ILs name a flavour of neither unshared DU VNFD; the two
+    # NSDs on it also sit on different DU VNFDs.
+    loaded = _entry_unresolved_aux_on_unshared_du()
+    loaded.append({"aux_nsd": {"id": "nope", "ils": [
+        {"id": f"du-sl-{j + 1}", "du_count": count, "du_il_ref": "du-fl-1"}
+        for j, count in enumerate((1, 2))]}})
+    return loaded
+
+
+def _entry_multi_constituent_du_sl(shared_du: bool):
+    loaded = _load(build_documents(n_slices=2, shared_du=shared_du))
+    constituents = _first(_nsds(loaded))["sa_du"]["sls"][0]["constituents"]
+    constituents.append(dict(constituents[0]))
+    return loaded
+
+
+def _entry_aux_vnfd_mismatch():
+    # gnb-eMBB moves to a 4-vCPU DU VNFD of the same flavour id, so its
+    # aux ILs still coincide; the shared pool could be sized from either.
+    loaded = _load(build_documents(n_slices=3))
+    _first(_nsds(loaded))["du_vnfd_ref"] = "vnfd-du-big"
+    loaded.append({"vnfd": {
+        "id": "vnfd-du-big", "shared": False,
+        "ils": [{"id": "du-fl-1", "vcpus": 4, "cpu_ghz": 2.2, "mem_gb": 16}],
+    }})
+    return loaded
+
+
+def _entry_duplicate_cu_id():
+    loaded = _load(build_documents())
+    nsds = list(_nsds(loaded))
+    nsds[1]["cu_id"] = nsds[0]["cu_id"]
+    return loaded
+
+
+def mixed_aux_documents() -> list[dict]:
+    """Two unshared DU VNFDs: gnb-eMBB declares no auxiliary NSD, gnb-uRLLC
+    one that coincides with its DU scale levels. Valid; it runs without
+    DU sharing, and under DU sharing uRLLC cannot join eMBB's DU."""
+    loaded = _load(build_documents(n_slices=2, shared_du=False))
+    list(_nsds(loaded))[1]["aux_nsd_ref"] = "aux-du"
+    loaded.append({"aux_nsd": {"id": "aux-du", "ils": [
+        {"id": f"du-sl-{j + 1}", "du_count": count, "du_il_ref": "du-uRLLC-fl-1"}
+        for j, count in enumerate((1, 2))]}})
+    return loaded
+
+
 # (name, documents, expected finding codes); empty set = must validate clean
 CORPUS: list[tuple[str, list, frozenset[str]]] = [
     ("valid-two-slice-shared", _load(build_documents()), frozenset()),
@@ -245,6 +305,7 @@ CORPUS: list[tuple[str, list, frozenset[str]]] = [
      _load(build_documents(full_il_product=False, du_counts=(1,), cu_vcpus=(1,))),
      frozenset()),
     ("valid-many-rus", _load(build_documents(n_rus=4)), frozenset()),
+    ("valid-aux-on-one-unshared-du", mixed_aux_documents(), frozenset()),
 
     ("missing-auxiliary-nsd", _entry_missing_aux(),
      frozenset({MISSING_AUXILIARY_NSD})),
@@ -270,7 +331,7 @@ CORPUS: list[tuple[str, list, frozenset[str]]] = [
     ("cu-sl-il-mismatch", _entry_cu_il_mismatch(), frozenset({CU_IL_MISMATCH})),
     ("aux-il-mismatch", _entry_aux_il_mismatch(), frozenset({AUX_IL_MISMATCH})),
     ("shared-vnfd-single-ref", _entry_shared_single_ref(),
-     frozenset({SHARED_VNFD_SINGLE_REF})),
+     frozenset({SHARED_VNFD_SINGLE_REF, AUX_VNFD_MISMATCH})),
     ("pnfd-without-connectivity", _entry_no_connectivity_points(),
      frozenset({NO_CONNECTIVITY_POINTS})),
     ("flavour-zero-vcpus", _entry_bad_vcpus(), frozenset({BAD_VCPU_COUNT})),
@@ -281,4 +342,14 @@ CORPUS: list[tuple[str, list, frozenset[str]]] = [
     ("nsd-without-ils", _entry_empty_ils(), frozenset({EMPTY_ILS})),
     ("scale-level-without-constituents", _entry_empty_scale_level(),
      frozenset({EMPTY_SCALE_LEVEL, CU_IL_MISMATCH})),
+    ("unresolved-aux-on-unshared-du", _entry_unresolved_aux_on_unshared_du(),
+     frozenset({UNRESOLVED_REF})),
+    ("aux-flavour-on-unshared-du", _entry_aux_flavour_on_unshared_du(),
+     frozenset({AUX_IL_MISMATCH, AUX_VNFD_MISMATCH})),
+    ("multi-constituent-dedicated-du-sl", _entry_multi_constituent_du_sl(shared_du=False),
+     frozenset({MULTI_CONSTITUENT_DU_SL})),
+    ("multi-constituent-shared-du-sl", _entry_multi_constituent_du_sl(shared_du=True),
+     frozenset({MULTI_CONSTITUENT_DU_SL})),
+    ("aux-over-two-du-vnfds", _entry_aux_vnfd_mismatch(), frozenset({AUX_VNFD_MISMATCH})),
+    ("duplicate-cu-id", _entry_duplicate_cu_id(), frozenset({DUPLICATE_CU_ID})),
 ]

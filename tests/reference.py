@@ -79,13 +79,18 @@ class Reference:
 
     def instantiate_subnet(self, s: Snssai) -> SubnetInstance:
         """At the cheapest IL; under a shared DU, at the auxiliary IL (made
-        by the first subnet) with the cheapest CU level declared there."""
+        by the first subnet, if it declares one) with the cheapest CU level
+        declared there. Under a shared DU every later subnet must reference
+        the live auxiliary NSD."""
         nsst = self.ds.nsst_for(s)
         nsd = self.ds.gnb_nsd_for(nsst)
-        if self.scenario.du_shared and nsd.aux_nsd_ref is not None:
-            if self.aux is None:
+        if self.scenario.du_shared:
+            if self.subnets and (self.aux is None or nsd.aux_nsd_ref != self.aux.aux_nsd_ref):
+                raise OrchestrationError(f"{s} does not reference the live auxiliary NSD")
+            if not self.subnets and nsd.aux_nsd_ref is not None:
                 first = self.ds.aux_nsds[nsd.aux_nsd_ref].ils[0].id
                 self.aux = AuxServiceInstance(nsd.aux_nsd_ref, first)
+        if self.aux is not None:
             ils = [il for il in nsd.ils if il.du_sl == self.aux.current_il]
             if not ils:
                 raise OrchestrationError(f"no IL of {s} at the auxiliary level")
@@ -278,8 +283,10 @@ class Reference:
         pair = (levels[j], sub.du_sl) if target is CU else (sub.cu_sl, levels[j])
         return levels[j], self.nsd(s).find_il(*pair)
 
-    def scale(self, target: ScaleTarget, direction: Direction, snssai: Snssai | None = None,
-              cause: ScalingCause = ScalingCause.LOAD_INCREASE) -> list[ScalingEvent]:
+    def scale(self, target: ScaleTarget, direction: Direction,
+              snssai: Snssai | None = None) -> list[ScalingEvent]:
+        """One level in ``direction``, the cause a load increase up and a
+        load decrease down, on the unit's event and every follow-up."""
         unit = (target, snssai)
         if snssai not in self.subnets and not (target is SHARED_DU and snssai is None):
             raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
@@ -291,6 +298,8 @@ class Reference:
             raise AtBoundaryError(f"{unit} at {current}")
         if il is None:
             raise NoMatchingIlError(f"{unit} to {level}")
+        cause = (ScalingCause.LOAD_INCREASE if direction is Direction.UP
+                 else ScalingCause.LOAD_DECREASE)
         events = [ScalingEvent(self.clock, target, snssai, current, level, cause)]
         if target is SHARED_DU:
             self.aux.current_il = level
@@ -305,16 +314,24 @@ class Reference:
         """Re-point subnet ``s`` at the new auxiliary DU level: with the
         smallest CU level covering the CU load it carries (the largest if
         none does); if that IL is not declared, the cheapest covering IL;
-        if none, keep the old view and record a finding."""
+        if none, keep the old view and record a finding. A level covers
+        the load if its vCPUs hold the total and, where several slices
+        share the CU, each slice stays within its cap."""
         sub, nsd, du_sl = self.subnets[s], self.nsd(s), self.aux.current_il
         loads = self.loads()
         carried = self.slices() if self.scenario.cu_shared else [s]
-        need = sum(cu_vcpu_consumption(SliceLoad(t, *loads[t]), self.params) for t in carried)
-        covering = [sl.id for sl in nsd.sa_cu.sls if self.vcpus(nsd, "cu", sl.id) >= need]
+        uses = {t: cu_vcpu_consumption(SliceLoad(t, *loads[t]), self.params) for t in carried}
+
+        def covers(cu_sl: str) -> bool:
+            vcpus = self.vcpus(nsd, "cu", cu_sl)
+            if len(uses) > 1:
+                return check_isolation(uses, CapacityBudget(vcpus, self.budget.per_slice_cap)).ok
+            return vcpus >= sum(uses.values())
+
+        covering = [sl.id for sl in nsd.sa_cu.sls if covers(sl.id)]
         chosen = nsd.find_il(covering[0] if covering else nsd.sa_cu.sls[-1].id, du_sl)
         if chosen is None:
-            candidates = [il for il in nsd.ils
-                          if il.du_sl == du_sl and self.vcpus(nsd, "cu", il.cu_sl) >= need]
+            candidates = [il for il in nsd.ils if il.du_sl == du_sl and covers(il.cu_sl)]
             if not candidates:
                 self.findings.append(
                     f"InconsistentIl: {s}: no declared IL matches du_sl {du_sl!r}")
@@ -371,9 +388,7 @@ class Reference:
                        or self.limit(vm, vnic=unit[0] is not CU) is not None
                        for vm in self.own(unit, below)):
                     continue
-            cause = (ScalingCause.LOAD_INCREASE if decision is Direction.UP
-                     else ScalingCause.LOAD_DECREASE)
-            events += self.scale(unit[0], decision, unit[1], cause)
+            events += self.scale(unit[0], decision, unit[1])
             self.last[unit] = (self.clock, decision)
         return events
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from corpus import CORPUS
 from helpers import build_documents, slice_plan
 
 import ranslice
@@ -346,6 +347,42 @@ def test_calibrate_non_finite_anchor_exit_two(tmp_path, capsys, observed, flags)
     assert main(["calibrate", "--anchors", str(path), "--out", str(out), *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_calibrate_refuses_a_beta_that_overflows_the_models(tmp_path, capsys):
+    # The anchors' own traffic terms are finite at m = 4 and 6; exp(100 * 8) is not.
+    path = tmp_path / "anchors.yaml"
+    path.write_text(yaml.safe_dump([
+        {"prbs": 80, "modulation_order": 6, "code_rate": 0.8, "observed": 0.65},
+        {"prbs": 30, "modulation_order": 4, "code_rate": 0.5, "observed": 0.15}]))
+    out = tmp_path / "resource.yaml"
+    assert main(["calibrate", "--anchors", str(path), "--out", str(out), "--beta", "100"]) == 2
+    assert "beta" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_beta_that_overflows_the_models(tmp_path, capsys):
+    d = write_descriptors(tmp_path)
+    cfg = write_config(tmp_path, resource={"c0": 0.01, "k": 0.0001, "beta": 100.0})
+    rc = main(["simulate", "--descriptors", str(d), "--config", str(cfg),
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "resource" in capsys.readouterr().err
+
+
+# Sets that validated clean before the DU-sharing rules moved into
+# validation, each with the scenario it failed under.
+@pytest.mark.parametrize("name, scenario", [
+    ("unresolved-aux-on-unshared-du", "s4"), ("aux-flavour-on-unshared-du", "s4"),
+    ("multi-constituent-dedicated-du-sl", "s1"), ("aux-over-two-du-vnfds", "s4"),
+])
+def test_simulate_reports_findings_on_du_sharing_rules(tmp_path, capsys, name, scenario):
+    docs = next(docs for entry, docs, _ in CORPUS if entry == name)
+    d = write_descriptors(tmp_path, docs)
+    rc = main(["simulate", "--descriptors", str(d), "--config", str(write_config(tmp_path)),
+               "--scenario", scenario, "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_calibrate_malformed_anchors_exit_two(tmp_path, capsys):

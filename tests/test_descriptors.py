@@ -16,6 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpus import CORPUS
 from helpers import build_descriptor_set, build_documents
 
 import ranslice
@@ -29,14 +30,7 @@ from ranslice.descriptors import (
     serialize_descriptor_set,
     validate,
 )
-from ranslice.descriptors.validate import (
-    BAD_NUMEROLOGY,
-    DUPLICATE_SNSSAI,
-    INCOMPLETE_IL,
-    MISSING_AUXILIARY_NSD,
-    UNORDERED_SCALE_LEVELS,
-    UNRESOLVED_REF,
-)
+from ranslice.descriptors.validate import INCOMPLETE_IL, MISSING_AUXILIARY_NSD, UNRESOLVED_REF
 from ranslice.orchestrator import AdmittedDrb
 from ranslice.topology import Drb, DrbQos
 
@@ -507,7 +501,12 @@ def test_validation_report_string_lists_findings():
 
 
 def test_finding_codes_are_distinct():
-    # The corpus matches on exact code strings; keep them distinct.
-    codes = {BAD_NUMEROLOGY, DUPLICATE_SNSSAI, INCOMPLETE_IL,
-             MISSING_AUXILIARY_NSD, UNORDERED_SCALE_LEVELS, UNRESOLVED_REF}
-    assert len(codes) == 6
+    # The corpus matches on exact code strings: every code constant of the
+    # validator is distinct, and at least one corpus entry expects it.
+    module = sys.modules[validate.__module__]   # the package re-exports the function
+    codes = [value for name, value in vars(module).items()
+             if name.isupper() and isinstance(value, str)]
+    assert len(codes) > 20
+    assert len(set(codes)) == len(codes)
+    expected = set().union(*(labels for _, _, labels in CORPUS))
+    assert not set(codes) - expected, f"no corpus entry expects {sorted(set(codes) - expected)}"

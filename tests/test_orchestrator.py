@@ -7,9 +7,11 @@ from collections import deque
 
 import pytest
 
+from corpus import CORPUS, mixed_aux_documents
 from helpers import build_descriptor_set, build_documents, tput_for_prbs
 
 from ranslice.descriptors import Snssai, parse_descriptor_set
+from ranslice.errors import RansliceError
 from ranslice.orchestrator import (
     AtBoundaryError,
     DescriptorInvalidError,
@@ -21,6 +23,7 @@ from ranslice.orchestrator import (
     REJECT_VNIC_DELAY,
     REJECT_VNIC_SATURATED,
     ScaleTarget,
+    ScalingCause,
     ScalingThresholds,
     SubnetInstance,
     UnknownSnssaiError,
@@ -965,3 +968,59 @@ def test_live_vm_count(ds_two_slices):
     assert orch.live_vm_count() == 4
     orch_s2 = make_orch(ds_two_slices, scenario=Scenario.S2_ALL_SHARED)
     assert orch_s2.live_vm_count() == 2           # shared CU + shared DU
+
+
+def test_scale_records_the_cause_its_direction_gives(ds_two_slices):
+    orch = make_orch(ds_two_slices)
+    embb = ds_two_slices.snssais()[0]
+    up = orch.scale(ScaleTarget.SHARED_DU, Direction.UP) + orch.scale(
+        ScaleTarget.CU, Direction.UP, embb)
+    down = orch.scale(ScaleTarget.CU, Direction.DOWN, embb) + orch.scale(
+        ScaleTarget.SHARED_DU, Direction.DOWN)
+    # The shared-DU scaling is followed by a SUBNET_IL event per subnet.
+    assert [e.target for e in down] == [ScaleTarget.CU, ScaleTarget.SHARED_DU,
+                                        ScaleTarget.SUBNET_IL, ScaleTarget.SUBNET_IL]
+    assert {e.cause for e in up} == {ScalingCause.LOAD_INCREASE}
+    assert {e.cause for e in down} == {ScalingCause.LOAD_DECREASE}
+
+
+@pytest.mark.parametrize("total", [10.5, math.nan, math.inf, True, -1, "10"])
+def test_allocate_prbs_takes_a_non_negative_int(ds_two_slices, total):
+    orch = make_orch(ds_two_slices)
+    embb = ds_two_slices.snssais()[0]
+    assert admit_prbs(orch, ds_two_slices, embb, 20).admitted      # demand above 10
+    with pytest.raises(ValueError, match="total_prbs"):
+        orch.allocate_prbs(total)
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_a_subnet_joins_a_shared_du_only_through_the_live_aux(scenario):
+    # gnb-eMBB declares no auxiliary NSD, gnb-uRLLC one: under DU sharing
+    # neither joins the other, in either order; without it both run.
+    ds = parse_descriptor_set(mixed_aux_documents())
+    for order in (ds.snssais(), ds.snssais()[::-1]):
+        orch = make_orch(ds, scenario, instantiate=False)
+        orch.instantiate_subnet(order[0])
+        if scenario.du_shared:
+            with pytest.raises(OrchestrationError, match=r"references auxiliary NSD"):
+                orch.instantiate_subnet(order[1])
+        else:
+            orch.instantiate_subnet(order[1])
+            assert len(orch.instances()) == (4 if scenario is Scenario.S1_DEDICATED else 3)
+
+
+CLEAN = [(name, docs) for name, docs, labels in CORPUS if not labels]
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+@pytest.mark.parametrize("docs", [docs for _, docs in CLEAN], ids=[name for name, _ in CLEAN])
+def test_a_clean_corpus_set_instantiates_or_raises_a_typed_error(docs, scenario):
+    ds = parse_descriptor_set(docs)
+    orch = make_orch(ds, scenario, instantiate=False)
+    try:
+        for s in ds.snssais():
+            orch.instantiate_subnet(s)
+    except RansliceError:
+        return
+    assert orch.instances()
+    assert {s for inst in orch.instances() for s in inst.owners} == set(ds.snssais())

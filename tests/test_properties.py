@@ -25,6 +25,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from corpus import mixed_aux_documents
 from helpers import build_descriptor_set, build_documents, make_config, tput_for_prbs
 from reference import Reference, slice_load
 
@@ -431,6 +432,16 @@ PINNED = {
         (il_descriptor_set(2, (1, 1, 2, 2, 2), ((0, 0), (0, 1), (1, 1), (3, 1), (4, 1))),
          Scenario.S4_DU_SHARED, 2),
         [("edit", ("append", 1, 84, (8, 0.9))), ("scale", SHARED_DU, UP, 0)]),
+    # After the tick's shared-DU scale-up both subnets follow: a 1-vCPU CU
+    # level holds the shared CU's total, but not eMBB within its cap.
+    "shared-cu-follow-keeps-the-slice-cap": (
+        (il_descriptor_set(2, (1, 2), ((1, 0), (0, 1), (1, 1))), Scenario.S2_ALL_SHARED, 2),
+        [("admit", 0, 145.0, (6, 0.75)), ("tick",)]),
+    # eMBB declares no auxiliary NSD and shares its DU with nobody, so
+    # uRLLC, which declares one, cannot join it.
+    "aux-subnet-after-one-without": (
+        (parse_descriptor_set(mixed_aux_documents()), Scenario.S4_DU_SHARED, 1),
+        [("instantiate",), ("admit", 0, 20.0, (6, 0.75)), ("tick",)]),
 }
 
 

@@ -250,6 +250,16 @@ def test_calibrate_tiny_traffic_terms_fit():
     assert result.max_abs_residual < 1e-12
 
 
+def test_model_params_refuse_a_beta_that_overflows_the_mcs_factor():
+    # exp(beta * 8) is finite up to beta = log(DBL_MAX) / 8, about 88.72.
+    assert ResourceModelParams(beta=88.0).beta == 88.0
+    with pytest.raises(ValueError, match="beta"):
+        ResourceModelParams(beta=89.0)
+    anchors = [(load(80, m=2, cr=0.8), 0.65), (load(30, m=2, cr=0.5), 0.15)]
+    with pytest.raises(CalibrationError, match="beta"):
+        calibrate_params(anchors, beta=89.0)
+
+
 @pytest.mark.parametrize("observed, beta", [
     (math.nan, None), (math.inf, None), (-math.inf, None),
     (0.15, math.nan), (0.15, math.inf), (0.15, 1000.0), (0.15, 0.0),
