@@ -14,22 +14,18 @@ from pathlib import Path
 
 import yaml
 
-from .config import _int, _num, load_sim_config, read_yaml_file, resource_params_to_dict
+from .config import load_anchors, load_sim_config, resource_params_to_dict
 from .descriptors import (
     DescriptorSet,
     DescriptorSyntaxError,
     DuplicateIdError,
-    ServiceType,
-    Snssai,
     parse_descriptor_set,
-    parse_snssai,
     validate,
 )
 from .orchestrator import DescriptorInvalidError, OrchestrationError
 from .resources import (
     CalibrationError,
     ResourceModelParams,
-    SliceLoad,
     UnderdeterminedError,
     calibrate_params,
 )
@@ -148,38 +144,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_FINDINGS
 
 
-def _load_anchors(path: str) -> list[tuple[SliceLoad, float]]:
-    raw = read_yaml_file(path)
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(path, "expected a non-empty YAML list of anchors")
-    anchors = []
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}[{i}]", "expected a mapping")
-        try:
-            if "snssai" in entry:
-                snssai = parse_snssai(entry["snssai"], path, "")
-            else:
-                # the fit does not depend on the slice identity
-                snssai = Snssai(service_type=ServiceType.EMBB)
-        except DescriptorSyntaxError as exc:
-            raise ConfigError(f"{path}[{i}].snssai", exc.message) from exc
-        where = f"{path}[{i}]"
-        try:
-            load = SliceLoad(
-                snssai=snssai,
-                prbs=_int(entry, "prbs", where),
-                modulation_order=_int(entry, "modulation_order", where),
-                code_rate=_num(entry, "code_rate", where),
-            )
-        except ValueError as exc:
-            raise ConfigError(where, f"bad anchor: {exc}") from exc
-        anchors.append((load, _num(entry, "observed", where)))
-    return anchors
-
-
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    anchors = _load_anchors(args.anchors)
+    anchors = load_anchors(args.anchors)
     result = calibrate_params(anchors, base=ResourceModelParams(), beta=args.beta)
     p = result.params
     print(f"fitted c0={p.c0:.9g} k={p.k:.9g} (beta={p.beta:.9g})")

@@ -30,9 +30,9 @@ from typing import Any, Mapping, TypeVar
 
 import yaml
 
-from .descriptors import DescriptorSyntaxError, Snssai, load_yaml, parse_snssai
+from .descriptors import DescriptorSyntaxError, ServiceType, Snssai, load_yaml, parse_snssai
 from .orchestrator import ScalingThresholds
-from .resources import CapacityBudget, ResourceModelParams
+from .resources import CapacityBudget, ResourceModelParams, SliceLoad
 from .sim import ConfigError, DemandProfile, McsAtom, SimConfig
 from .topology import DrbQos, Scenario
 
@@ -187,3 +187,31 @@ def load_sim_config(path: str) -> SimConfig:
     if raw is None:
         raise ConfigError(path, "empty configuration file")
     return sim_config_from_dict(raw)
+
+
+def load_anchors(path: str) -> list[tuple[SliceLoad, float]]:
+    """The calibration anchors in the YAML file at ``path``: a non-empty
+    list of {snssai, prbs, modulation_order, code_rate, observed}, each
+    read as a slice load and its observed vCPU consumption."""
+    raw = read_yaml_file(path)
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(path, "expected a non-empty YAML list of anchors")
+    anchors = []
+    for i, entry in enumerate(raw):
+        where = f"{path}[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(where, "expected a mapping")
+        # the fit does not depend on the slice identity
+        snssai = (_snssai(entry["snssai"], f"{where}.snssai") if "snssai" in entry
+                  else Snssai(ServiceType.EMBB))
+        try:
+            load = SliceLoad(
+                snssai=snssai,
+                prbs=_int(entry, "prbs", where),
+                modulation_order=_int(entry, "modulation_order", where),
+                code_rate=_num(entry, "code_rate", where),
+            )
+        except ValueError as exc:
+            raise ConfigError(where, f"bad anchor: {exc}") from exc
+        anchors.append((load, _num(entry, "observed", where)))
+    return anchors

@@ -155,11 +155,11 @@ class GnbNsd:
     Two scaling aspects: one for the (single) slice-specific CU, one for
     the DU pool. ``cu_id`` identifies the CU constituent so that shared
     DUs can associate user data with its slice; it is not part of current
-    3GPP identifiers and defaults to ``<nsd-id>-cu``.
+    3GPP identifiers and defaults to ``<nsd-id>-cu``, also when empty.
     """
 
     id: str
-    cu_id: str
+    cu_id: str = field(default="", kw_only=True)
     sa_cu: ScalingAspect | None
     sa_du: ScalingAspect | None
     ils: tuple[InstantiationLevel, ...]
@@ -167,6 +167,10 @@ class GnbNsd:
     du_vnfd_ref: str | None
     ru_pnfd_refs: tuple[str, ...] = ()
     aux_nsd_ref: str | None = None
+
+    def __post_init__(self):
+        if not self.cu_id:
+            object.__setattr__(self, "cu_id", f"{self.id}-cu")
 
     def il(self, il_id: str) -> InstantiationLevel | None:
         for il in self.ils:
@@ -197,7 +201,7 @@ class Vnfd:
     aspect, so its scale levels and instantiation levels coincide."""
 
     id: str
-    shared: bool
+    shared: bool = field(default=False, kw_only=True)
     ils: tuple[VmFlavour, ...]
 
     def flavour(self, flavour_id: str) -> VmFlavour | None:

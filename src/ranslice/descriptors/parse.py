@@ -1,44 +1,52 @@
-"""Parsing of descriptor documents into a typed DescriptorSet.
+"""Parsing of descriptor documents into a typed DescriptorSet, and back.
 
 A document is a YAML (or JSON) mapping whose top-level keys name the
 descriptor kind: ``ran_nsst``, ``gnb_nsd``, ``vnfd``, ``pnfd``,
 ``aux_nsd``. Each value is either one descriptor mapping or a list of
-them. Parsing checks shape and field types only; cross-references stay
-symbolic and structural invariants are checked by ``validate``, so that
-an incomplete descriptor parses and is reported as a finding rather
-than a parse error. The exception is enumerated fields (service type,
-RLC mode, HARQ target), whose membership is part of the schema.
+them. The dataclasses of ``model`` are the schema: a record is read and
+written field by field in declaration order, each field's shape taken
+from its annotation and default. Parsing checks shape and field types
+only; cross-references stay symbolic and structural invariants are
+checked by ``validate``, so that an incomplete descriptor parses and is
+reported as a finding rather than a parse error. The exception is
+enumerated fields (service type, RLC mode, HARQ target), whose
+membership is part of the schema.
 """
 
 from __future__ import annotations
 
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
+import enum
+import functools
+from collections import abc
+from dataclasses import MISSING, fields, is_dataclass
+from typing import (IO, Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar,
+                    get_args, get_origin, get_type_hints)
 
 import yaml
 
 from ..errors import RansliceError
 from .model import (
-    AuxIl,
     AuxiliaryNsd,
-    ConnectivityPoint,
-    ConstituentSpec,
     DescriptorSet,
     GnbNsd,
-    HarqTarget,
-    InstantiationLevel,
     Pnfd,
     RanNsst,
-    RlcMode,
-    ScaleLevel,
-    ScalingAspect,
-    ServiceType,
     SliceProfile,
     Snssai,
-    VmFlavour,
     Vnfd,
 )
 
-KINDS = ("ran_nsst", "gnb_nsd", "vnfd", "pnfd", "aux_nsd")
+T = TypeVar("T")
+
+# Each document kind, in canonical order: the DescriptorSet field that
+# holds its descriptors, and their record class.
+KINDS = {
+    "ran_nsst": ("nssts", RanNsst),
+    "gnb_nsd": ("gnb_nsds", GnbNsd),
+    "vnfd": ("vnfds", Vnfd),
+    "pnfd": ("pnfds", Pnfd),
+    "aux_nsd": ("aux_nsds", AuxiliaryNsd),
+}
 
 # libyaml's C scanner and parser when PyYAML was built with it; either way
 # the objects come from PyYAML's SafeConstructor, so tags, resolvers and
@@ -100,14 +108,6 @@ def _entries(m: Mapping[str, Any], key: str, doc: str,
         yield _as_map(entry, doc, where), where
 
 
-def _optional(m: Mapping[str, Any], key: str, parse: Callable[..., Any], doc: str,
-              path: str, *args: Any) -> Any:
-    """``parse`` of the sub-record ``key`` of ``m`` at ``{path}.{key}``
-    (with ``args`` after the path), or None where it is absent."""
-    v = m.get(key)
-    return None if v is None else parse(v, doc, f"{path}.{key}", *args)
-
-
 _EXPECTED = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
 
 
@@ -136,29 +136,6 @@ def _get_enum(m: Mapping[str, Any], key: str, enum_cls, doc: str, path: str):
     raise DescriptorSyntaxError(doc, f"{_at(path, key)}: {raw!r} not one of {allowed}")
 
 
-def parse_snssai(obj: Any, doc: str, path: str) -> Snssai:
-    m = _as_map(obj, doc, path)
-    service_type = _get_enum(m, "service_type", ServiceType, doc, path)
-    subtype = _get(m, "subtype", str, doc, path)
-    return Snssai(service_type=service_type, subtype=subtype)
-
-
-def _parse_slice_profile(obj: Any, doc: str, path: str, snssai: Snssai | None) -> SliceProfile:
-    m = _as_map(obj, doc, path)
-    if snssai is None:
-        raise DescriptorSyntaxError(doc, f"{path}: slice_profile requires a snssai on the NSST")
-    return SliceProfile(
-        snssai=snssai,
-        pdcp_duplication=_get(m, "pdcp_duplication", bool, doc, path, required=True),
-        pdcp_ciphering=_get(m, "pdcp_ciphering", bool, doc, path, required=True),
-        rlc_mode=_get_enum(m, "rlc_mode", RlcMode, doc, path),
-        rlc_segmentation=_get(m, "rlc_segmentation", bool, doc, path, required=True),
-        numerology_index=_get(m, "numerology_index", int, doc, path, required=True),
-        harq_target=_get_enum(m, "harq_target", HarqTarget, doc, path),
-        dl_ul_symbol_ratio=_get(m, "dl_ul_symbol_ratio", float, doc, path, required=True),
-    )
-
-
 def _parse_fcaps(obj: Any, doc: str, path: str) -> dict[str, Any]:
     if obj is None:
         return {}
@@ -173,113 +150,94 @@ def _parse_fcaps(obj: Any, doc: str, path: str) -> dict[str, Any]:
     return out
 
 
-def _parse_nsst(m: Mapping[str, Any], doc: str) -> RanNsst:
-    nsst_id = _get(m, "id", str, doc, "ran_nsst", required=True)
-    path = f"ran_nsst[{nsst_id}]"
-    snssai = _optional(m, "snssai", parse_snssai, doc, path)
-    return RanNsst(
-        id=nsst_id,
-        snssai=snssai,
-        slice_profile=_optional(m, "slice_profile", _parse_slice_profile, doc, path, snssai),
-        fcaps=_parse_fcaps(m.get("fcaps"), doc, f"{path}.fcaps"),
-        gnb_nsd_ref=_get(m, "gnb_nsd_ref", str, doc, path),
-    )
+def _ids(m: Mapping[str, Any], key: str, doc: str, path: str, values: dict) -> tuple[str, ...]:
+    where = f"{path}.{key}"
+    refs = _as_list(m.get(key, []), doc, where)
+    if not all(isinstance(r, str) for r in refs):
+        raise DescriptorSyntaxError(doc, f"{where}: references must be strings")
+    return tuple(refs)
 
 
-def _parse_scale_level(m: Mapping[str, Any], doc: str, path: str) -> ScaleLevel:
-    sl_id = _get(m, "id", str, doc, path, required=True)
-    constituents = tuple(ConstituentSpec(
-        constituent_ref=_get(cm, "constituent_ref", str, doc, cpath, required=True),
-        instance_count=_get(cm, "instance_count", int, doc, cpath, required=True),
-        flavour_ref=_get(cm, "flavour_ref", str, doc, cpath, required=True),
-    ) for cm, cpath in _entries(m, "constituents", doc, path))
-    return ScaleLevel(id=sl_id, constituents=constituents)
+def _slice_profile(m: Mapping[str, Any], key: str, doc: str, path: str,
+                   values: dict) -> SliceProfile | None:
+    """The NSST's slice profile, which configures the NSST's own snssai
+    (read before it); the document does not repeat the snssai."""
+    obj = m.get(key)
+    if obj is None:
+        return None
+    where = f"{path}.{key}"
+    pm = _as_map(obj, doc, where)
+    if values["snssai"] is None:
+        raise DescriptorSyntaxError(doc, f"{where}: slice_profile requires a snssai on the NSST")
+    return _read(SliceProfile, pm, doc, where, snssai=values["snssai"])
 
 
-def _parse_scaling_aspect(obj: Any, doc: str, path: str) -> ScalingAspect:
+# A reader takes the record's mapping, the field name, the document name,
+# the record's path and the fields read so far, and returns the field.
+_Reader = Callable[[Mapping[str, Any], str, str, str, dict], Any]
+
+
+def _reader(hint: Any, required: bool, default: Any) -> _Reader:
+    """The reader of a field annotated ``hint``: a tuple of records or of
+    ids (absent: empty), the fcaps map, a sub-record (absent: None), an
+    enum, or a scalar (absent: ``default``, or an error if ``required``
+    and the hint does not admit None)."""
+    args = get_args(hint)
+    if type(None) in args:
+        (hint,) = (a for a in args if a is not type(None))
+        required = False
+    origin = get_origin(hint)
+    if origin is tuple:
+        item = get_args(hint)[0]
+        if not is_dataclass(item):
+            return _ids
+        return lambda m, key, doc, path, values: tuple(
+            _read(item, em, doc, where) for em, where in _entries(m, key, doc, path))
+    if origin is abc.Mapping:
+        return lambda m, key, doc, path, values: _parse_fcaps(m.get(key), doc, f"{path}.{key}")
+    if hint is SliceProfile:
+        return _slice_profile
+    if is_dataclass(hint):
+        def sub_record(m, key, doc, path, values):
+            obj = m.get(key)
+            return None if obj is None else _read(hint, obj, doc, f"{path}.{key}")
+        return sub_record
+    if issubclass(hint, enum.Enum):
+        return lambda m, key, doc, path, values: _get_enum(m, key, hint, doc, path)
+    return lambda m, key, doc, path, values: _get(m, key, hint, doc, path, required, default)
+
+
+@functools.cache
+def _schema(cls: type) -> tuple[tuple[str, _Reader, bool], ...]:
+    """The fields of the record class ``cls`` that its document mapping
+    holds, in declaration order: each one's name, reader, and whether the
+    writer omits it when empty (a collection whose default is empty). A
+    slice profile's snssai is its NSST's and is not among them."""
+    hints = get_type_hints(cls)
+    schema = []
+    for f in fields(cls):
+        if cls is SliceProfile and f.name == "snssai":
+            continue
+        default = (f.default if f.default is not MISSING
+                   else f.default_factory() if f.default_factory is not MISSING else None)
+        required = f.default is MISSING and f.default_factory is MISSING
+        omit_empty = isinstance(default, (tuple, abc.Mapping)) and not default
+        schema.append((f.name, _reader(hints[f.name], required, default), omit_empty))
+    return tuple(schema)
+
+
+def _read(cls: type[T], obj: Any, doc: str, path: str, **given: Any) -> T:
+    """The ``cls`` record that the mapping ``obj`` at ``path`` holds, read
+    field by field in declaration order; ``given`` fields are not read."""
     m = _as_map(obj, doc, path)
-    sa_id = _get(m, "id", str, doc, path, required=True)
-    sls = tuple(_parse_scale_level(slm, doc, slpath)
-                for slm, slpath in _entries(m, "sls", doc, path))
-    return ScalingAspect(id=sa_id, sls=sls)
+    for name, read, _ in _schema(cls):
+        if name not in given:
+            given[name] = read(m, name, doc, path, given)
+    return cls(**given)
 
 
-def _parse_gnb_nsd(m: Mapping[str, Any], doc: str) -> GnbNsd:
-    nsd_id = _get(m, "id", str, doc, "gnb_nsd", required=True)
-    path = f"gnb_nsd[{nsd_id}]"
-    sa_cu = _optional(m, "sa_cu", _parse_scaling_aspect, doc, path)
-    sa_du = _optional(m, "sa_du", _parse_scaling_aspect, doc, path)
-    ils = tuple(InstantiationLevel(
-        id=_get(ilm, "id", str, doc, ilpath, required=True),
-        cu_sl=_get(ilm, "cu_sl", str, doc, ilpath),
-        du_sl=_get(ilm, "du_sl", str, doc, ilpath),
-    ) for ilm, ilpath in _entries(m, "ils", doc, path))
-    ru_refs = tuple(
-        r if isinstance(r, str) else _bad_ref(doc, f"{path}.ru_pnfd_refs")
-        for r in _as_list(m.get("ru_pnfd_refs", []), doc, f"{path}.ru_pnfd_refs")
-    )
-    cu_id = _get(m, "cu_id", str, doc, path) or f"{nsd_id}-cu"
-    return GnbNsd(
-        id=nsd_id,
-        cu_id=cu_id,
-        sa_cu=sa_cu,
-        sa_du=sa_du,
-        ils=ils,
-        cu_vnfd_ref=_get(m, "cu_vnfd_ref", str, doc, path),
-        du_vnfd_ref=_get(m, "du_vnfd_ref", str, doc, path),
-        ru_pnfd_refs=ru_refs,
-        aux_nsd_ref=_get(m, "aux_nsd_ref", str, doc, path),
-    )
-
-
-def _bad_ref(doc: str, path: str):
-    raise DescriptorSyntaxError(doc, f"{path}: references must be strings")
-
-
-def _parse_vnfd(m: Mapping[str, Any], doc: str) -> Vnfd:
-    vnfd_id = _get(m, "id", str, doc, "vnfd", required=True)
-    path = f"vnfd[{vnfd_id}]"
-    flavours = tuple(VmFlavour(
-        id=_get(flm, "id", str, doc, flpath, required=True),
-        vcpus=_get(flm, "vcpus", int, doc, flpath, required=True),
-        cpu_ghz=_get(flm, "cpu_ghz", float, doc, flpath, required=True),
-        mem_gb=_get(flm, "mem_gb", float, doc, flpath, required=True),
-    ) for flm, flpath in _entries(m, "ils", doc, path))
-    return Vnfd(
-        id=vnfd_id,
-        shared=_get(m, "shared", bool, doc, path, default=False),
-        ils=flavours,
-    )
-
-
-def _parse_pnfd(m: Mapping[str, Any], doc: str) -> Pnfd:
-    pnfd_id = _get(m, "id", str, doc, "pnfd", required=True)
-    path = f"pnfd[{pnfd_id}]"
-    cps = tuple(ConnectivityPoint(
-        name=_get(cpm, "name", str, doc, cppath, required=True),
-        gbps=_get(cpm, "gbps", float, doc, cppath, required=True),
-    ) for cpm, cppath in _entries(m, "cps", doc, path))
-    return Pnfd(id=pnfd_id, cps=cps)
-
-
-def _parse_aux_nsd(m: Mapping[str, Any], doc: str) -> AuxiliaryNsd:
-    aux_id = _get(m, "id", str, doc, "aux_nsd", required=True)
-    path = f"aux_nsd[{aux_id}]"
-    ils = tuple(AuxIl(
-        id=_get(ilm, "id", str, doc, ilpath, required=True),
-        du_count=_get(ilm, "du_count", int, doc, ilpath, required=True),
-        du_il_ref=_get(ilm, "du_il_ref", str, doc, ilpath, required=True),
-    ) for ilm, ilpath in _entries(m, "ils", doc, path))
-    return AuxiliaryNsd(id=aux_id, ils=ils)
-
-
-_PARSERS = {
-    "ran_nsst": _parse_nsst,
-    "gnb_nsd": _parse_gnb_nsd,
-    "vnfd": _parse_vnfd,
-    "pnfd": _parse_pnfd,
-    "aux_nsd": _parse_aux_nsd,
-}
+def parse_snssai(obj: Any, doc: str, path: str) -> Snssai:
+    return _read(Snssai, obj, doc, path)
 
 
 def _load_document(text: str, doc: str) -> Mapping[str, Any]:
@@ -305,112 +263,46 @@ def parse_descriptor_set(documents: Iterable[str | Mapping[str, Any]],
     when two descriptors (of any kind) share an id. Invariants beyond
     shape are left to ``validate``.
     """
-    nssts: dict[str, RanNsst] = {}
-    gnb_nsds: dict[str, GnbNsd] = {}
-    vnfds: dict[str, Vnfd] = {}
-    pnfds: dict[str, Pnfd] = {}
-    aux_nsds: dict[str, AuxiliaryNsd] = {}
-    buckets = {"ran_nsst": nssts, "gnb_nsd": gnb_nsds, "vnfd": vnfds,
-               "pnfd": pnfds, "aux_nsd": aux_nsds}
+    buckets: dict[str, dict[str, Any]] = {attr: {} for attr, _ in KINDS.values()}
     seen_ids: set[str] = set()
-
-    docs = list(documents)
-    for i, raw in enumerate(docs):
+    for i, raw in enumerate(documents):
         doc = names[i] if names is not None else f"doc-{i}"
         content = _load_document(raw, doc) if isinstance(raw, str) else _as_map(raw, doc, "document")
         for kind, value in content.items():
             if kind not in KINDS:
                 raise DescriptorSyntaxError(doc, f"unknown descriptor kind {kind!r}")
-            entries = value if isinstance(value, list) else [value]
-            for entry in entries:
+            attr, cls = KINDS[kind]
+            for entry in value if isinstance(value, list) else [value]:
                 m = _as_map(entry, doc, kind)
-                parsed = _PARSERS[kind](m, doc)
-                if parsed.id in seen_ids:
-                    raise DuplicateIdError(parsed.id)
-                seen_ids.add(parsed.id)
-                buckets[kind][parsed.id] = parsed
-
-    return DescriptorSet(nssts=nssts, gnb_nsds=gnb_nsds, vnfds=vnfds,
-                         pnfds=pnfds, aux_nsds=aux_nsds)
-
-
-def _present(**fields: Any) -> dict[str, Any]:
-    """``fields`` in order, without the absent (None) ones."""
-    return {k: v for k, v in fields.items() if v is not None}
+                record_id = _get(m, "id", str, doc, kind, required=True)
+                record = _read(cls, m, doc, f"{kind}[{record_id}]", id=record_id)
+                if record_id in seen_ids:
+                    raise DuplicateIdError(record_id)
+                seen_ids.add(record_id)
+                buckets[attr][record_id] = record
+    return DescriptorSet(**buckets)
 
 
-def _snssai_to_dict(s: Snssai) -> dict[str, Any]:
-    return _present(service_type=s.service_type.value, subtype=s.subtype)
+def _plain(v: Any) -> Any:
+    if isinstance(v, (str, int, float)):
+        return v
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
+    if isinstance(v, enum.Enum):
+        return v.value
+    return _to_dict(v) if is_dataclass(v) else dict(v)
 
 
-def _nsst_to_dict(n: RanNsst) -> dict[str, Any]:
-    p = n.slice_profile
-    return _present(
-        id=n.id,
-        snssai=None if n.snssai is None else _snssai_to_dict(n.snssai),
-        slice_profile=None if p is None else {
-            "pdcp_duplication": p.pdcp_duplication,
-            "pdcp_ciphering": p.pdcp_ciphering,
-            "rlc_mode": p.rlc_mode.value,
-            "rlc_segmentation": p.rlc_segmentation,
-            "numerology_index": p.numerology_index,
-            "harq_target": p.harq_target.value,
-            "dl_ul_symbol_ratio": p.dl_ul_symbol_ratio,
-        },
-        fcaps=dict(n.fcaps) or None,
-        gnb_nsd_ref=n.gnb_nsd_ref,
-    )
-
-
-def _sa_to_dict(sa: ScalingAspect) -> dict[str, Any]:
-    return {
-        "id": sa.id,
-        "sls": [
-            {
-                "id": sl.id,
-                "constituents": [
-                    {"constituent_ref": c.constituent_ref,
-                     "instance_count": c.instance_count,
-                     "flavour_ref": c.flavour_ref}
-                    for c in sl.constituents
-                ],
-            }
-            for sl in sa.sls
-        ],
-    }
-
-
-def _nsd_to_dict(n: GnbNsd) -> dict[str, Any]:
-    return _present(
-        id=n.id,
-        cu_id=n.cu_id,
-        sa_cu=None if n.sa_cu is None else _sa_to_dict(n.sa_cu),
-        sa_du=None if n.sa_du is None else _sa_to_dict(n.sa_du),
-        ils=[_present(id=il.id, cu_sl=il.cu_sl, du_sl=il.du_sl) for il in n.ils],
-        cu_vnfd_ref=n.cu_vnfd_ref,
-        du_vnfd_ref=n.du_vnfd_ref,
-        ru_pnfd_refs=list(n.ru_pnfd_refs) or None,
-        aux_nsd_ref=n.aux_nsd_ref,
-    )
-
-
-def _vnfd_to_dict(v: Vnfd) -> dict[str, Any]:
-    return {
-        "id": v.id,
-        "shared": v.shared,
-        "ils": [{"id": fl.id, "vcpus": fl.vcpus, "cpu_ghz": fl.cpu_ghz, "mem_gb": fl.mem_gb}
-                for fl in v.ils],
-    }
-
-
-def _pnfd_to_dict(p: Pnfd) -> dict[str, Any]:
-    return {"id": p.id, "cps": [{"name": cp.name, "gbps": cp.gbps} for cp in p.cps]}
-
-
-def _aux_to_dict(a: AuxiliaryNsd) -> dict[str, Any]:
-    return {"id": a.id,
-            "ils": [{"id": il.id, "du_count": il.du_count, "du_il_ref": il.du_il_ref}
-                    for il in a.ils]}
+def _to_dict(record: Any) -> dict[str, Any]:
+    """The document mapping of ``record``: its fields in declaration
+    order, without None and without an empty collection that defaults to
+    empty; enums as their values, tuples as lists."""
+    out: dict[str, Any] = {}
+    for name, _, omit_empty in _schema(type(record)):
+        v = getattr(record, name)
+        if v is not None and not (omit_empty and not v):
+            out[name] = _plain(v)
+    return out
 
 
 def serialize_descriptor_set(ds: DescriptorSet) -> dict[str, Any]:
@@ -418,14 +310,8 @@ def serialize_descriptor_set(ds: DescriptorSet) -> dict[str, Any]:
     order, descriptors sorted by id, optional absent fields omitted.
     ``parse_descriptor_set([serialize_descriptor_set(ds)])`` equals ds."""
     out: dict[str, Any] = {}
-    if ds.nssts:
-        out["ran_nsst"] = [_nsst_to_dict(ds.nssts[k]) for k in sorted(ds.nssts)]
-    if ds.gnb_nsds:
-        out["gnb_nsd"] = [_nsd_to_dict(ds.gnb_nsds[k]) for k in sorted(ds.gnb_nsds)]
-    if ds.vnfds:
-        out["vnfd"] = [_vnfd_to_dict(ds.vnfds[k]) for k in sorted(ds.vnfds)]
-    if ds.pnfds:
-        out["pnfd"] = [_pnfd_to_dict(ds.pnfds[k]) for k in sorted(ds.pnfds)]
-    if ds.aux_nsds:
-        out["aux_nsd"] = [_aux_to_dict(ds.aux_nsds[k]) for k in sorted(ds.aux_nsds)]
+    for kind, (attr, _) in KINDS.items():
+        records = getattr(ds, attr)
+        if records:
+            out[kind] = [_to_dict(records[k]) for k in sorted(records)]
     return out

@@ -8,6 +8,7 @@ strings so callers (and the CLI) can match on them.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .model import DescriptorSet, GnbNsd, ScalingAspect, Vnfd
@@ -39,6 +40,7 @@ NO_CONNECTIVITY_POINTS = "NoConnectivityPoints"
 MULTI_CONSTITUENT_DU_SL = "MultiConstituentDuSl"
 AUX_VNFD_MISMATCH = "AuxVnfdMismatch"
 DUPLICATE_CU_ID = "DuplicateCuId"
+RESERVED_CU_ID = "ReservedCuId"
 
 
 @dataclass(frozen=True)
@@ -72,18 +74,18 @@ class ValidationReport:
 
 
 def _check_nssts(ds: DescriptorSet, report: ValidationReport) -> None:
-    seen_snssais: dict = {}
+    # By key, which names the slice in exports and DU ids: an empty
+    # subtype is no subtype there.
+    seen_keys: dict[str, str] = {}
     for nsst in ds.nssts.values():
         subject = f"ran_nsst[{nsst.id}]"
         if nsst.snssai is None:
             report.add(MISSING_FIELD, subject, "snssai missing")
         else:
-            prev = seen_snssais.get(nsst.snssai)
-            if prev is not None:
+            prev = seen_keys.setdefault(nsst.snssai.key(), nsst.id)
+            if prev != nsst.id:
                 report.add(DUPLICATE_SNSSAI, subject,
                            f"snssai {nsst.snssai} already used by {prev}")
-            else:
-                seen_snssais[nsst.snssai] = nsst.id
         if nsst.slice_profile is None:
             report.add(MISSING_FIELD, subject, "slice_profile missing")
         else:
@@ -146,18 +148,28 @@ def _vnfd_ref(ds: DescriptorSet, nsd: GnbNsd, field: str, referrers: dict[str, l
     return None
 
 
+# The DU ids that topology gives the engine's instances, ``du-shared-<n>``
+# and ``du-<slice key>-<n>``, beside the shared CU's ``cu-shared``.
+_DU_ID = re.compile(r"du-(.+)-[1-9][0-9]*")
+
+
 def _check_gnb_nsds(ds: DescriptorSet, report: ValidationReport) -> None:
     cu_refs: dict[str, list[str]] = {}
     du_refs: dict[str, list[str]] = {}
     cu_ids: dict[str, str] = {}
     # Per auxiliary NSD, the DU VNFD of its first referrer and that NSD.
     aux_du_vnfds: dict[str, tuple[str, str]] = {}
+    du_owners = {"shared", *(s.key() for s in ds.snssais())}
     for nsd in ds.gnb_nsds.values():
         subject = f"gnb_nsd[{nsd.id}]"
         prev = cu_ids.setdefault(nsd.cu_id, nsd.id)
         if prev != nsd.id:
             report.add(DUPLICATE_CU_ID, subject,
                        f"cu_id {nsd.cu_id!r} already used by gnb_nsd[{prev}]")
+        du_id = _DU_ID.fullmatch(nsd.cu_id)
+        if nsd.cu_id == "cu-shared" or (du_id is not None and du_id[1] in du_owners):
+            report.add(RESERVED_CU_ID, subject,
+                       f"cu_id {nsd.cu_id!r} is an instance id the engine generates")
         cu_vnfd = _vnfd_ref(ds, nsd, "cu_vnfd_ref", cu_refs, subject, report)
         du_vnfd = _vnfd_ref(ds, nsd, "du_vnfd_ref", du_refs, subject, report)
         for ref in nsd.ru_pnfd_refs:

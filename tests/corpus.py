@@ -32,6 +32,7 @@ from ranslice.descriptors.validate import (
     MISSING_FIELD,
     MULTI_CONSTITUENT_DU_SL,
     NO_CONNECTIVITY_POINTS,
+    RESERVED_CU_ID,
     SHARED_CU_VNFD,
     SHARED_VNFD_SINGLE_REF,
     UNKNOWN_FLAVOUR,
@@ -280,6 +281,21 @@ def _entry_duplicate_cu_id():
     return loaded
 
 
+def _entry_empty_subtype():
+    # An empty subtype is no subtype in the slice key, so uRLLC's NSST
+    # names eMBB's slice a second time.
+    loaded = _load(build_documents(n_slices=2, shared_du=False))
+    list(_nssts(loaded))[1]["snssai"] = {"service_type": "eMBB", "subtype": ""}
+    return loaded
+
+
+def _entry_reserved_cu_id():
+    # The id of the first shared DU instance under s2 and s4.
+    loaded = _load(build_documents())
+    _first(_nsds(loaded))["cu_id"] = "du-shared-1"
+    return loaded
+
+
 def mixed_aux_documents() -> list[dict]:
     """Two unshared DU VNFDs: gnb-eMBB declares no auxiliary NSD, gnb-uRLLC
     one that coincides with its DU scale levels. Valid; it runs without
@@ -352,4 +368,7 @@ CORPUS: list[tuple[str, list, frozenset[str]]] = [
      frozenset({MULTI_CONSTITUENT_DU_SL})),
     ("aux-over-two-du-vnfds", _entry_aux_vnfd_mismatch(), frozenset({AUX_VNFD_MISMATCH})),
     ("duplicate-cu-id", _entry_duplicate_cu_id(), frozenset({DUPLICATE_CU_ID})),
+    ("empty-subtype-duplicates-a-slice-key", _entry_empty_subtype(),
+     frozenset({DUPLICATE_SNSSAI})),
+    ("cu-id-of-an-engine-instance", _entry_reserved_cu_id(), frozenset({RESERVED_CU_ID})),
 ]

@@ -385,6 +385,26 @@ def test_simulate_reports_findings_on_du_sharing_rules(tmp_path, capsys, name, s
     assert not (tmp_path / "x.csv").exists()
 
 
+# Sets that validated clean while two slices shared one key or a CU took
+# an engine instance's id, each with its finding and the scenario whose
+# trace and layout it broke.
+@pytest.mark.parametrize("name, code, scenario", [
+    ("empty-subtype-duplicates-a-slice-key", "DuplicateSnssai", "s1"),
+    ("cu-id-of-an-engine-instance", "ReservedCuId", "s4"),
+])
+def test_validate_and_simulate_refuse_an_id_the_exports_share(tmp_path, capsys, name, code,
+                                                               scenario):
+    docs = next(docs for entry, docs, _ in CORPUS if entry == name)
+    d = write_descriptors(tmp_path, docs)
+    assert main(["validate", "--descriptors", str(d)]) == 1
+    assert f"{code}: " in capsys.readouterr().out
+    rc = main(["simulate", "--descriptors", str(d), "--config", str(write_config(tmp_path)),
+               "--scenario", scenario, "--out", str(tmp_path / "x.json"), "--format", "json"])
+    assert rc == 1
+    assert code in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_calibrate_malformed_anchors_exit_two(tmp_path, capsys):
     path = tmp_path / "anchors.yaml"
     path.write_text("anchors: [oops")

@@ -30,9 +30,14 @@ from ranslice.descriptors import (
     serialize_descriptor_set,
     validate,
 )
-from ranslice.descriptors.validate import INCOMPLETE_IL, MISSING_AUXILIARY_NSD, UNRESOLVED_REF
+from ranslice.descriptors.validate import (
+    INCOMPLETE_IL,
+    MISSING_AUXILIARY_NSD,
+    RESERVED_CU_ID,
+    UNRESOLVED_REF,
+)
 from ranslice.orchestrator import AdmittedDrb
-from ranslice.topology import Drb, DrbQos
+from ranslice.topology import Drb, DrbQos, dedicated_du_ids, shared_cu_id, shared_du_ids
 
 
 def test_parse_empty_document_list():
@@ -264,6 +269,14 @@ def test_a_scalar_optional_sub_record_is_a_syntax_error(doc, message):
     assert str(excinfo.value) == message
 
 
+def test_a_slice_profile_needs_the_snssai_of_its_nsst():
+    profile = yaml.safe_load(build_documents(n_slices=1)[0])["ran_nsst"]["slice_profile"]
+    with pytest.raises(DescriptorSyntaxError) as excinfo:
+        parse_descriptor_set([yaml.safe_dump({"ran_nsst": {"id": "n", "slice_profile": profile}})])
+    assert str(excinfo.value) == (
+        "doc-0: ran_nsst[n].slice_profile: slice_profile requires a snssai on the NSST")
+
+
 def test_serialize_omits_every_absent_field_of_a_sparse_set():
     # No subtype, fcaps, refs, profile or scaling aspects; an empty
     # ru_pnfd_refs; an IL without du_sl; a VNFD with no ILs. An empty IL
@@ -422,6 +435,54 @@ def test_serialize_parse_roundtrip(ds_two_slices, ds_three_slices):
 def test_serialize_roundtrip_through_yaml_text(ds_two_slices):
     text = yaml.safe_dump(serialize_descriptor_set(ds_two_slices))
     assert parse_descriptor_set([text]) == ds_two_slices
+
+
+def _parses(docs) -> bool:
+    try:
+        parse_descriptor_set(docs)
+    except (DescriptorSyntaxError, DuplicateIdError):
+        return False
+    return True
+
+
+PARSED_CORPUS = [docs for _, docs, _ in CORPUS if _parses(docs)]
+built_documents = st.builds(
+    build_documents, n_slices=st.integers(1, 4),
+    du_counts=st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple),
+    cu_vcpus=st.lists(st.integers(1, 8), min_size=1, max_size=3).map(tuple),
+    shared_du=st.booleans(), full_il_product=st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(docs=st.one_of(built_documents, st.sampled_from(PARSED_CORPUS)))
+def test_serialize_parse_roundtrip_generated(docs):
+    ds = parse_descriptor_set(docs)
+    canonical = serialize_descriptor_set(ds)
+    assert parse_descriptor_set([canonical]) == ds
+    assert parse_descriptor_set([yaml.safe_dump(canonical)]) == ds
+
+
+def test_gnb_nsd_cu_id_defaults_to_the_nsd_id_when_absent_or_empty():
+    doc = yaml.safe_dump({"gnb_nsd": [{"id": "g"}, {"id": "h", "cu_id": ""}]})
+    ds = parse_descriptor_set([doc])
+    assert [nsd.cu_id for nsd in ds.gnb_nsds.values()] == ["g-cu", "h-cu"]
+
+
+def test_every_instance_id_the_engine_generates_is_a_reserved_cu_id():
+    embb, video = Snssai(ServiceType.EMBB), Snssai(ServiceType.EMBB, "video-1")
+    reserved = [shared_cu_id(), *shared_du_ids(12), *dedicated_du_ids(embb, 2),
+                *dedicated_du_ids(video, 2)]
+    # Ids the engine does not generate for this set's slices.
+    free = ["cu-shared-1", "du-shared-0", "du-shared", "du-uRLLC-1", "du-eMBB.video-1",
+            "du-eMBB-01", "cu-eMBB"]
+    loaded = [yaml.safe_load(d) for d in build_documents(n_slices=2)]
+    nssts = [doc["ran_nsst"] for doc in loaded if "ran_nsst" in doc]
+    nssts[1]["snssai"] = {"service_type": "eMBB", "subtype": "video-1"}
+    nsds = [doc["gnb_nsd"] for doc in loaded if "gnb_nsd" in doc]
+    for cu_id in reserved + free:
+        nsds[0]["cu_id"] = cu_id
+        codes = validate(parse_descriptor_set(loaded)).codes()
+        assert codes == ({RESERVED_CU_ID} if cu_id in reserved else set()), cu_id
 
 
 def test_snssai_key_formatting():

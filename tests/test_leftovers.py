@@ -12,7 +12,8 @@ constructors.
 
 The reference orchestrator in ``tests/reference.py`` stays independent
 of the engine: it imports neither ``Orchestrator`` nor any private name
-from ``ranslice``."""
+from ``ranslice``. Modules in ``src/`` import no private name from one
+another either."""
 
 from __future__ import annotations
 
@@ -196,3 +197,27 @@ def test_the_reference_imports_nothing_of_the_engine_internals():
         "ranslice.orchestrator.Orchestrator", "ranslice.orchestrator._fold", "ranslice._x.y",
         "ranslice.*", "ranslice.sim"]
     assert not engine_imports((ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))
+
+
+def private_imports(root: Path) -> list[str]:
+    """Each private name that a module under ``root`` imports from a
+    ``ranslice`` module, relative or absolute, with its place. The name
+    imported counts, not the alias it is bound to."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "ranslice"):
+                found += [f"{a.name} ({path.relative_to(root)}:{node.lineno})"
+                          for a in node.names if _is_private(a.name)]
+    return found
+
+
+def test_no_module_in_src_imports_a_private_name_of_another(tmp_path):
+    (tmp_path / "m.py").write_text("from .config import _int, load_anchors\n"
+                                   "from ranslice.sim import _safe_wait\n"
+                                   "from json.encoder import encode_basestring_ascii as _str\n"
+                                   "from os import _exit\n", encoding="utf-8")
+    assert private_imports(tmp_path) == ["_int (m.py:1)", "_safe_wait (m.py:2)"]
+    assert not private_imports(SRC), private_imports(SRC)
