@@ -43,13 +43,17 @@ class Snssai:
     optional subtype for a specific vertical use case.
 
     Interned: constructing one returns the one object for its fields, so
-    equality and hashing are identity, done in C. Slices key most of the
-    orchestrator's dicts, and their sort order is by key(), never by hash."""
+    equality and hashing are identity, done in C. An empty subtype is no
+    subtype, as in key(), so a slice is the same object wherever its key
+    is the same. Slices key most of the orchestrator's dicts, and their
+    sort order is by key(), never by hash."""
 
     service_type: ServiceType
     subtype: str | None = None
 
     def __new__(cls, service_type: ServiceType, subtype: str | None = None) -> Snssai:
+        if subtype == "":
+            subtype = None
         fields = (service_type, subtype)
         found = _SNSSAIS.get(fields)
         if found is None:

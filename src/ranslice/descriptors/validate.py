@@ -11,7 +11,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .model import DescriptorSet, GnbNsd, ScalingAspect, Vnfd
+from .model import DescriptorSet, GnbNsd, ScalingAspect, Snssai, Vnfd
 
 # Finding codes
 MISSING_FIELD = "MissingField"
@@ -74,15 +74,13 @@ class ValidationReport:
 
 
 def _check_nssts(ds: DescriptorSet, report: ValidationReport) -> None:
-    # By key, which names the slice in exports and DU ids: an empty
-    # subtype is no subtype there.
-    seen_keys: dict[str, str] = {}
+    seen: dict[Snssai, str] = {}
     for nsst in ds.nssts.values():
         subject = f"ran_nsst[{nsst.id}]"
         if nsst.snssai is None:
             report.add(MISSING_FIELD, subject, "snssai missing")
         else:
-            prev = seen_keys.setdefault(nsst.snssai.key(), nsst.id)
+            prev = seen.setdefault(nsst.snssai, nsst.id)
             if prev != nsst.id:
                 report.add(DUPLICATE_SNSSAI, subject,
                            f"snssai {nsst.snssai} already used by {prev}")

@@ -380,12 +380,12 @@ class Orchestrator:
         self._instances: tuple[Instance, ...] | None = None
         self._pools: Pools = {}
         # Tick work that is constant over a layout, built with it (see
-        # instances): the shared pool heads allocation checks, and per
-        # scaling unit in policy order what observation samples: its
-        # history, then for a CU its slice, its CU's position and the vCPUs
-        # of the subnet's CU level, for a DU pool None, the pool's
-        # positions and their summed capacity.
-        self._heads: list[Instance] = []
+        # instances): the positions of the shared pool heads allocation
+        # checks, and per scaling unit in policy order what observation
+        # samples: its history, then for a CU its slice, its CU's position
+        # and the vCPUs of the subnet's CU level, for a DU pool None, the
+        # pool's positions and their summed capacity.
+        self._head_at: list[int] = []
         self._observed: list[tuple] = []
         # exp(beta * m) per modulation order, the MCS factor of _loads_on.
         self._exp = {m: math.exp(params.beta * m) for m in MODULATION_ORDERS}
@@ -488,13 +488,14 @@ class Orchestrator:
         dedicated DU pool, then the shared CU or each subnet's CU (see
         _build_instances). Built on the first read after instantiate_subnet
         or scale, the only places where levels change, together with the
-        tick work that is constant over them: the shared pool heads
-        (``index == 0``, several owners) that allocate_prbs checks, and
+        tick work that is constant over them: the positions of the shared
+        pool heads (``index == 0``, several owners) that allocate_prbs
+        checks, and
         per scaling unit the positions and capacity divisor
         observe_utilization samples."""
         if self._instances is None:
             insts, pools = self._build_instances({})
-            self._heads = [inst for inst in insts if inst.index == 0 and inst.shared]
+            self._head_at = [j for j, inst in enumerate(insts) if inst.index == 0 and inst.shared]
             observed = []
             for rec in self._units():
                 own = _own(rec, pools)
@@ -719,10 +720,14 @@ class Orchestrator:
         Isolation is checked on the shared pool heads alone (``index ==
         0``, several owners): only a shared instance has an isolation
         check, and a head decides for its pool (see _owned_by). The live
-        instances are projected once, at the final split, and that
-        projection is handed to the next observe_utilization, which uses
-        it only if no lifecycle operation changed state in between (the
-        generation is unchanged)."""
+        instances are projected at the first split. If no shared head
+        breaks there, that split is final: untrimmed, either every slice
+        has its demand or the budget is spent, so there is no slack to
+        hand back. Otherwise the trim and slack loops run on the heads
+        alone and the final split is projected. The final projection is
+        handed to the next observe_utilization, which uses it only if no
+        lifecycle operation changed state in between (the generation is
+        unchanged)."""
         if type(total_prbs) is not int or total_prbs < 0:
             raise ValueError(f"total_prbs must be an int >= 0, got {total_prbs!r}")
         slices = self._slices
@@ -740,34 +745,37 @@ class Orchestrator:
                 alloc[s] += 1
 
         self.instances()
-        heads = self._heads
-        entries: dict[Snssai, tuple[float, float]] = {}
-        while (broken := self._first_break(heads, alloc, entries)) is not None:
-            reducible = [s for s in slices if alloc[s] > 0]
-            if not reducible:
-                head, per_slice = broken
-                raise BaselineOverloadError(
-                    f"{head.instance_id}: isolation fails with no PRBs allocated; slice "
-                    f"baselines sum to {sum(per_slice.values()):.4f} vCPU against capacity "
-                    f"{head.capacity:.4f}, per-slice cap {self._budget.per_slice_cap:g}")
-            victim = max(reducible, key=lambda s: (alloc[s], s.key()))
-            alloc[victim] -= 1
+        projected = self._project(alloc)
+        if any(self._limit(projected[j], vnic=False) is not None for j in self._head_at):
+            heads = [self._instances[j] for j in self._head_at]
+            entries: dict[Snssai, tuple[float, float]] = {}
+            while (broken := self._first_break(heads, alloc, entries)) is not None:
+                reducible = [s for s in slices if alloc[s] > 0]
+                if not reducible:
+                    head, per_slice = broken
+                    raise BaselineOverloadError(
+                        f"{head.instance_id}: isolation fails with no PRBs allocated; slice "
+                        f"baselines sum to {sum(per_slice.values()):.4f} vCPU against capacity "
+                        f"{head.capacity:.4f}, per-slice cap {self._budget.per_slice_cap:g}")
+                victim = max(reducible, key=lambda s: (alloc[s], s.key()))
+                alloc[victim] -= 1
 
-        changed = True
-        while changed:
-            changed = False
-            for s in slices:
-                if alloc[s] >= demand[s] or sum(alloc.values()) >= total_prbs:
-                    continue
-                trial = dict(alloc)
-                trial[s] += 1
-                if self._first_break(heads, trial, entries) is None:
-                    alloc = trial
-                    changed = True
+            changed = True
+            while changed:
+                changed = False
+                for s in slices:
+                    if alloc[s] >= demand[s] or sum(alloc.values()) >= total_prbs:
+                        continue
+                    trial = dict(alloc)
+                    trial[s] += 1
+                    if self._first_break(heads, trial, entries) is None:
+                        alloc = trial
+                        changed = True
+            projected = self._project(alloc)
 
         for s in slices:
             self.subnets[s].allocated_prbs = alloc[s]
-        self._handoff = (self._generation, self._project(alloc))
+        self._handoff = (self._generation, projected)
         return alloc
 
     # -- scaling ------------------------------------------------------------------

@@ -148,7 +148,11 @@ class TickRow:
     ``Orchestrator.instances()`` returned at observation, before the
     tick's scalings: the same object on every row until a relayout, so
     rows share it. ``consumptions`` holds each instance's vCPU
-    consumption that tick, in layout order."""
+    consumption that tick, in layout order. Rows of one run with equal
+    slice values share one ``slices`` tuple, its SliceRows included, and
+    rows of one layout with equal consumptions share one
+    ``consumptions`` tuple (see run); the exporters render each shared
+    object once."""
 
     tick: int
     slices: tuple[SliceRow, ...]
@@ -206,6 +210,32 @@ def _layout_template(layout: Sequence[Instance]) -> tuple[str, tuple[int, ...]]:
     return _object(members), order
 
 
+def _slices_block(slices: Sequence[SliceRow]) -> str:
+    """A tick's slice mapping for SimTrace.to_json: keys sorted, a
+    duplicate key keeping its last entry."""
+    by_key = {sr.snssai.key(): sr for sr in slices}
+    members = []
+    for k, sr in sorted(by_key.items()):
+        admitted, arrived, prbs, rejected = sr.admitted, sr.arrived, sr.prbs, sr.rejected
+        cu, du, wait = sr.cu_util, sr.du_util, sr.vnic_wait_s * 1e3
+        members.append(
+            f'\n        {_str(k)}: {{'
+            f'\n          "admitted": '
+            f'{admitted if type(admitted) is int else _value(admitted)},'
+            f'\n          "arrived": {arrived if type(arrived) is int else _value(arrived)},'
+            f'\n          "cu_util": '
+            f'{cu if type(cu) is float and cu - cu == 0 else _value(cu)},'
+            f'\n          "du_util": '
+            f'{du if type(du) is float and du - du == 0 else _value(du)},'
+            f'\n          "prbs": {prbs if type(prbs) is int else _value(prbs)},'
+            f'\n          "rejected": '
+            f'{rejected if type(rejected) is int else _value(rejected)},'
+            f'\n          "vnic_wait_ms": '
+            f'{wait if type(wait) is float and wait - wait == 0 else _value(wait)}'
+            '\n        }')
+    return _object(members)
+
+
 @dataclass
 class SimTrace:
     scenario: Scenario
@@ -258,77 +288,78 @@ class SimTrace:
         a slice are literals in sorted order. Instance ids and slice keys
         are strings, sorted per tick; as in ``to_json_obj``, a duplicate
         keeps its last entry. Each distinct layout is rendered once (see
-        _layout_template) and each row splices its consumptions in. Exact
-        ints and finite floats are written inline with their repr, which
-        is json's text for them; anything else goes through _value."""
+        _layout_template), each distinct consumptions tuple of a layout
+        is spliced into it once, and each distinct slices tuple is
+        rendered once (_slices_block): the caches are keyed on object
+        identity, which the rows keep alive for the call. Exact ints and
+        finite floats are written inline with their repr, which is json's
+        text for them; anything else goes through _value."""
         out = ['{\n  "findings": ', _block(list(self.findings), "  "),
                ',\n  "scenario": ', _value(self.scenario.value, "  "),
                ',\n  "ticks": ']
-        layouts: dict[int, tuple[str, tuple[int, ...]]] = {}
-        ticks = []
+        # Per layout id: its template, its fill order and the instance
+        # blocks rendered so far, by consumptions id.
+        layouts: dict[int, tuple[str, tuple[int, ...], dict[int, str]]] = {}
+        slice_blocks: dict[int, str] = {}
+        sep = "["
         for row in self.rows:
             events = ("[" + ",".join("\n        " + _str(str(e)) for e in row.events)
                       + "\n      ]") if row.events else "[]"
             layout = row.layout
             rendered = layouts.get(id(layout))
             if rendered is None:
-                rendered = layouts[id(layout)] = _layout_template(layout)
-            template, order = rendered
+                rendered = layouts[id(layout)] = (*_layout_template(layout), {})
+            template, order, blocks = rendered
             cons = row.consumptions
-            # x - x == 0 holds for a finite float alone.
-            insts = template % tuple([
-                repr(c) if type(c) is float and c - c == 0 else _value(c)
-                for c in [cons[j] for j in order]])
-            by_key = {sr.snssai.key(): sr for sr in row.slices}
-            slices = []
-            for k, sr in sorted(by_key.items()):
-                admitted, arrived, prbs, rejected = sr.admitted, sr.arrived, sr.prbs, sr.rejected
-                cu, du, wait = sr.cu_util, sr.du_util, sr.vnic_wait_s * 1e3
-                slices.append(
-                    f'\n        {_str(k)}: {{'
-                    f'\n          "admitted": '
-                    f'{admitted if type(admitted) is int else _value(admitted)},'
-                    f'\n          "arrived": {arrived if type(arrived) is int else _value(arrived)},'
-                    f'\n          "cu_util": '
-                    f'{cu if type(cu) is float and cu - cu == 0 else _value(cu)},'
-                    f'\n          "du_util": '
-                    f'{du if type(du) is float and du - du == 0 else _value(du)},'
-                    f'\n          "prbs": {prbs if type(prbs) is int else _value(prbs)},'
-                    f'\n          "rejected": '
-                    f'{rejected if type(rejected) is int else _value(rejected)},'
-                    f'\n          "vnic_wait_ms": '
-                    f'{wait if type(wait) is float and wait - wait == 0 else _value(wait)}'
-                    '\n        }')
+            insts = blocks.get(id(cons))
+            if insts is None:
+                # x - x == 0 holds for a finite float alone.
+                insts = blocks[id(cons)] = template % tuple([
+                    repr(c) if type(c) is float and c - c == 0 else _value(c)
+                    for c in [cons[j] for j in order]])
+            slices = slice_blocks.get(id(row.slices))
+            if slices is None:
+                slices = slice_blocks[id(row.slices)] = _slices_block(row.slices)
             tick, vms, violations = row.tick, row.vm_count, row.isolation_violations
-            ticks.append(
-                f'\n    {{\n      "events": {events},'
-                f'\n      "instances": {insts},'
-                '\n      "isolation_violations": '
+            # The shared blocks go into out as they are, copied once by the
+            # final join.
+            out += (
+                f'{sep}\n    {{\n      "events": {events},\n      "instances": ',
+                insts,
+                ',\n      "isolation_violations": '
                 f'{violations if type(violations) is int else _value(violations, _TICK_PAD)},'
-                f'\n      "slices": {_object(slices)},'
-                f'\n      "tick": {tick if type(tick) is int else _value(tick, _TICK_PAD)},'
+                '\n      "slices": ',
+                slices,
+                f',\n      "tick": {tick if type(tick) is int else _value(tick, _TICK_PAD)},'
                 f'\n      "vm_count": {vms if type(vms) is int else _value(vms, _TICK_PAD)}'
                 '\n    }')
-        out += ["[" + ",".join(ticks) + "\n  ]" if ticks else "[]",
+            sep = ","
+        out += ["\n  ]" if self.rows else "[]",
                 ',\n  "topology": ', _block(self.topology, "  "),
                 ',\n  "total_prbs": ', _value(self.total_prbs, "  "), "\n}"]
         return "".join(out)
 
     def to_csv(self) -> str:
+        """One line per tick and slice. Each SliceRow's cells are
+        formatted once per call, keyed on its identity, which the rows
+        keep alive for the call."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_TRACE_HEADER)
+        cells: dict[int, tuple] = {}
         for row in self.rows:
             for sr in row.slices:
+                own = cells.get(id(sr))
+                if own is None:
+                    own = cells[id(sr)] = (
+                        sr.snssai.key(), sr.prbs,
+                        f"{sr.du_util:.6f}", f"{sr.cu_util:.6f}",
+                        f"{sr.vnic_wait_s * 1e3:.6f}",
+                        sr.admitted, sr.rejected)
                 events = ";".join(
                     str(e) for e in row.events
-                    if e.snssai is None or e.snssai == sr.snssai)
-                writer.writerow([
-                    row.tick, sr.snssai.key(), sr.prbs,
-                    f"{sr.du_util:.6f}", f"{sr.cu_util:.6f}",
-                    f"{sr.vnic_wait_s * 1e3:.6f}",
-                    sr.admitted, sr.rejected, row.vm_count, events,
-                ])
+                    if e.snssai is None or e.snssai == sr.snssai) if row.events else ""
+                writer.writerow((row.tick, *own, row.vm_count, events))
         return buf.getvalue()
 
 
@@ -474,6 +505,8 @@ def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
              for s in slices]
     departures: dict[int, list[tuple[Snssai, str]]] = {}
     waits: dict[int, float] = {}    # a DU-pool head's vNIC wait per PRB count
+    shared_slices: dict[tuple, tuple[SliceRow, ...]] = {}   # by values, per run
+    shared_cons: dict[tuple[float, ...], tuple[float, ...]] = {}   # per layout
     layout = None
 
     for tick in range(config.ticks):
@@ -505,21 +538,44 @@ def run(config: SimConfig, ds: DescriptorSet) -> SimTrace:
         if orch.instances() is not layout:
             layout, pools = orch.instances(), orch.pools()
             places = [(s, pools[s][0][0], pools[s][1]) for s in slices]
+            shared_cons = {}
         events = orch.apply_scaling_policies()
         violations = orch.isolation_violations(snapshot)
 
-        slice_rows = []
+        values = []     # six per slice, in slice order
         for (s, du, cu), (n, admitted) in zip(places, counts):
             head = snapshot[du]
             if head.prbs not in waits:
                 waits[head.prbs] = _safe_wait(head.prbs, config.params)
-            slice_rows.append(SliceRow(s, alloc[s], head.utilization, snapshot[cu].utilization,
-                                       waits[head.prbs], n, admitted, n - admitted))
+            values += (alloc[s], head.utilization, snapshot[cu].utilization,
+                       waits[head.prbs], n, admitted)
+        # Rows with equal values share one object, so the exporters render
+        # it once. Here equal values mean equal text: each field always has
+        # one type (exact ints, floats), and no float written is -0.0, the
+        # one float equal to another of different text (a NaN is equal
+        # only to itself, the same object). c0 >= 0, every load adds a
+        # non-negative term to it and a consumption sums from 0, so loads
+        # and utilizations are >= +0.0; a vNIC wait is 1/(mu - lam) - 1/mu,
+        # +0.0 at 0 PRBs (x - x) and positive above. For arbitrary rows,
+        # keying on value would not be exact, so this lives here and not
+        # in the writers. The slice order is the run's, so the key is one
+        # flat tuple of numbers: a row that never repeats keeps that one
+        # tuple alive besides its SliceRows.
+        key = tuple(values)
+        slice_rows = shared_slices.get(key)
+        if slice_rows is None:
+            rows, i = [], 0
+            for s in slices:
+                prbs, du_util, cu_util, wait, n, admitted = key[i:i + 6]
+                rows.append(SliceRow(s, prbs, du_util, cu_util, wait, n, admitted, n - admitted))
+                i += 6
+            slice_rows = shared_slices[key] = tuple(rows)
+        cons = tuple([i.consumption for i in snapshot])
         trace.rows.append(TickRow(
             tick=tick,
-            slices=tuple(slice_rows),
+            slices=slice_rows,
             layout=layout,
-            consumptions=tuple([i.consumption for i in snapshot]),
+            consumptions=shared_cons.setdefault(cons, cons),
             events=tuple(events),
             vm_count=orch.live_vm_count(),
             isolation_violations=violations,

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import Phase, settings
 
 from helpers import build_descriptor_set
+
+# ``pytest --hypothesis-profile=dev`` reports a failing example as found,
+# without shrinking it first: a quick answer while changing the engine.
+# Without the option every test runs the default profile and its own
+# max_examples.
+settings.register_profile("dev", phases=[p for p in Phase if p is not Phase.shrink])
 
 
 @pytest.fixture

@@ -405,6 +405,26 @@ def test_validate_and_simulate_refuse_an_id_the_exports_share(tmp_path, capsys, 
     assert not (tmp_path / "x.json").exists()
 
 
+def test_validate_and_simulate_agree_on_an_empty_subtype(tmp_path, capsys):
+    # An empty subtype is no subtype: the NSST's slice is the config's
+    # {service_type: eMBB}, so both commands accept the pair.
+    loaded = [yaml.safe_load(t) for t in build_documents(n_slices=1)]
+    for doc in loaded:
+        if "ran_nsst" in doc:
+            doc["ran_nsst"]["snssai"] = {"service_type": "eMBB", "subtype": ""}
+    d = write_descriptors(tmp_path, loaded)
+    assert main(["validate", "--descriptors", str(d)]) == 0
+    assert "no findings" in capsys.readouterr().out
+    config = write_config(tmp_path)
+    profiles = yaml.safe_load(config.read_text())["profiles"][:1]
+    assert profiles[0]["snssai"] == {"service_type": "eMBB"}
+    config = write_config(tmp_path, profiles=profiles)
+    out = tmp_path / "trace.json"
+    assert main(["simulate", "--descriptors", str(d), "--config", str(config),
+                 "--scenario", "s1", "--out", str(out), "--format", "json"]) == 0
+    assert json.loads(out.read_text())["ticks"][0]["slices"].keys() == {"eMBB"}
+
+
 def test_calibrate_malformed_anchors_exit_two(tmp_path, capsys):
     path = tmp_path / "anchors.yaml"
     path.write_text("anchors: [oops")

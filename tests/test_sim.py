@@ -136,6 +136,25 @@ def test_rows_share_one_layout_until_a_scaling():
     assert all(len(row.consumptions) == len(row.layout) for row in trace.rows)
 
 
+def test_rows_with_equal_values_share_their_tuples():
+    # In a demo run, rows with equal slice values hold one slices tuple,
+    # and rows of one layout with equal consumptions one consumptions
+    # tuple, so the exporters render each once.
+    ds = _load_descriptors(str(DEMO / "descriptors"))
+    config = load_sim_config(str(DEMO / "config.yaml"))
+    for scenario in Scenario:
+        trace = run(dataclasses.replace(config, scenario=scenario), ds)
+        slices, consumptions = {}, {}
+        for row in trace.rows:
+            values = tuple((sr.snssai, sr.prbs, sr.du_util, sr.cu_util, sr.vnic_wait_s,
+                            sr.arrived, sr.admitted, sr.rejected) for sr in row.slices)
+            assert slices.setdefault(values, row.slices) is row.slices
+            key = (id(row.layout), row.consumptions)
+            assert consumptions.setdefault(key, row.consumptions) is row.consumptions
+        # Some rows repeat, so the check above is not vacuous.
+        assert len(slices) < len(trace.rows) and len(consumptions) < len(trace.rows), scenario
+
+
 def test_vm_count_matches_next_snapshot(ds_two_slices):
     # The row's vm_count is the post-scaling state, which is exactly the
     # instance set projected at the start of the next tick.

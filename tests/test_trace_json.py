@@ -1,9 +1,13 @@
-"""The trace JSON writer against the generic encoder, and the
-determinism of whole runs: the same config gives the same export bytes,
-in this process and in one with another hash seed."""
+"""The trace writers against the generic JSON encoder and a plain CSV
+writer, over rows that share objects as the rows of a run do; the
+premise on which a run shares equal rows; and the determinism of whole
+runs: the same config gives the same export bytes, in this process and
+in one with another hash seed."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -27,6 +31,7 @@ from ranslice.orchestrator import (
 )
 from ranslice.resources import CapacityBudget, ResourceModelParams
 from ranslice.sim import (
+    CSV_TRACE_HEADER,
     SimTrace,
     SliceRow,
     TickRow,
@@ -41,6 +46,25 @@ SRC = TESTS.parent / "src"
 
 def generic(trace: SimTrace) -> str:
     return json.dumps(trace.to_json_obj(), indent=2, sort_keys=True)
+
+
+def plain_csv(trace: SimTrace) -> str:
+    """The trace CSV written row by row, formatting every cell anew."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_TRACE_HEADER)
+    for row in trace.rows:
+        for sr in row.slices:
+            events = ";".join(
+                str(e) for e in row.events
+                if e.snssai is None or e.snssai == sr.snssai)
+            writer.writerow([
+                row.tick, sr.snssai.key(), sr.prbs,
+                f"{sr.du_util:.6f}", f"{sr.cu_util:.6f}",
+                f"{sr.vnic_wait_s * 1e3:.6f}",
+                sr.admitted, sr.rejected, row.vm_count, events,
+            ])
+    return buf.getvalue()
 
 
 # Text with the characters JSON escapes or writes as \u sequences, or
@@ -76,8 +100,11 @@ def events(draw) -> ScalingEvent:
                         cause=draw(st.sampled_from(ScalingCause)))
 
 
-SLICE_ROWS = st.builds(SliceRow, snssai=SNSSAIS, prbs=INTS, du_util=REALS, cu_util=REALS,
-                       vnic_wait_s=FLOATS, arrived=INTS, admitted=INTS, rejected=INTS)
+def slice_rows(reals=REALS):
+    return st.builds(SliceRow, snssai=SNSSAIS, prbs=INTS, du_util=reals, cu_util=reals,
+                     vnic_wait_s=FLOATS, arrived=INTS, admitted=INTS, rejected=INTS)
+
+
 # The writer reads a layout instance's id, kind and capacity alone.
 INSTANCES = st.builds(Instance, instance_id=NAMES, kind=st.one_of(NAMES, OTHER),
                       owners=st.just(()), capacity=REALS)
@@ -85,25 +112,35 @@ LAYOUTS = st.lists(INSTANCES, max_size=5).map(tuple)
 
 
 @st.composite
-def tick_rows(draw, layouts: list) -> TickRow:
-    """A row holding one of ``layouts`` by identity, as the rows between
-    two relayouts share one, with one consumption per instance."""
+def tick_rows(draw, layouts: list, slices: list, consumptions: dict) -> TickRow:
+    """A row holding one of ``layouts``, one of ``slices`` and one of the
+    ``consumptions`` tuples of its layout's length by identity, as the
+    rows of a run share them."""
     layout = draw(st.sampled_from(layouts))
-    return TickRow(tick=draw(INTS), slices=tuple(draw(st.lists(SLICE_ROWS, max_size=4))),
-                   layout=layout, consumptions=tuple(draw(REALS) for _ in layout),
+    return TickRow(tick=draw(INTS), slices=draw(st.sampled_from(slices)),
+                   layout=layout, consumptions=draw(st.sampled_from(consumptions[len(layout)])),
                    events=tuple(draw(st.lists(events(), max_size=12))),
                    vm_count=draw(INTS), isolation_violations=draw(INTS))
 
 
 @st.composite
-def traces(draw) -> SimTrace:
+def traces(draw, reals=REALS) -> SimTrace:
     # Up to two more layouts, of any length or of the first one's, so
     # that rendering keyed on anything but the layout object mixes them up.
     first = draw(LAYOUTS)
     same_length = st.lists(INSTANCES, min_size=len(first), max_size=len(first)).map(tuple)
     layouts = [first, *draw(st.lists(st.one_of(LAYOUTS, same_length), max_size=2))]
+    # Pools the rows draw from by identity, so that the writers' caches
+    # hit: slices tuples whose SliceRows are new or taken from a pool (one
+    # may repeat in a tuple, a duplicate key), and consumptions tuples per
+    # length, which layouts of one length share.
+    pool = draw(st.lists(slice_rows(reals), min_size=1, max_size=4))
+    members = st.one_of(st.sampled_from(pool), slice_rows(reals))
+    slices = draw(st.lists(st.lists(members, max_size=4).map(tuple), min_size=1, max_size=4))
+    consumptions = {n: draw(st.lists(st.tuples(*[reals] * n), min_size=1, max_size=2))
+                    for n in {len(layout) for layout in layouts}}
     return SimTrace(scenario=draw(st.sampled_from(Scenario)), total_prbs=draw(INTS),
-                    rows=draw(st.lists(tick_rows(layouts), max_size=4)),
+                    rows=draw(st.lists(tick_rows(layouts, slices, consumptions), max_size=4)),
                     topology=draw(st.dictionaries(TEXT, JSON_VALUES, max_size=3)),
                     findings=draw(st.lists(TEXT, max_size=3)))
 
@@ -115,6 +152,16 @@ SHARED_LAYOUT = (Instance("du-1", "du", (), 4.0), Instance("cu-1", "cu", (), 2.0
                  Instance("du-1", "du", (), 1))
 NEXT_LAYOUT = (Instance("du-1", "du", (), 4.0), Instance("du-2", "du", (), 4.0),
                Instance("cu-1", "cu", (), 2.0))
+# One slices tuple and one consumptions tuple shared by rows on two
+# layouts of one length, holding NaN, -0.0, True and a duplicate key;
+# the reversed tuple shares its SliceRows and keeps the other duplicate.
+EMBB = Snssai(ServiceType.EMBB)
+SHARED_ROW = SliceRow(EMBB, 7, math.nan, -0.0, 0.0, 2, True, 1)
+SHARED_SLICES = (SHARED_ROW, SliceRow(Snssai(ServiceType.URLLC), 0, -0.0, 0.5, -0.0, 0, 0, 0),
+                 SliceRow(EMBB, True, 1, 0.25, math.nan, 1, 1, 0))
+SHARED_CONSUMPTIONS = (math.nan, -0.0, True)
+SHARED_EVENT = ScalingEvent(time=1, target=ScaleTarget.CU, snssai=EMBB, from_level="a",
+                            to_level="b", cause=ScalingCause.LOAD_INCREASE)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -124,8 +171,22 @@ NEXT_LAYOUT = (Instance("du-1", "du", (), 4.0), Instance("du-2", "du", (), 4.0),
     TickRow(0, (), SHARED_LAYOUT, (0.5, math.nan, 1), (), 3, 0),
     TickRow(1, (), SHARED_LAYOUT, (math.inf, -0.0, True), (), 3, 0),
     TickRow(2, (), NEXT_LAYOUT, (0.5, 0.25, -math.inf), (), 3, 0)]))
+@example(trace=SimTrace(Scenario.S4_DU_SHARED, 273, rows=[
+    TickRow(0, SHARED_SLICES, SHARED_LAYOUT, SHARED_CONSUMPTIONS, (), 3, 0),
+    TickRow(1, SHARED_SLICES, NEXT_LAYOUT, SHARED_CONSUMPTIONS, (), 3, 0),
+    TickRow(2, SHARED_SLICES[::-1], SHARED_LAYOUT, SHARED_CONSUMPTIONS, (), 3, 0)]))
 def test_trace_json_equals_the_generic_encoder(trace):
     assert trace.to_json() == generic(trace)
+
+
+# Numbers alone where the CSV formats with .6f; other cells are str()'d.
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(trace=traces(reals=st.one_of(FLOATS, st.integers(), st.booleans())))
+@example(trace=SimTrace(Scenario.S2_ALL_SHARED, 273, rows=[
+    TickRow(0, SHARED_SLICES, SHARED_LAYOUT, SHARED_CONSUMPTIONS, (), 3, 0),
+    TickRow(1, SHARED_SLICES, NEXT_LAYOUT, SHARED_CONSUMPTIONS, (SHARED_EVENT,), 3, 0)]))
+def test_trace_csv_equals_a_plain_writer(trace):
+    assert trace.to_csv() == plain_csv(trace)
 
 
 def test_trace_json_of_a_run_with_a_saturated_vnic(monkeypatch):
@@ -169,6 +230,31 @@ def test_same_config_gives_the_same_export_bytes(n_slices, scenario, seed, rate,
                          mean_holding=holding, throughput_mbps=mbps, seed=seed,
                          scenario=scenario)
     assert export_bytes(run(config, ds)) == export_bytes(run(config, ds))
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(n_slices=st.integers(1, 3), scenario=st.sampled_from(Scenario),
+       seed=st.integers(0, 2**32), rate=st.floats(0.0, 4.0), mbps=st.floats(1.0, 40.0),
+       c0=st.sampled_from((-0.0, 0.0, 0.02)), total_prbs=st.sampled_from((0, 40, 273)),
+       ticks=st.integers(1, 20))
+def test_a_run_writes_one_type_per_field_and_no_negative_zero(n_slices, scenario, seed, rate,
+                                                             mbps, c0, total_prbs, ticks):
+    # sim.run shares rows of equal values, which is exact only if equal
+    # values have equal text: no field mixes types, and no float is -0.0
+    # (c0 = -0.0 passes ResourceModelParams).
+    ds = build_descriptor_set(n_slices=n_slices, du_counts=(1, 2, 4), cu_vcpus=(1, 2, 4),
+                              du_vcpus=4)
+    config = make_config(ds, ticks=ticks, total_prbs=total_prbs,
+                         params=ResourceModelParams(c0=c0, k=0.004),
+                         budget=CapacityBudget(4.0, 0.9), arrival_rate=rate, mean_holding=4.0,
+                         throughput_mbps=mbps, seed=seed, scenario=scenario)
+    for row in run(config, ds).rows:
+        for sr in row.slices:
+            assert type(sr.prbs) is type(sr.arrived) is type(sr.admitted) is int
+            for x in (sr.du_util, sr.cu_util, sr.vnic_wait_s):
+                assert type(x) is float and math.copysign(1.0, x) == 1.0
+        for c in row.consumptions:
+            assert type(c) is float and math.copysign(1.0, c) == 1.0
 
 
 # Eight slices under s2 and s4 (so every tick has many instance ids and
