@@ -195,7 +195,7 @@ class SubnetInstance:
         """The _fold sums over the admitted DRBs, with ``extra`` appended
         if given. The memo keeps (the tuple last folded, its sums) and is
         refolded when ``admitted_drbs`` is another tuple (departure
-        assigns one); ``extra`` continues it."""
+        assigns one); ``extra`` continues it, as admission does in place."""
         drbs = self.admitted_drbs
         memo = self._memo
         if memo[0] is not drbs:
@@ -281,13 +281,21 @@ def evaluate_scaling_policy(history: Sequence[float], thresholds: ScalingThresho
 
 
 def _snap_modulation(value: float) -> int:
-    """The modulation order nearest ``value``, the lower one on a tie."""
-    best, gap = MODULATION_ORDERS[0], abs(MODULATION_ORDERS[0] - value)
-    for m in MODULATION_ORDERS[1:]:
-        d = abs(m - value)
-        if d < gap:
-            best, gap = m, d
-    return best
+    """The modulation order nearest ``value``, the lower one on a tie, and
+    2 for NaN: the orders (2, 4, 6, 8) split at the midpoints 3, 5 and 7.
+
+    Comparing with a midpoint decides as comparing the float distances to
+    the orders either side of it does, ties included. A fold's value (a
+    PRB-weighted mean of orders) lies in [2, 8], and for a value between
+    two adjacent orders both distances to them are computed exactly, by
+    Sterbenz's lemma (``x - y`` is exact when y/2 <= x <= 2y), so rounding
+    cannot carry a value across a midpoint. Every other order is farther
+    by at least 2, far beyond any rounding error."""
+    if not value > 3:           # NaN too
+        return 2
+    if value <= 5:
+        return 4
+    return 6 if value <= 7 else 8
 
 
 def _vnic_threshold(params: ResourceModelParams, cap: float) -> int:
@@ -599,10 +607,11 @@ class Orchestrator:
         demand, isolation holds on each shared instance the DRB touches
         and no touched vNIC saturates or exceeds the delay cap. Checked on
         the pool heads that decide it (see _owned_by), DU head first, up
-        to the first break, each owner's demand read from its memo. A head
+        to the first break, with the loads _head_loads computes. A head
         with one owner has no isolation check and carries ceil(demand /
         pool) vNIC PRBs, so below the vNIC threshold its loads are not
-        computed."""
+        computed. Raises ValueError, changing nothing, for an invalid MCS
+        or a DRB of another slice."""
         if modulation_order not in MODULATION_ORDERS:
             raise ValueError(f"modulation_order must be one of {MODULATION_ORDERS}")
         if not 0 < code_rate <= 1:     # NaN fails too
@@ -610,26 +619,48 @@ class Orchestrator:
         subnet = self.subnets.get(snssai)
         if subnet is None:
             raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
+        if drb.snssai is not snssai:
+            raise ValueError(f"DRB {drb.drb_id!r} belongs to slice {drb.snssai}, not {snssai}")
         profile = self.ds.nssts[subnet.nsst_ref].slice_profile
         est = estimate_prbs(drb.qos.throughput_mbps, modulation_order, code_rate,
                             profile.numerology_index, profile.dl_ul_symbol_ratio)
-        entry = AdmittedDrb(drb, est, modulation_order, code_rate)
-        after = subnet._folded(entry)
-        heads = [h for h in self._owned_by(snssai)
-                 if h.shared or -(-after[0] // h.pool) >= self._vnic_prbs]
-        if heads:
-            demand = {s: self.subnets[s].demand_prbs() for h in heads for s in h.owners}
-            demand[snssai] = after[0]
-            m, cr = after[3]
-            entries = {snssai: (cr, self._exp[m])}
-            for head, per_slice, prbs in self._loads_on(heads, demand, entries):
-                reject = self._limit(head, loads=(per_slice, prbs))
+        # The DRB continues the subnet's fold as _fold would.
+        demand, m_sum, cr_sum, _ = subnet._folded()
+        demand += est
+        m_sum += est * modulation_order
+        cr_sum += est * code_rate
+        after = (demand, m_sum, cr_sum,
+                 (_snap_modulation(m_sum / demand), cr_sum / demand) if demand else (2, 1.0))
+        for head in self._owned_by(snssai):
+            if head.shared or -(-demand // head.pool) >= self._vnic_prbs:
+                reject = self._limit(head, loads=self._head_loads(head, snssai, after))
                 if reject is not None:
                     return reject
-        subnet.admitted_drbs = drbs = (*subnet.admitted_drbs, entry)
+        subnet.admitted_drbs = drbs = (
+            *subnet.admitted_drbs, AdmittedDrb(drb, est, modulation_order, code_rate))
         subnet._memo = (drbs, after)
         self._generation += 1
         return Decision(True, est_prbs=est)
+
+    def _head_loads(self, head: Instance, snssai: Snssai,
+                    after: tuple) -> tuple[dict[Snssai, float], int]:
+        """Each owner's vCPU use on the pool head ``head`` and its vNIC PRBs,
+        as _loads_on computes them, with ``snssai`` at the fold ``after``
+        and every other owner at its own: a head (``index == 0``) carries
+        ceil(demand / pool) of each owner's PRBs, the larger share of the
+        split."""
+        p = self._params
+        c0, k, cu_scale, exp, subnets = p.c0, p.k, p.cu_scale, self._exp, self.subnets
+        du, pool = head.kind == "du", head.pool
+        per_slice = {}
+        prbs = 0
+        for s in head.owners:
+            demand, _, _, (m, cr) = after if s is snssai else subnets[s]._folded()
+            share = -(-demand // pool)
+            load = c0 + k * share * cr * exp[m]
+            per_slice[s] = load if du else cu_scale * load
+            prbs += share
+        return per_slice, prbs
 
     def _owned_by(self, snssai: Snssai) -> list[Instance]:
         """The heads (``index == 0``) of the pools ``snssai`` owns: the

@@ -619,14 +619,22 @@ def compare_scenarios(config: SimConfig, ds: DescriptorSet,
     return SummaryTable(summaries=summaries)
 
 
+# Characters per write in export.
+_WRITE_CHARS = 1 << 16
+
+
 def export(obj: SimTrace | SummaryTable, format: str, path: str) -> None:
     """Write a trace or summary table to ``path``. Output is bit-stable
     for identical inputs; CSV column order is fixed (see CSV_* headers)."""
     if format == "csv":
-        text = obj.to_csv()
+        text, end = obj.to_csv(), ""
     elif format == "json":
-        text = obj.to_json() + "\n"
+        text, end = obj.to_json(), "\n"
     else:
         raise ConfigError("format", f"unknown export format {format!r}")
+    # Written in slices and the newline on its own: appending it, or
+    # encoding the whole text at once, would copy the text.
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        for i in range(0, len(text), _WRITE_CHARS):
+            fh.write(text[i:i + _WRITE_CHARS])
+        fh.write(end)

@@ -179,7 +179,10 @@ class Reference:
     def admit_drb(self, s: Snssai, drb: Drb, modulation_order: int,
                   code_rate: float) -> Decision:
         """Admit iff no instance the slice owns breaks a limit with every
-        slice at its demand, the arriving slice's including the DRB."""
+        slice at its demand, the arriving slice's including the DRB. A DRB
+        of another slice raises ValueError."""
+        if drb.snssai is not s:
+            raise ValueError(f"DRB {drb.drb_id!r} belongs to slice {drb.snssai}, not {s}")
         sub = self.subnets[s]
         profile = self.ds.nssts[sub.nsst_ref].slice_profile
         est = estimate_prbs(drb.qos.throughput_mbps, modulation_order, code_rate,

@@ -62,17 +62,24 @@ def admit_prbs(orch, ds, snssai, prbs, drb_id=None, m=6, cr=0.75):
 
 
 def count_evaluations(monkeypatch, orch) -> list[tuple]:
-    """Record each (instance kind, owner, vNIC PRBs) pair whose load
-    ``orch._loads_on`` computes, as its caller takes the instances."""
+    """Record each (instance kind, owner, vNIC PRBs) triple whose load is
+    computed: by admission's ``orch._head_loads``, and by
+    ``orch._loads_on`` as its caller takes the instances."""
     evaluated = []
-    loads_on = orch._loads_on
+    loads_on, head_loads = orch._loads_on, orch._head_loads
 
     def counted(*args):
         for inst, per_slice, prbs in loads_on(*args):
             evaluated.extend((inst.kind, s, prbs) for s in per_slice)
             yield inst, per_slice, prbs
 
+    def counted_head(head, *args):
+        per_slice, prbs = head_loads(head, *args)
+        evaluated.extend((head.kind, s, prbs) for s in per_slice)
+        return per_slice, prbs
+
     monkeypatch.setattr(orch, "_loads_on", counted)
+    monkeypatch.setattr(orch, "_head_loads", counted_head)
     return evaluated
 
 
@@ -814,6 +821,27 @@ def test_admission_rejects_an_invalid_mcs(ds_two_slices, m, cr, field, mbps):
     with pytest.raises(ValueError, match=field):
         orch.admit_drb(embb, Drb("bad", embb, DrbQos(mbps, 20.0, 0.99)), m, cr)
     assert sub.admitted_drbs is drbs and sub._memo is memo
+
+
+def test_admission_rejects_a_drb_of_another_slice(ds_two_slices):
+    # A uRLLC DRB offered to eMBB used to be admitted there, every time,
+    # and could then not be departed from its own slice.
+    orch = make_orch(ds_two_slices, scenario=Scenario.S1_DEDICATED)
+    embb, urllc = ds_two_slices.snssais()
+    assert admit_prbs(orch, ds_two_slices, embb, 10).admitted
+    sub = orch.subnets[embb]
+    drbs, memo, generation = sub.admitted_drbs, sub._memo, orch._generation
+    stray = Drb("x", urllc, DrbQos(5.0, 20.0, 0.99))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="belongs to slice"):
+            orch.admit_drb(embb, stray, 6, 0.75)
+    assert sub.admitted_drbs is drbs and sub._memo is memo
+    assert orch._generation == generation
+    assert orch.subnets[urllc].admitted_drbs == ()
+    assert not orch.depart_drb(urllc, "x")
+    # Offered to its own slice, the same DRB is admitted and departs.
+    assert orch.admit_drb(urllc, stray, 6, 0.75).admitted
+    assert orch.depart_drb(urllc, "x")
 
 
 def test_admission_sees_a_scaling_since_the_last_admission(ds_two_slices):

@@ -614,6 +614,46 @@ def test_a_pool_head_decides_admission_for_its_pool(orch, prbs, edge):
         assert first_limit(orch, orch._project(split, insts=orch._owned_by(s))) == full
 
 
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(orch=deployments(), which=st.integers(0, 3), prbs=st.integers(1, 1500),
+       edge=st.sampled_from((None, -1, 0, 1)), mcs=st.sampled_from(MCS))
+def test_admission_head_loads_equal_the_projection(orch, which, prbs, edge, mcs):
+    # A DRB of ``prbs`` PRBs arrives at a slice, or with ``edge`` one that
+    # moves the slice to its breaking point, give or take a PRB. Each head
+    # admission checks gets, to the bit, the loads the projection gives it
+    # at the post-admission demand, and the Decision is the first limit
+    # over every instance the slice owns.
+    slices = orch._slices
+    s = slices[which % len(slices)]
+    demand = {t: orch.subnets[t].demand_prbs() for t in slices}
+    if edge is not None:
+        prbs = max(breaking_point(orch, demand, s) - demand[s] + edge, 1)
+    m, cr = mcs
+    drb = Drb("arrival", s, DrbQos(tput_for_prbs(orch.ds, s, prbs, m, cr), 20.0, 0.99))
+    checked = []
+    head_loads = orch._head_loads
+
+    def spy(head, *args):
+        loads = head_loads(head, *args)
+        checked.append((head, loads))
+        return loads
+
+    with patch.object(orch, "_head_loads", spy):
+        decision = orch.admit_drb(s, drb, m, cr)
+    sub = orch.subnets[s]
+    if not decision.admitted:
+        profile = orch.ds.nsst_for(s).slice_profile
+        est = estimate_prbs(drb.qos.throughput_mbps, m, cr, profile.numerology_index,
+                            profile.dl_ul_symbol_ratio)
+        sub.admitted_drbs += (AdmittedDrb(drb, est, m, cr),)
+    after = {t: orch.subnets[t].demand_prbs() for t in slices}
+    for head, (per_slice, vnic_prbs) in checked:
+        [projected] = orch._project(after, insts=[head])
+        assert (per_slice, vnic_prbs) == (projected.per_slice, projected.prbs)
+    full = first_limit(orch, [i for i in orch._project(after) if s in i.owners])
+    assert (None if decision.admitted else decision) == full
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 # Baselines up to 1.5 vCPU, so that some deployments overload at zero PRBs.
 @given(orch=deployments(max_c0=1.5), total_prbs=st.integers(0, 300))

@@ -318,6 +318,21 @@ def test_export_json_roundtrip(tmp_path, ds_two_slices):
     assert reloaded == [summary.to_json_obj()]
 
 
+def test_export_writes_the_text_and_one_newline(tmp_path):
+    # The demo trace's JSON spans several of export's write slices; the
+    # file is the text and its newline, byte for byte, and the CSV its text.
+    ds = _load_descriptors(str(DEMO / "descriptors"))
+    config = dataclasses.replace(load_sim_config(str(DEMO / "config.yaml")),
+                                 scenario=Scenario.S4_DU_SHARED, ticks=200)
+    trace = run(config, ds)
+    text = trace.to_json()
+    assert len(text) > 3 * 2 ** 16
+    export(trace, "json", str(tmp_path / "trace.json"))
+    export(trace, "csv", str(tmp_path / "trace.csv"))
+    assert (tmp_path / "trace.json").read_bytes() == (text + "\n").encode("utf-8")
+    assert (tmp_path / "trace.csv").read_bytes() == trace.to_csv().encode("utf-8")
+
+
 def test_export_unknown_format(tmp_path, ds_two_slices):
     trace = SimTrace(scenario=Scenario.S1_DEDICATED, total_prbs=1)
     with pytest.raises(ConfigError):
