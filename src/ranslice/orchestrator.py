@@ -23,6 +23,7 @@ from itertools import islice
 from typing import Mapping, Sequence
 
 from .descriptors import DescriptorSet, GnbNsd, Snssai, validate
+from .descriptors.parse import closed
 from .descriptors.validate import ValidationReport
 from .errors import RansliceError
 from .resources import (
@@ -114,6 +115,7 @@ class ScalingEvent:
         return f"{who}:{self.from_level}->{self.to_level}"
 
 
+@closed
 @dataclass(frozen=True)
 class ScalingThresholds:
     """Trigger rule for the scaling policy: scale up when the windowed
@@ -191,16 +193,16 @@ class SubnetInstance:
     allocated_prbs: int = 0
     _memo: tuple = field(default=((), _NO_DRBS), init=False, repr=False, compare=False)
 
-    def _folded(self, extra: AdmittedDrb | None = None) -> tuple:
-        """The _fold sums over the admitted DRBs, with ``extra`` appended
-        if given. The memo keeps (the tuple last folded, its sums) and is
-        refolded when ``admitted_drbs`` is another tuple (departure
-        assigns one); ``extra`` continues it, as admission does in place."""
+    def _folded(self) -> tuple:
+        """The _fold sums over the admitted DRBs. The memo keeps (the tuple
+        last folded, its sums) and is refolded when ``admitted_drbs`` is
+        another tuple (departure assigns one); admission continues the
+        sums in place."""
         drbs = self.admitted_drbs
         memo = self._memo
         if memo[0] is not drbs:
             memo = self._memo = (drbs, _fold(drbs))
-        return memo[1] if extra is None else _fold((extra,), memo[1])
+        return memo[1]
 
     def demand_prbs(self) -> int:
         return self._folded()[0]

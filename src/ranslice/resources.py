@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from .descriptors import Snssai
+from .descriptors.parse import closed
 from .errors import RansliceError
 
 MODULATION_ORDERS = (2, 4, 6, 8)
@@ -47,13 +48,14 @@ class CalibrationError(RansliceError):
     decreasing in traffic)."""
 
 
+@closed
 @dataclass(frozen=True)
 class ResourceModelParams:
     c0: float = 0.05            # vCPU-fraction baseline per slice per instance
     k: float = 0.001            # vCPU-fraction per PRB-equivalent traffic unit
     beta: float = 0.35          # per-modulation-order exponent
     cu_scale: float = 0.3       # CU consumption relative to the DU
-    vnic_service_rate: float = 1.0e5   # packets/s (mu)
+    vnic_service_rate: float = field(default=1.0e5, metadata={"key": "vnic_mu"})  # packets/s
     pkt_per_prb: float = 125.0         # packets/s generated per allocated PRB
 
     def __post_init__(self):
@@ -90,12 +92,13 @@ class SliceLoad:
             raise ValueError("code_rate must be in (0, 1]")
 
 
+@closed
 @dataclass(frozen=True)
 class CapacityBudget:
     """Per-instance vCPU capacity (1.0 per vCPU of the VM flavour) and the
     per-slice consumption cap, as a fraction of that capacity."""
 
-    vcpu_capacity: float
+    vcpu_capacity: float = 1.0
     per_slice_cap: float = 0.9
 
     def __post_init__(self):

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii as _str
 from typing import Any, Sequence
 
-from .descriptors import DescriptorSet, Snssai, validate  # perfbench/tracing.py patches validate
+# perfbench/tracing.py patches validate
+from .descriptors import DescriptorSet, Snssai, parse_snssai, validate
+from .descriptors.parse import closed
 from .errors import RansliceError
 from .orchestrator import (
     Instance,
@@ -54,11 +56,12 @@ class ConfigError(RansliceError):
         super().__init__(f"{path}: {message}")
 
 
+@closed
 @dataclass(frozen=True)
 class McsAtom:
     modulation_order: int
     code_rate: float
-    p: float
+    p: float = 1.0
 
     def __post_init__(self):
         if self.modulation_order not in MODULATION_ORDERS:
@@ -69,6 +72,7 @@ class McsAtom:
             raise ValueError("probability must be >= 0")
 
 
+@closed
 @dataclass(frozen=True)
 class DemandProfile:
     """Demand of one slice subnet: Poisson DRB arrivals per tick with a
@@ -77,11 +81,11 @@ class DemandProfile:
     arrivals), which with a zero rate and infinite holding gives a
     constant-demand run."""
 
-    snssai: Snssai
+    snssai: Snssai = field(metadata={"parse": parse_snssai})
     drb_arrival_rate: float
     qos: DrbQos
-    mean_holding: float
-    mcs_distribution: tuple[McsAtom, ...]
+    mean_holding: float = field(metadata={"inf": True})
+    mcs_distribution: tuple[McsAtom, ...] = field(metadata={"key": "mcs", "nonempty": True})
     seed: int = 0
     initial_drbs: int = 0
 
@@ -99,16 +103,22 @@ class DemandProfile:
             raise ValueError("initial_drbs must be >= 0")
 
 
+@closed
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulation run, as its config file states it; the metadata
+    gives the file's own key or section where it differs from the field."""
+
     ticks: int
     total_prbs: int
-    budget: CapacityBudget
-    params: ResourceModelParams
-    thresholds: ScalingThresholds
-    profiles: tuple[DemandProfile, ...]
+    budget: CapacityBudget = field(default_factory=CapacityBudget)
+    params: ResourceModelParams = field(default_factory=ResourceModelParams,
+                                        metadata={"key": "resource"})
+    thresholds: ScalingThresholds = field(default_factory=ScalingThresholds,
+                                          metadata={"key": "scaling"})
+    profiles: tuple[DemandProfile, ...] = field(default=(), metadata={"nonempty": True})
     scenario: Scenario | None = None
-    vnic_delay_cap_ms: float = 2.0
+    vnic_delay_cap_ms: float = field(default=2.0, metadata={"section": "admission", "inf": True})
     seed: int | None = None
 
     def __post_init__(self):

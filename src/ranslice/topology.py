@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .descriptors import DescriptorSet, Snssai
+from .descriptors.parse import closed
 
 if TYPE_CHECKING:
     from .orchestrator import Instance
@@ -56,6 +57,7 @@ class SliceAwareness(enum.Enum):
     RRC_LAYER = "rrc_layer"
 
 
+@closed
 @dataclass(frozen=True)
 class DrbQos:
     throughput_mbps: float

@@ -467,3 +467,24 @@ def test_descriptor_not_utf8_exit_one(tmp_path, capsys):
                "--scenario", "s1", "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("resource", "vnic_service_rate", 5e4, "resource: unknown key 'vnic_service_rate'"),
+    ("scaling", "windw", 50, "scaling: unknown key 'windw'"),
+    (None, "admision", {"vnic_delay_cap_ms": 5.0}, "config: unknown key 'admision'"),
+], ids=["field-name-for-vnic_mu", "misspelt-window", "misspelt-admission"])
+def test_simulate_unknown_config_key_exit_two(tmp_path, capsys, section, key, value, message):
+    # Each key used to be ignored: the run went ahead at vnic_mu 1e5,
+    # window 5 and the default 2 ms delay cap.
+    demo = Path(__file__).resolve().parent.parent / "demo"
+    raw = yaml.safe_load((demo / "config.yaml").read_text())
+    (raw[section] if section else raw)[key] = value
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "x.csv"
+    rc = main(["simulate", "--descriptors", str(demo / "descriptors"), "--config", str(cfg),
+               "--scenario", "s4", "--ticks", "3", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}; expected one of ")
+    assert not out.exists()

@@ -781,7 +781,7 @@ def test_admission_reads_only_the_arriving_slices_demand(monkeypatch):
     read = []
     folded = SubnetInstance._folded
     monkeypatch.setattr(SubnetInstance, "_folded",
-                        lambda self, extra=None: read.append(self.snssai) or folded(self, extra))
+                        lambda self: read.append(self.snssai) or folded(self))
     arriving = slices[2]
     assert admit_prbs(orch, ds, arriving, 5, drb_id="arrival").admitted
     assert read and set(read) == {arriving}

@@ -507,7 +507,7 @@ def test_continued_folds_equal_a_refold_and_the_reference(ops, probe):
         assert sub._folded() == _fold(sub.admitted_drbs)
         # One more DRB continues the kept fold as a refold would.
         extra = drb(-1, probe)
-        assert sub._folded(extra) == _fold((*sub.admitted_drbs, extra))
+        assert _fold((extra,), sub._folded()) == _fold((*sub.admitted_drbs, extra))
 
 
 @lru_cache(maxsize=None)
