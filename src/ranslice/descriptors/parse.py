@@ -336,9 +336,12 @@ def write_record(record: Any) -> dict[str, Any]:
 def parse_snssai(obj: Any, path: str) -> Snssai:
     """The slice identifier that the mapping ``obj`` holds, read as a
     record of its own: an error names ``path``, then the field within it
-    (``profiles[1].snssai: service_type: missing required field``)."""
+    (``profiles[1].snssai: service_type: missing required field``). It
+    may hold no key but its fields (a descriptor's snssai stays open)."""
     try:
-        return read_record(Snssai, obj)
+        m = _as_map(obj, "")
+        _check_keys(m, frozenset(key for _, key, _ in _schema(Snssai)[0]), "")
+        return read_record(Snssai, m)
     except FieldError as exc:
         raise FieldError(path, str(exc)) from None
 

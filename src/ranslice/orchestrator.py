@@ -356,6 +356,25 @@ def _own(rec: _UnitRecord, pools: Pools) -> range:
     return range(cu, cu + 1) if rec.target is ScaleTarget.CU else dus
 
 
+@dataclass(slots=True)
+class _Layout:
+    """What the live levels and subnets lay out, with the tick work that
+    is constant over them: the live instances and their pool index (see
+    Orchestrator.pools), the positions of the shared pool heads (``index
+    == 0``, several owners) that allocate_prbs checks, the live scaling
+    units in policy order (each subnet's CU, then the shared DU pool or
+    each subnet's dedicated DU pool), and per unit in that order what
+    observe_utilization samples: its history, then for a CU its slice,
+    its CU's position and the vCPUs of the subnet's CU level, for a DU
+    pool None, the pool's positions and their summed capacity."""
+
+    instances: tuple[Instance, ...]
+    pools: Pools
+    heads: list[int]
+    units: list[_UnitRecord]
+    observed: list[tuple]
+
+
 class Orchestrator:
     """Single-writer orchestration state over a validated descriptor set."""
 
@@ -380,24 +399,12 @@ class Orchestrator:
         self.aux: AuxServiceInstance | None = None
         self.events: list[ScalingEvent] = []
         self.findings: list[str] = []
-        # The layout: the slices by key, the live scaling units in policy
-        # order (each unit's record kept for life) and the live instances
-        # with their pool index. Levels and the subnet set change only in
-        # instantiate_subnet and scale, which drop (None) what they change.
+        # The slices by key and each scaling unit's record, kept for life;
+        # the layout over the live levels, dropped (None) by _relayout.
         self._slices: tuple[Snssai, ...] = ()
         self._unit_recs: dict[Unit, _UnitRecord] = {}
-        self._policy_order: list[_UnitRecord] | None = None
-        self._instances: tuple[Instance, ...] | None = None
-        self._pools: Pools = {}
-        # Tick work that is constant over a layout, built with it (see
-        # instances): the positions of the shared pool heads allocation
-        # checks, and per scaling unit in policy order what observation
-        # samples: its history, then for a CU its slice, its CU's position
-        # and the vCPUs of the subnet's CU level, for a DU pool None, the
-        # pool's positions and their summed capacity.
-        self._head_at: list[int] = []
-        self._observed: list[tuple] = []
-        # exp(beta * m) per modulation order, the MCS factor of _loads_on.
+        self._layout: _Layout | None = None
+        # exp(beta * m) per modulation order, the MCS factor of _project.
         self._exp = {m: math.exp(params.beta * m) for m in MODULATION_ORDERS}
         # The fewest vNIC PRBs at which a vNIC limit binds (see _vnic_threshold).
         self._vnic_prbs = _vnic_threshold(params, vnic_delay_cap_s)
@@ -447,7 +454,10 @@ class Orchestrator:
         """Create the subnet at the lowest declared IL of its gNB NSD. Under
         DU sharing the DU level is pinned to the auxiliary service, which
         the first subnet creates if it declares one; every subnet after the
-        first must reference that live auxiliary NSD."""
+        first must reference that live auxiliary NSD. Raises
+        OrchestrationError if the orchestrator was given no Scenario."""
+        if not isinstance(self.scenario, Scenario):
+            raise OrchestrationError(f"scenario must be a Scenario, got {self.scenario!r}")
         if snssai in self.subnets:
             raise OrchestrationError(f"subnet {snssai} already instantiated")
         nsst = self.ds.nsst_for(snssai)
@@ -479,7 +489,6 @@ class Orchestrator:
         )
         self.subnets[snssai] = subnet
         self._slices = tuple(sorted(self.subnets, key=Snssai.key))
-        self._policy_order = None
         self._relayout()
         return subnet
 
@@ -488,40 +497,43 @@ class Orchestrator:
         it, and count a change of state, so that a hand-off made before is
         not used. Code that edits levels, DRBs or allocations by hand must
         call it after the edit."""
-        self._instances = None
+        self._layout = None
         self._generation += 1
 
     # -- load projection ------------------------------------------------------
 
-    def instances(self) -> tuple[Instance, ...]:
-        """The live VNF instances: the shared DU pool or each subnet's
-        dedicated DU pool, then the shared CU or each subnet's CU (see
-        _build_instances). Built on the first read after instantiate_subnet
-        or scale, the only places where levels change, together with the
-        tick work that is constant over them: the positions of the shared
-        pool heads (``index == 0``, several owners) that allocate_prbs
-        checks, and
-        per scaling unit the positions and capacity divisor
-        observe_utilization samples."""
-        if self._instances is None:
+    def _laid_out(self) -> _Layout:
+        """The layout of the live levels and subnets, built on the first
+        read after instantiate_subnet or scale, the only places where they
+        change."""
+        lay = self._layout
+        if lay is None:
             insts, pools = self._build_instances({})
-            self._head_at = [j for j, inst in enumerate(insts) if inst.index == 0 and inst.shared]
+            slices = self._slices
+            units = [self._unit(ScaleTarget.CU, s) for s in slices] + (
+                [self._unit(ScaleTarget.SHARED_DU, None)] if self.aux is not None
+                else [self._unit(ScaleTarget.DU, s) for s in slices])
             observed = []
-            for rec in self._units():
+            for rec in units:
                 own = _own(rec, pools)
                 if rec.target is ScaleTarget.CU:
                     observed.append((rec.hist, rec.snssai, own[0], rec.caps[rec.holder.cu_sl]))
                 else:
                     observed.append((rec.hist, None, own, sum(insts[j].capacity for j in own)))
-            self._observed = observed
-            self._instances, self._pools = insts, pools
-        return self._instances
+            heads = [j for j, inst in enumerate(insts) if inst.index == 0 and inst.shared]
+            lay = self._layout = _Layout(insts, pools, heads, units, observed)
+        return lay
+
+    def instances(self) -> tuple[Instance, ...]:
+        """The live VNF instances: the shared DU pool or each subnet's
+        dedicated DU pool, then the shared CU or each subnet's CU (see
+        _build_instances)."""
+        return self._laid_out().instances
 
     def pools(self) -> Pools:
         """Where each slice's DU pool (a range of positions) and CU sit in
-        the live instances, from the build instances() returns. Read-only."""
-        self.instances()
-        return self._pools
+        the live instances. Read-only."""
+        return self._laid_out().pools
 
     def _build_instances(self, over: Mapping[Unit, str]) -> tuple[tuple[Instance, ...], Pools]:
         """The instances with ``over`` putting units at hypothetical levels,
@@ -564,39 +576,35 @@ class Orchestrator:
 
     def _project(self, prbs_by_slice: Mapping[Snssai, int],
                  insts: Sequence[Instance] | None = None) -> list[Instance]:
-        """Copies of ``insts`` (default: the live instances) with their
-        load filled in for a PRB split naming every owner (_loads_on)."""
-        return [Instance(inst.instance_id, inst.kind, inst.owners, inst.capacity,
-                         inst.index, inst.pool, per_slice, prbs, sum(per_slice.values()))
-                for inst, per_slice, prbs in self._loads_on(
-                    self.instances() if insts is None else insts, prbs_by_slice, {})]
-
-    def _loads_on(self, insts: Sequence[Instance], prbs_by_slice: Mapping[Snssai, int],
-                  entries: dict[Snssai, tuple[float, float]]):
-        """Yield each of ``insts`` with its owners' vCPU use and its vNIC
-        PRBs: a slice's PRBs split evenly over the DU pool serving it (an
-        integer split, the remainder to the lowest indices), and its CU
-        carries the full slice load. Each owner's (code rate, exp(beta *
-        modulation order)) is read once into ``entries``. A load is
+        """Copies of ``insts`` (default: the live instances) with their load
+        filled in for a PRB split naming every owner: each owner's vCPU use
+        and the vNIC PRBs. A slice's PRBs split evenly over the DU pool
+        serving it (an integer split, the remainder to the lowest indices),
+        and its CU carries the full slice load. Each owner's (code rate,
+        exp(beta * modulation order)) is read once per call. A load is
         du_vcpu_consumption's expression in its order, times cu_scale on a
         CU as in cu_vcpu_consumption, so the floats are the models'."""
         p = self._params
-        c0, k, cu_scale, exp = p.c0, p.k, p.cu_scale, self._exp
-        for inst in insts:
+        c0, k, cu_scale, exp, subnets = p.c0, p.k, p.cu_scale, self._exp, self.subnets
+        rates: dict[Snssai, tuple[float, float]] = {}
+        out = []
+        for inst in self.instances() if insts is None else insts:
             du, pool, index = inst.kind == "du", inst.pool, inst.index
             per_slice = {}
             prbs = 0
             for s in inst.owners:
                 base, rem = divmod(prbs_by_slice[s], pool)
                 share = base + 1 if index < rem else base
-                rate = entries.get(s)
+                rate = rates.get(s)
                 if rate is None:
-                    m, cr = self.subnets[s].mcs()
-                    rate = entries[s] = (cr, exp[m])
+                    m, cr = subnets[s].mcs()
+                    rate = rates[s] = (cr, exp[m])
                 load = c0 + k * share * rate[0] * rate[1]
                 per_slice[s] = load if du else cu_scale * load
                 prbs += share
-            yield inst, per_slice, prbs
+            out.append(Instance(inst.instance_id, inst.kind, inst.owners, inst.capacity,
+                                index, pool, per_slice, prbs, sum(per_slice.values())))
+        return out
 
     def _allocated_map(self) -> dict[Snssai, int]:
         return {s: self.subnets[s].allocated_prbs for s in self._slices}
@@ -647,7 +655,7 @@ class Orchestrator:
     def _head_loads(self, head: Instance, snssai: Snssai,
                     after: tuple) -> tuple[dict[Snssai, float], int]:
         """Each owner's vCPU use on the pool head ``head`` and its vNIC PRBs,
-        as _loads_on computes them, with ``snssai`` at the fold ``after``
+        as _project computes them, with ``snssai`` at the fold ``after``
         and every other owner at its own: a head (``index == 0``) carries
         ceil(demand / pool) of each owner's PRBs, the larger share of the
         split."""
@@ -671,7 +679,7 @@ class Orchestrator:
         The pool-head rule, on which admission, allocation (the shared
         heads), scale-down (_down_feasible) and sim.run's trace rows rest:
         a pool's head is its most-loaded instance. A pool's split of an
-        owner's PRBs (_loads_on) gives the remainder to the lowest indices,
+        owner's PRBs (_project) gives the remainder to the lowest indices,
         so a head carries at least the PRBs of every other instance of its
         pool, per owner and through its vNIC, and a pool's instances share
         one flavour, so one capacity. Every load and limit is
@@ -682,9 +690,9 @@ class Orchestrator:
         any instance of a pool that breaks a limit has a head that breaks
         one too, the head first in the pool: checking the heads alone gives
         the same Decision as checking every owned instance."""
-        insts = self.instances()
-        dus, cu = self._pools[snssai]
-        return [insts[dus[0]], insts[cu]]
+        lay = self._laid_out()
+        dus, cu = lay.pools[snssai]
+        return [lay.instances[dus[0]], lay.instances[cu]]
 
     def _limit(self, inst: Instance, vnic: bool = True,
                loads: tuple[Mapping[Snssai, float], int] | None = None) -> Decision | None:
@@ -732,15 +740,12 @@ class Orchestrator:
 
     # -- PRB allocation ---------------------------------------------------------
 
-    def _first_break(self, heads: Sequence[Instance], prbs_by_slice: Mapping[Snssai, int],
-                     entries: dict) -> tuple[Instance, Mapping[Snssai, float]] | None:
-        """The first of ``heads`` that breaks isolation at ``prbs_by_slice``
-        with its per-slice loads, or None if none does (``entries`` as in
-        _loads_on)."""
-        for head, per_slice, prbs in self._loads_on(heads, prbs_by_slice, entries):
-            if self._limit(head, vnic=False, loads=(per_slice, prbs)) is not None:
-                return head, per_slice
-        return None
+    def _first_break(self, heads: Sequence[Instance],
+                     prbs_by_slice: Mapping[Snssai, int]) -> Instance | None:
+        """The first of ``heads``, projected at ``prbs_by_slice``, that
+        breaks isolation, or None if none does."""
+        return next((head for head in self._project(prbs_by_slice, heads)
+                     if self._limit(head, vnic=False) is not None), None)
 
     def allocate_prbs(self, total_prbs: int) -> dict[Snssai, int]:
         """Split the PRB budget across subnets proportionally to their
@@ -777,19 +782,17 @@ class Orchestrator:
             for s in by_remainder[:leftover]:
                 alloc[s] += 1
 
-        self.instances()
-        projected = self._project(alloc)
-        if any(self._limit(projected[j], vnic=False) is not None for j in self._head_at):
-            heads = [self._instances[j] for j in self._head_at]
-            entries: dict[Snssai, tuple[float, float]] = {}
-            while (broken := self._first_break(heads, alloc, entries)) is not None:
+        lay = self._laid_out()
+        projected = self._project(alloc, lay.instances)
+        if any(self._limit(projected[j], vnic=False) is not None for j in lay.heads):
+            heads = [lay.instances[j] for j in lay.heads]
+            while (broken := self._first_break(heads, alloc)) is not None:
                 reducible = [s for s in slices if alloc[s] > 0]
                 if not reducible:
-                    head, per_slice = broken
                     raise BaselineOverloadError(
-                        f"{head.instance_id}: isolation fails with no PRBs allocated; slice "
-                        f"baselines sum to {sum(per_slice.values()):.4f} vCPU against capacity "
-                        f"{head.capacity:.4f}, per-slice cap {self._budget.per_slice_cap:g}")
+                        f"{broken.instance_id}: isolation fails with no PRBs allocated; slice "
+                        f"baselines sum to {broken.consumption:.4f} vCPU against capacity "
+                        f"{broken.capacity:.4f}, per-slice cap {self._budget.per_slice_cap:g}")
                 victim = max(reducible, key=lambda s: (alloc[s], s.key()))
                 alloc[victim] -= 1
 
@@ -801,10 +804,10 @@ class Orchestrator:
                         continue
                     trial = dict(alloc)
                     trial[s] += 1
-                    if self._first_break(heads, trial, entries) is None:
+                    if self._first_break(heads, trial) is None:
                         alloc = trial
                         changed = True
-            projected = self._project(alloc)
+            projected = self._project(alloc, lay.instances)
 
         for s in slices:
             self.subnets[s].allocated_prbs = alloc[s]
@@ -833,18 +836,6 @@ class Orchestrator:
                 target, snssai, holder, attr, levels, caps,
                 deque(maxlen=max(self._thresholds.window, 1)))
         return rec
-
-    def _units(self) -> list[_UnitRecord]:
-        """Every live scaling unit, in policy order: each subnet's CU, then
-        the shared DU pool or each subnet's dedicated DU pool. Built on the
-        first read after instantiate_subnet."""
-        if self._policy_order is None:
-            slices = self._slices
-            pools = ([(ScaleTarget.SHARED_DU, None)] if self.aux is not None
-                     else [(ScaleTarget.DU, s) for s in slices])
-            units = [(ScaleTarget.CU, s) for s in slices] + pools
-            self._policy_order = [self._unit(*unit) for unit in units]
-        return self._policy_order
 
     def _step(self, rec: _UnitRecord, direction: Direction) -> tuple[str, str | None]:
         """The unit's current level and the adjacent one in ``direction``
@@ -884,12 +875,12 @@ class Orchestrator:
         shared = target is ScaleTarget.SHARED_DU
         if snssai not in self.subnets and not (shared and snssai is None):
             raise UnknownSnssaiError(f"subnet {snssai} not instantiated")
-        self._units()               # every live unit has its record
-        rec = self._unit_recs.get((target, snssai))
+        rec = next((r for r in self._laid_out().units
+                    if r.target is target and r.snssai == snssai), None)
         if rec is None:
             whose = "" if snssai is None else f" for {snssai}"
             raise OrchestrationError(f"no live {target.value} unit{whose} under scenario "
-                                     f"{self.scenario.value}")
+                                     f"{getattr(self.scenario, 'value', self.scenario)}")
         current, level = self._step(rec, direction)
         who = "auxiliary service" if snssai is None else f"{target.value} of {snssai}"
         if level is None:
@@ -960,8 +951,7 @@ class Orchestrator:
         else:
             insts = self._project(self._allocated_map())
             self._checked = None
-        self.instances()
-        for hist, cu_of, at, capacity in self._observed:
+        for hist, cu_of, at, capacity in self._laid_out().observed:
             if cu_of is not None:
                 hist.append(insts[at].per_slice[cu_of] / capacity)
             else:
@@ -993,7 +983,7 @@ class Orchestrator:
         declared IL; a scale-down that would break a limit at the current
         allocations is suppressed, so admitted DRBs are never evicted."""
         events: list[ScalingEvent] = []
-        for rec in self._units():
+        for rec in self._laid_out().units:
             if not rec.hist:
                 continue
             decision = evaluate_scaling_policy(rec.hist, self._thresholds,

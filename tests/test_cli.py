@@ -219,7 +219,10 @@ BAD_SNSSAIS = pytest.mark.parametrize("snssai, message", [
     ({"subtype": "video"}, "service_type: missing required field"),
     ({"service_type": "uRLLC", "subtype": 7}, "subtype: expected a string"),
     ("eMBB", "expected a mapping, got str"),
-], ids=["unknown-service-type", "missing-service-type", "non-string-subtype", "not-a-mapping"])
+    ({"service_type": "eMBB", "subtyp": "video"},
+     "unknown key 'subtyp'; expected one of service_type, subtype"),
+], ids=["unknown-service-type", "missing-service-type", "non-string-subtype", "not-a-mapping",
+        "unknown-key"])
 
 
 @BAD_SNSSAIS

@@ -281,7 +281,8 @@ def test_a_section_written_with_no_value_takes_its_defaults(section):
     ("", "admision"), ("resource", "vnic_service_rate"), ("scaling", "windw"),
     ("admission", "vnic_delay_cap"), ("budget", "cap"), ("profiles[0]", "mcs_distribution"),
     ("profiles[0].qos", "jitter_ms"), ("profiles[0].mcs[0]", "probability"),
-], ids=["top", "resource", "scaling", "admission", "budget", "profile", "qos", "mcs"])
+    ("profiles[0].snssai", "subtyp"),
+], ids=["top", "resource", "scaling", "admission", "budget", "profile", "qos", "mcs", "snssai"])
 def test_an_unknown_key_is_a_config_error_at_its_mapping(path, key):
     raw = _with(f"{path}.{key}" if path else key, 1)
     assert _error(raw).startswith(f"{path or 'config'}: unknown key {key!r}; expected one of ")

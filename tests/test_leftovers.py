@@ -1,7 +1,8 @@
 """Checks over the source tree with the stdlib ``ast`` module.
 
-No private function, class or module-level assignment in ``src/`` is
-left behind: each ``_name`` defined there is read somewhere in ``src/``.
+No private function, class, module-level assignment or instance
+attribute in ``src/`` is left behind: each ``_name`` defined there, or
+assigned as ``self._name``, is read somewhere in ``src/``.
 Public names are out of scope, since code outside ``src/`` may use
 them.
 
@@ -29,9 +30,10 @@ def _is_private(name: str) -> bool:
 
 
 def private_definitions_and_reads(root: Path) -> tuple[dict[str, str], set[str]]:
-    """Every private function or class (at any depth) and module-level
-    assignment under ``root``, by name with its place; and every name
-    read, as a plain name, an attribute or an imported name."""
+    """Every private function or class (at any depth), module-level
+    assignment and instance attribute assigned through ``self`` under
+    ``root``, by name with its place; and every name read, as a plain
+    name, an attribute or an imported name."""
     defined: dict[str, str] = {}
     read: set[str] = set()
     for path in sorted(root.rglob("*.py")):
@@ -50,6 +52,9 @@ def private_definitions_and_reads(root: Path) -> tuple[dict[str, str], set[str]]
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "self" and _is_private(node.attr)):
+                defined.setdefault(node.attr, f"{path.relative_to(root)}:{node.lineno}")
             elif isinstance(node, ast.alias):
                 read.add(node.name)
     return defined, read
@@ -60,6 +65,22 @@ def test_every_private_name_in_src_is_used():
     assert defined, f"no private names found under {SRC}"
     unused = sorted(f"{name} ({where})" for name, where in defined.items() if name not in read)
     assert not unused, "defined but never used in src/: " + ", ".join(unused)
+
+
+def test_the_private_check_finds_an_instance_attribute_nothing_reads(tmp_path):
+    (tmp_path / "m.py").write_text("""
+class Orch:
+    def __init__(self):
+        self._kept = self._left = 0
+        self._counted: int = 0
+        other._elsewhere = 1
+
+    def tick(self):
+        self._counted += 1
+        return self._kept
+""", encoding="utf-8")
+    defined, read = private_definitions_and_reads(tmp_path)
+    assert sorted(name for name in defined if name not in read) == ["_counted", "_left"]
 
 
 # State the tick path trusts to change only in lifecycle operations.

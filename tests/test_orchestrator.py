@@ -64,21 +64,22 @@ def admit_prbs(orch, ds, snssai, prbs, drb_id=None, m=6, cr=0.75):
 def count_evaluations(monkeypatch, orch) -> list[tuple]:
     """Record each (instance kind, owner, vNIC PRBs) triple whose load is
     computed: by admission's ``orch._head_loads``, and by
-    ``orch._loads_on`` as its caller takes the instances."""
+    ``orch._project``."""
     evaluated = []
-    loads_on, head_loads = orch._loads_on, orch._head_loads
+    project, head_loads = orch._project, orch._head_loads
 
-    def counted(*args):
-        for inst, per_slice, prbs in loads_on(*args):
-            evaluated.extend((inst.kind, s, prbs) for s in per_slice)
-            yield inst, per_slice, prbs
+    def counted(*args, **kwargs):
+        projected = project(*args, **kwargs)
+        for inst in projected:
+            evaluated.extend((inst.kind, s, inst.prbs) for s in inst.per_slice)
+        return projected
 
     def counted_head(head, *args):
         per_slice, prbs = head_loads(head, *args)
         evaluated.extend((head.kind, s, prbs) for s in per_slice)
         return per_slice, prbs
 
-    monkeypatch.setattr(orch, "_loads_on", counted)
+    monkeypatch.setattr(orch, "_project", counted)
     monkeypatch.setattr(orch, "_head_loads", counted_head)
     return evaluated
 
@@ -119,6 +120,18 @@ def test_unknown_snssai_rejected(ds_two_slices):
     stranger = build_descriptor_set(n_slices=3).snssais()[1]
     with pytest.raises(UnknownSnssaiError):
         orch.instantiate_subnet(stranger)
+
+
+@pytest.mark.parametrize("scenario", [None, "s2"], ids=["none", "string"])
+def test_a_missing_scenario_is_an_orchestration_error(ds_two_slices, scenario):
+    # Both used to raise AttributeError on the scenario's du_shared (value
+    # in scale), changing nothing.
+    orch = make_orch(ds_two_slices, scenario=scenario, instantiate=False)
+    with pytest.raises(OrchestrationError, match=f"scenario must be a Scenario, got {scenario!r}"):
+        orch.instantiate_subnet(ds_two_slices.snssais()[0])
+    with pytest.raises(OrchestrationError, match=f"under scenario {scenario}$"):
+        orch.scale(ScaleTarget.SHARED_DU, Direction.UP)
+    assert not orch.subnets and orch.aux is None and orch.instances() == ()
 
 
 def test_descriptor_findings_block_instantiation():

@@ -354,7 +354,7 @@ class EngineAgainstReference(RuleBasedStateMachine):
              sub.allocated_prbs) for s, sub in ref.subnets.items()]
         assert (orch.aux and orch.aux.current_il) == (ref.aux and ref.aux.current_il)
         # Every unit the policy walks, in policy order, with its history.
-        assert [((r.target, r.snssai), list(r.hist)) for r in orch._units()] == [
+        assert [((r.target, r.snssai), list(r.hist)) for r in orch._laid_out().units] == [
             (unit, list(ref.hist.get(unit, ()))) for unit in ref.units()]
         assert (orch.events, orch.findings) == (ref.events, ref.findings)
 
